@@ -9,7 +9,7 @@ the stream, and show the match rate before and after correction.
 
 import io
 
-from tracepattern.ingest import IngestStats, ParserConfig, read_chunks
+from tracepattern.ingest import IngestStats, ParserConfig, TraceBatch, read_chunks
 from tracepattern.matching import apply_offset, estimate_offset, match_batch
 from tracepattern.network import load_network
 from tracepattern.synth import Scenario, generate, uniform_profile
@@ -21,9 +21,8 @@ scenario = Scenario(seed=19, demand_profile=uniform_profile(2),
 gen = generate(scenario)
 net = load_network(gen.network_doc)
 
-records = [r for chunk in read_chunks(io.StringIO(gen.trace_csv),
-                                      ParserConfig(), IngestStats())
-           for r in chunk]
+records = TraceBatch.concat(list(read_chunks(io.StringIO(gen.trace_csv),
+                                             ParserConfig(), IngestStats())))
 
 _, unmatched_before = match_batch(records, net)
 print(f"injected shift: {INJECTED}")

@@ -9,16 +9,15 @@ from .congestion import (CongestionSeries, FittingResult, daily_aggregates,
                          estimate_free_flow, fitting_index, inrix_score,
                          min_max_normalize, network_inrix, score_matrix)
 from .geo import EARTH_RADIUS_KM, haversine
-from .ingest import (IntervalIndex, ParserConfig, TraceRecord, assign_interval,
-                     parse_record, read_chunks, read_chunks_from_path)
-from .matching import (MatchedPoint, OffsetVector, apply_offset,
-                       estimate_offset, match_batch)
+from .ingest import (IntervalIndex, ParserConfig, TraceBatch, TraceRecord,
+                     assign_interval, parse_record, read_chunks,
+                     read_chunks_from_path)
+from .matching import OffsetVector, apply_offset, estimate_offset, match_batch
 from .network import (RoadNetwork, RoadSegment, load_network, nearest_segment,
                       point_to_segment_distance)
-from .patterns import (SpatioTemporalMatrix, TensorBuilder, TracePair,
-                       build_pairs, build_tensors, clean_speed_matrix,
-                       filter_missing, flow_count, interpolate_missing,
-                       repair_anomalies, road_mean_speed)
+from .patterns import (SpatioTemporalMatrix, TensorBuilder, build_tensors,
+                       clean_speed_matrix, filter_missing, interpolate_missing,
+                       repair_anomalies)
 from .pipeline import RunConfig, run_pipeline
 from .synth import Scenario, compare, generate
 
@@ -26,13 +25,12 @@ __all__ = [
     "CongestionSeries", "FittingResult", "daily_aggregates",
     "estimate_free_flow", "fitting_index", "inrix_score", "min_max_normalize",
     "network_inrix", "score_matrix", "EARTH_RADIUS_KM", "haversine",
-    "IntervalIndex", "ParserConfig", "TraceRecord", "assign_interval",
-    "parse_record", "read_chunks", "read_chunks_from_path", "MatchedPoint",
+    "IntervalIndex", "ParserConfig", "TraceBatch", "TraceRecord",
+    "assign_interval", "parse_record", "read_chunks", "read_chunks_from_path",
     "OffsetVector", "apply_offset", "estimate_offset", "match_batch",
     "RoadNetwork", "RoadSegment", "load_network", "nearest_segment",
     "point_to_segment_distance", "SpatioTemporalMatrix", "TensorBuilder",
-    "TracePair", "build_pairs", "build_tensors", "clean_speed_matrix",
-    "filter_missing", "flow_count", "interpolate_missing", "repair_anomalies",
-    "road_mean_speed", "RunConfig", "run_pipeline", "Scenario", "compare",
-    "generate",
+    "build_tensors", "clean_speed_matrix", "filter_missing",
+    "interpolate_missing", "repair_anomalies", "RunConfig", "run_pipeline",
+    "Scenario", "compare", "generate",
 ]

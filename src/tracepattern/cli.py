@@ -119,12 +119,10 @@ def offset(traces_path, network_path, sample_size, tz_offset_s):
     """Estimate and print the coordinate shift; no other processing."""
     net = network.load_network(network_path)
     parser = ParserConfig() if tz_offset_s is None else ParserConfig(tz_offset_s=tz_offset_s)
-    sample = []
-    for chunk in read_chunks_from_path(traces_path, parser, IngestStats()):
-        sample.extend(chunk)
-        if len(sample) >= sample_size:
-            break
-    off = matching.estimate_offset(sample[:sample_size], net, min_sample=sample_size)
+    cfg = pipeline.RunConfig(traces_path=traces_path, network_path=network_path,
+                             out_dir="", offset_sample_size=sample_size)
+    off, _ = pipeline.resolve_offset(
+        cfg, net, read_chunks_from_path(traces_path, parser, IngestStats()))
     click.echo(f"{off.dlat:+.6f} {off.dlon:+.6f}")
 
 
@@ -156,11 +154,7 @@ def analyze(flow_path, speed_path, network_path, out_dir, config_file,
     cleaning = patterns.clean_speed_matrix(speed, cfg.missing_fraction, cfg.anomaly_kmh)
     result = pipeline.analyze(flow, cleaning.speeds, net, cfg)
     os.makedirs(out_dir, exist_ok=True)
-    ex.write_matrix_csv(result["scores"].per_road, os.path.join(out_dir, "inrix.csv"))
-    pipeline._write_network_series(result["scores"], flow,
-                                   os.path.join(out_dir, "network_series.csv"))
-    pipeline._write_daily(result["daily"], os.path.join(out_dir, "daily.csv"))
-    ex.write_json(result["fitting"], os.path.join(out_dir, "fitting.json"))
+    pipeline.write_analysis(result, flow, out_dir)
     click.echo(f"analysis written to {out_dir}")
 
 

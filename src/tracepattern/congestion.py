@@ -32,16 +32,6 @@ class CongestionSeries:
 
 
 @dataclass
-class DailyProfile:
-    """One day's 96-slot network series, optionally normalized."""
-
-    day: object
-    values: np.ndarray
-    normalized: np.ndarray | None = None
-    degenerate: bool = False
-
-
-@dataclass
 class FittingResult:
     value: float
     degenerate: bool = False

@@ -1,7 +1,8 @@
 """Chunked trace-file ingestion.
 
 Reads delimited GPS trace files (optionally gzipped) in fixed-size chunks,
-validates each row, and assigns records to day-local 15-minute intervals.
+validates each row, and hands each chunk on as one TraceBatch of columns.
+Also maps timestamps to day-local 15-minute intervals.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ import datetime
 import gzip
 import io
 import logging
+import zlib
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DataQualityError, IngestError, ParseError, RecordValidationError
 
@@ -29,6 +33,8 @@ DEFAULT_ERROR_RATE_CEILING = 0.01
 # Don't trip the error-rate ceiling on a handful of rows.
 _CEILING_MIN_ROWS = 1000
 
+_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -39,6 +45,47 @@ class TraceRecord:
     timestamp: int
     lat: float
     lon: float
+
+
+@dataclass(frozen=True, eq=False)
+class TraceBatch:
+    """Aligned columns of parsed pings, in source order.
+
+    ``road_id`` is None until ``matching.match_batch`` labels each row with
+    its nearest road.
+    """
+
+    order_id: np.ndarray  # object (str)
+    timestamp: np.ndarray  # int64, epoch seconds
+    lat: np.ndarray  # float64
+    lon: np.ndarray  # float64
+    road_id: np.ndarray | None = None  # int64
+
+    @classmethod
+    def from_records(cls, records) -> "TraceBatch":
+        return cls(np.array([r.order_id for r in records], dtype=object),
+                   np.array([r.timestamp for r in records], dtype=np.int64),
+                   np.array([r.lat for r in records], dtype=np.float64),
+                   np.array([r.lon for r in records], dtype=np.float64))
+
+    @classmethod
+    def concat(cls, batches) -> "TraceBatch":
+        """One batch holding the rows of ``batches`` in order."""
+        if not batches:
+            return cls.from_records([])
+        road = None if batches[0].road_id is None else \
+            np.concatenate([b.road_id for b in batches])
+        return cls(*(np.concatenate([getattr(b, name) for b in batches])
+                     for name in ("order_id", "timestamp", "lat", "lon")), road)
+
+    def __len__(self) -> int:
+        return self.timestamp.size
+
+    def __getitem__(self, rows) -> "TraceBatch":
+        """The rows selected by a slice, boolean mask or index array."""
+        road = None if self.road_id is None else self.road_id[rows]
+        return TraceBatch(self.order_id[rows], self.timestamp[rows],
+                          self.lat[rows], self.lon[rows], road)
 
 
 @dataclass(frozen=True, order=True)
@@ -142,18 +189,20 @@ def open_trace_file(path):
 
 
 def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStats | None = None):
-    """Yield batches of at most ``config.chunk_size`` parsed TraceRecords.
+    """Yield TraceBatches of at most ``config.chunk_size`` parsed rows.
 
     ``source`` is an open text stream. Malformed rows are counted on
     ``stats`` and skipped; the run aborts with DataQualityError once the
     error rate exceeds the configured ceiling (checked per chunk, after a
-    minimum of 1000 rows).
+    minimum of 1000 rows). A stream that cannot be read or decoded raises
+    IngestError.
     """
     if stats is None:
         stats = IngestStats()
     reader = csv.reader(source, delimiter=config.delimiter)
     chunk: list[TraceRecord] = []
     first = True
+    row_num = 0
     try:
         for row_num, fields in enumerate(reader, start=1):
             if not fields:
@@ -175,14 +224,13 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
                     stats.samples.append(f"row {row_num}: {exc}")
             if len(chunk) == config.chunk_size:
                 _check_error_rate(stats, config)
-                yield chunk
+                yield TraceBatch.from_records(chunk)
                 chunk = []
-    except (OSError, csv.Error) as exc:
-        offset = source.tell() if source.seekable() else -1
-        raise IngestError(f"read failure near byte offset {offset}: {exc}") from exc
+    except (OSError, EOFError, zlib.error, UnicodeDecodeError, csv.Error) as exc:
+        raise IngestError(f"read failure after row {row_num}: {exc}") from exc
     _check_error_rate(stats, config)
     if chunk:
-        yield chunk
+        yield TraceBatch.from_records(chunk)
 
 
 def _check_error_rate(stats: IngestStats, config: ParserConfig):
@@ -202,12 +250,18 @@ def read_chunks_from_path(path, config: ParserConfig = ParserConfig(),
         yield from read_chunks(stream, config, stats)
 
 
-def assign_interval(timestamp: int, tz_offset_s: int = DEFAULT_TZ_OFFSET_S) -> IntervalIndex:
-    """Map an epoch timestamp to its day-local 15-minute interval.
+def day_slot(timestamps, tz_offset_s: int = DEFAULT_TZ_OFFSET_S):
+    """(day, slot) of epoch timestamps, a scalar or an int64 array.
 
-    Intervals are half-open [t, t + 900) in local time.
+    ``day`` is the local date's ``toordinal()`` and ``slot`` its 15-minute
+    interval, half-open [t, t + 900) in local time.
     """
-    local = timestamp + tz_offset_s
-    day_num, sec_of_day = divmod(local, SECONDS_PER_DAY)
-    day = datetime.date(1970, 1, 1) + datetime.timedelta(days=day_num)
-    return IntervalIndex(day, sec_of_day // INTERVAL_SECONDS)
+    day, slot = np.divmod((np.asarray(timestamps, dtype=np.int64) + tz_offset_s)
+                          // INTERVAL_SECONDS, SLOTS_PER_DAY)
+    return day + _EPOCH_ORDINAL, slot
+
+
+def assign_interval(timestamp: int, tz_offset_s: int = DEFAULT_TZ_OFFSET_S) -> IntervalIndex:
+    """Map an epoch timestamp to its day-local 15-minute interval."""
+    day, slot = day_slot(timestamp, tz_offset_s)
+    return IntervalIndex(datetime.date.fromordinal(int(day)), int(slot))

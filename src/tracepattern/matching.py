@@ -1,19 +1,19 @@
 """Constant-shift trace correction and nearest-road labeling.
 
-A single global offset is estimated from a sample of records as the
+A single global offset is estimated from a sample of pings as the
 iterated component-wise median of point-to-road displacement vectors,
-then applied to every record before nearest-segment matching.
+then applied to every TraceBatch before nearest-segment matching.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import OffsetCapError, OffsetEstimationError
-from .ingest import IntervalIndex, TraceRecord, assign_interval
+from .ingest import TraceBatch
 from .network import DEFAULT_MAX_DIST_KM, RoadNetwork
 
 logger = logging.getLogger(__name__)
@@ -41,16 +41,6 @@ class OffsetVector:
 
     def negated(self) -> "OffsetVector":
         return OffsetVector(-self.dlat, -self.dlon)
-
-
-@dataclass(frozen=True)
-class MatchedPoint:
-    """A corrected record labeled with its nearest road segment."""
-
-    record: TraceRecord
-    road_id: int
-    match_dist_km: float
-    interval: IntervalIndex
 
 
 _MIN_GROUP_FRACTION = 0.05
@@ -84,9 +74,9 @@ def _median_step(lats, lons, net: RoadNetwork):
     return step_lat, step_lon
 
 
-def estimate_offset(sample, net: RoadNetwork,
+def estimate_offset(sample: TraceBatch, net: RoadNetwork,
                     min_sample: int = DEFAULT_MIN_SAMPLE) -> OffsetVector:
-    """Estimate the global correction offset from a record sample.
+    """Estimate the global correction offset from a sample batch.
 
     Each iteration snaps the (partially corrected) sample to the nearest
     on-road points and accumulates the per-axis median displacement of the
@@ -99,8 +89,7 @@ def estimate_offset(sample, net: RoadNetwork,
         raise OffsetEstimationError(
             f"sample of {len(sample)} records is below minimum {min_sample}"
         )
-    lats = np.array([r.lat for r in sample])
-    lons = np.array([r.lon for r in sample])
+    lats, lons = sample.lat, sample.lon
     total_lat = 0.0
     total_lon = 0.0
     for _ in range(_MAX_ITER):
@@ -118,48 +107,30 @@ def estimate_offset(sample, net: RoadNetwork,
     return OffsetVector(total_lat, total_lon)
 
 
-def apply_offset(records, off: OffsetVector):
+def apply_offset(batch: TraceBatch, off: OffsetVector):
     """Translate a batch by the offset; returns (batch, skipped_count).
 
-    Records pushed outside geographic range are skipped and counted.
+    Rows pushed outside geographic range are skipped and counted.
     """
-    out = []
-    skipped = 0
-    for r in records:
-        lat = r.lat + off.dlat
-        lon = r.lon + off.dlon
-        if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
-            out.append(TraceRecord(r.driver_id, r.order_id, r.timestamp, lat, lon))
-        else:
-            skipped += 1
-    return out, skipped
+    lat = batch.lat + off.dlat
+    lon = batch.lon + off.dlon
+    ok = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
+    shifted = replace(batch, lat=lat, lon=lon)[ok]
+    return shifted, len(batch) - len(shifted)
 
 
-def match_batch(records, net: RoadNetwork, max_dist_km: float = DEFAULT_MAX_DIST_KM,
-                tz_offset_s: int = None):
-    """Label each record with its nearest segment within the gate.
+def match_batch(batch: TraceBatch, net: RoadNetwork,
+                max_dist_km: float = DEFAULT_MAX_DIST_KM):
+    """Label each row with its nearest segment within the gate.
 
-    Returns (matched, unmatched_count). Records with no segment within
-    ``max_dist_km`` are counted as unmatched, a normal outcome.
+    Returns (matched, unmatched_count): ``matched`` holds the rows with a
+    segment within ``max_dist_km``, ``road_id`` set. Rows without one are
+    counted as unmatched, a normal outcome.
     """
-    from .ingest import DEFAULT_TZ_OFFSET_S
-
-    if tz_offset_s is None:
-        tz_offset_s = DEFAULT_TZ_OFFSET_S
-    if not records:
-        return [], 0
-    lats = np.array([r.lat for r in records])
-    lons = np.array([r.lon for r in records])
-    seg_ids, dists = net.index.nearest_batch(lats, lons, max_dist_km)
-    matched = []
-    unmatched = 0
-    for r, seg_id, dist in zip(records, seg_ids, dists):
-        if seg_id < 0:
-            unmatched += 1
-            continue
-        matched.append(MatchedPoint(r, int(seg_id), float(dist),
-                                    assign_interval(r.timestamp, tz_offset_s)))
-    if records:
+    seg_ids, _ = net.index.nearest_batch(batch.lat, batch.lon, max_dist_km)
+    ok = seg_ids >= 0
+    matched = replace(batch, road_id=seg_ids)[ok]
+    if len(batch):
         logger.debug("match rate %.1f%% (%d/%d)",
-                     100.0 * len(matched) / len(records), len(matched), len(records))
-    return matched, unmatched
+                     100.0 * len(matched) / len(batch), len(matched), len(batch))
+    return matched, len(batch) - len(matched)

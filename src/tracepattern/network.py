@@ -55,16 +55,21 @@ def load_network(path_or_obj) -> RoadNetwork:
     """Load a GeoJSON-style document of LineString features.
 
     Each feature needs a unique integer ``id`` property (duplicate ids are
-    fatal); ``free_flow_kmh`` is optional. Coordinates are [lon, lat] pairs.
-    Features with fewer than 2 vertices are skipped and counted.
+    fatal); ``free_flow_kmh`` is optional. Coordinates are [lon, lat] or
+    [lon, lat, alt] positions; altitude is ignored. Features with fewer
+    than 2 vertices are skipped and counted. A document that is not valid
+    JSON of this shape raises NetworkError.
     """
     if isinstance(path_or_obj, dict):
         doc = path_or_obj
     else:
-        with open(path_or_obj, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    features = doc.get("features")
-    if features is None:
+        try:
+            with open(path_or_obj, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise NetworkError(f"{path_or_obj} is not a JSON document: {exc}") from None
+    features = doc.get("features") if isinstance(doc, dict) else None
+    if not isinstance(features, list):
         raise NetworkError("document has no 'features' array")
 
     segments: dict[int, RoadSegment] = {}
@@ -73,7 +78,10 @@ def load_network(path_or_obj) -> RoadNetwork:
         props = feat.get("properties") or {}
         if "id" not in props:
             raise NetworkError("feature missing 'id' property")
-        seg_id = int(props["id"])
+        try:
+            seg_id = int(props["id"])
+        except (TypeError, ValueError):
+            raise NetworkError(f"feature id {props['id']!r} is not an integer") from None
         if seg_id in segments:
             raise NetworkError(f"duplicate segment id {seg_id}")
         coords = (feat.get("geometry") or {}).get("coordinates") or []
@@ -81,7 +89,11 @@ def load_network(path_or_obj) -> RoadNetwork:
             skipped += 1
             logger.warning("segment %d has %d vertices, skipped", seg_id, len(coords))
             continue
-        polyline = tuple((float(lat), float(lon)) for lon, lat in coords)
+        try:
+            polyline = tuple((float(lat), float(lon)) for lon, lat, *_alt in coords)
+        except (TypeError, ValueError):
+            raise NetworkError(f"segment {seg_id}: coordinates must be "
+                               f"[lon, lat] or [lon, lat, alt] positions") from None
         length = geo.polyline_length_km(polyline)
         if length <= 0.0:
             skipped += 1

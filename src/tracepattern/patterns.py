@@ -12,30 +12,19 @@ from __future__ import annotations
 
 import datetime
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geo
-from .ingest import SLOTS_PER_DAY, IntervalIndex
+from .ingest import (DEFAULT_TZ_OFFSET_S, SLOTS_PER_DAY, IntervalIndex,
+                     TraceBatch, day_slot)
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_PAIR_DT_MAX_S = 10
 DEFAULT_ANOMALY_KMH = 70.0
 DEFAULT_MISSING_FRACTION = 0.2
-
-_EPOCH = datetime.date(1970, 1, 1)
-
-
-@dataclass(frozen=True)
-class TracePair:
-    """Two consecutive pings of one order on one road."""
-
-    road_id: int
-    d_km: float
-    dt_s: float
-    v_kmh: float
 
 
 @dataclass
@@ -78,34 +67,6 @@ def full_interval_axis(day_first: datetime.date, day_last: datetime.date):
     return out
 
 
-def build_pairs(points, pair_dt_max_s: float = DEFAULT_PAIR_DT_MAX_S):
-    """Trace pairs from one order's matched points, sorted by timestamp.
-
-    Consecutive points on the same road with 0 < dt <= pair_dt_max_s form
-    a pair; cross-road pairs and duplicate timestamps are dropped.
-    """
-    pairs = []
-    for p, q in zip(points, points[1:]):
-        dt = q.record.timestamp - p.record.timestamp
-        if p.road_id != q.road_id or dt <= 0 or dt > pair_dt_max_s:
-            continue
-        d = geo.haversine(p.record.lat, p.record.lon, q.record.lat, q.record.lon)
-        pairs.append(TracePair(p.road_id, d, float(dt), d / (dt / 3600.0)))
-    return pairs
-
-
-def road_mean_speed(pairs):
-    """Arithmetic mean of pair speeds; 0 when there are no pairs."""
-    if not pairs:
-        return 0.0
-    return float(sum(p.v_kmh for p in pairs) / len(pairs))
-
-
-def flow_count(points):
-    """Number of distinct order ids among matched points."""
-    return len({p.record.order_id for p in points})
-
-
 class TensorBuilder:
     """Streaming accumulator for the flow and speed matrices.
 
@@ -114,37 +75,30 @@ class TensorBuilder:
     finalize, with a stable key, before pair construction).
     """
 
-    def __init__(self, road_ids, pair_dt_max_s: float = DEFAULT_PAIR_DT_MAX_S):
+    def __init__(self, road_ids, pair_dt_max_s: float = DEFAULT_PAIR_DT_MAX_S,
+                 tz_offset_s: int = DEFAULT_TZ_OFFSET_S):
         self.road_ids = sorted(road_ids)
         self.pair_dt_max_s = pair_dt_max_s
-        self._road_pos = {rid: i for i, rid in enumerate(self.road_ids)}
+        self.tz_offset_s = tz_offset_s
+        self._road_axis = np.asarray(self.road_ids, dtype=np.int64)
         self._order_idx: dict[str, int] = {}
         self._chunks: list[tuple] = []
         self.n_points = 0
 
-    def add(self, matched):
-        """Append a batch of MatchedPoints."""
-        if not matched:
-            return
+    def add(self, matched: TraceBatch):
+        """Append a batch whose rows ``match_batch`` labeled with road ids."""
         n = len(matched)
-        order = np.empty(n, dtype=np.int64)
-        ts = np.empty(n, dtype=np.int64)
-        road = np.empty(n, dtype=np.int64)
-        day = np.empty(n, dtype=np.int64)
-        slot = np.empty(n, dtype=np.int64)
-        lat = np.empty(n)
-        lon = np.empty(n)
+        if n == 0:
+            return
+        if matched.road_id is None or not np.isin(matched.road_id, self._road_axis).all():
+            raise ValueError("every row needs a road id from the builder's road axis")
+        # int codes in first-seen order, so finalize sums pair speeds in
+        # the same order under any chunking
         oidx = self._order_idx
-        for i, mp in enumerate(matched):
-            rec = mp.record
-            order[i] = oidx.setdefault(rec.order_id, len(oidx))
-            ts[i] = rec.timestamp
-            road[i] = self._road_pos[mp.road_id]
-            day[i] = mp.interval.day.toordinal()
-            slot[i] = mp.interval.slot
-            lat[i] = rec.lat
-            lon[i] = rec.lon
-        self._chunks.append((order, ts, road, day, slot, lat, lon))
+        order = np.fromiter((oidx.setdefault(o, len(oidx)) for o in matched.order_id),
+                            dtype=np.int64, count=n)
+        road = np.searchsorted(self._road_axis, matched.road_id)
+        self._chunks.append((order, matched.timestamp, road, matched.lat, matched.lon))
         self.n_points += n
 
     def finalize(self):
@@ -154,10 +108,11 @@ class TensorBuilder:
             empty = np.zeros((len(self.road_ids), 0))
             return (SpatioTemporalMatrix(self.road_ids, axis, empty.copy()),
                     SpatioTemporalMatrix(self.road_ids, axis, empty.copy()))
-        order, ts, road, day, slot, lat, lon = (
-            np.concatenate([c[i] for c in self._chunks]) for i in range(7)
+        order, ts, road, lat, lon = (
+            np.concatenate([c[i] for c in self._chunks]) for i in range(5)
         )
 
+        day, slot = day_slot(ts, self.tz_offset_s)
         day0 = int(day.min())
         day1 = int(day.max())
         n_days = day1 - day0 + 1
@@ -198,7 +153,9 @@ class TensorBuilder:
 
 def build_tensors(matched_batches, road_ids,
                   pair_dt_max_s: float = DEFAULT_PAIR_DT_MAX_S):
-    """(FlowMatrix, SpeedMatrix) from an iterable of MatchedPoint batches."""
+    """(FlowMatrix, SpeedMatrix) from an iterable of matched TraceBatches,
+    with intervals in the default UTC+8 offset (use TensorBuilder for
+    another)."""
     builder = TensorBuilder(road_ids, pair_dt_max_s)
     for batch in matched_batches:
         builder.add(batch)

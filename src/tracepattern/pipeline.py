@@ -5,6 +5,7 @@ digests; reruns on identical inputs are byte-identical.
 
 from __future__ import annotations
 
+import csv
 import datetime
 import logging
 import os
@@ -18,7 +19,7 @@ from . import matching, network, patterns
 from .errors import ConfigError
 from .ingest import (DEFAULT_CHUNK_SIZE, DEFAULT_ERROR_RATE_CEILING,
                      DEFAULT_TZ_OFFSET_S, IngestStats, ParserConfig,
-                     read_chunks_from_path)
+                     TraceBatch, read_chunks_from_path)
 
 logger = logging.getLogger(__name__)
 
@@ -59,22 +60,20 @@ class RunConfig:
 
 
 def resolve_offset(config: RunConfig, net, chunks_iter):
-    """Explicit offset, or estimate from the head of the record stream.
+    """Explicit offset, or estimate from the head of the batch stream.
 
     Returns (offset, buffered_chunks): chunks consumed for the sample are
-    handed back so the caller still processes every record.
+    handed back so the caller still processes every row.
     """
     if config.offset is not None:
         return matching.OffsetVector(*config.offset), []
+    n = config.offset_sample_size
     buffered = []
-    sample = []
     for chunk in chunks_iter:
         buffered.append(chunk)
-        sample.extend(chunk)
-        if len(sample) >= config.offset_sample_size:
+        if sum(map(len, buffered)) >= n:
             break
-    off = matching.estimate_offset(sample[:config.offset_sample_size], net,
-                                   min_sample=config.offset_sample_size)
+    off = matching.estimate_offset(TraceBatch.concat(buffered)[:n], net, min_sample=n)
     return off, buffered
 
 
@@ -99,15 +98,15 @@ def run_pipeline(config: RunConfig) -> dict:
         chunks = read_chunks_from_path(config.traces_path, parser, stats)
         offset, buffered = resolve_offset(config, net, chunks)
 
-        builder = patterns.TensorBuilder(net.ordered_ids(), config.pair_dt_max_s)
+        builder = patterns.TensorBuilder(net.ordered_ids(), config.pair_dt_max_s,
+                                         config.tz_offset_s)
         matched_n = unmatched_n = offset_skipped = 0
 
         def process(chunk):
             nonlocal matched_n, unmatched_n, offset_skipped
             shifted, skipped = matching.apply_offset(chunk, offset)
             offset_skipped += skipped
-            matched, unmatched = matching.match_batch(
-                shifted, net, config.max_dist_km, config.tz_offset_s)
+            matched, unmatched = matching.match_batch(shifted, net, config.max_dist_km)
             matched_n += len(matched)
             unmatched_n += unmatched
             builder.add(matched)
@@ -140,21 +139,13 @@ def run_pipeline(config: RunConfig) -> dict:
             "dropped_road_ids": cleaning.dropped_road_ids,
             "anomaly_rate": cleaning.anomaly_rate,
         }
-        outputs = {
-            "flow.csv": lambda p: ex.write_matrix_csv(flow, p, meta),
-            "speed_raw.csv": lambda p: ex.write_matrix_csv(speed_raw, p, meta),
-            "speed_clean.csv": lambda p: ex.write_matrix_csv(cleaning.speeds, p, meta),
-            "inrix.csv": lambda p: ex.write_matrix_csv(analysis["scores"].per_road, p, meta),
-            "network_series.csv": lambda p: _write_network_series(
-                analysis["scores"], flow, p),
-            "daily.csv": lambda p: _write_daily(analysis["daily"], p),
-            "fitting.json": lambda p: ex.write_json(analysis["fitting"], p),
-        }
-        digests = {}
-        for name, write in outputs.items():
-            path = os.path.join(config.out_dir, name)
-            write(path)
-            digests[name] = ex.sha256_file(path)
+        matrices = {"flow.csv": flow, "speed_raw.csv": speed_raw,
+                    "speed_clean.csv": cleaning.speeds}
+        for name, matrix in matrices.items():
+            ex.write_matrix_csv(matrix, os.path.join(config.out_dir, name), meta)
+        written = list(matrices) + write_analysis(analysis, flow, config.out_dir, meta)
+        digests = {name: ex.sha256_file(os.path.join(config.out_dir, name))
+                   for name in written}
         manifest["stages_completed"].append(stage)
 
         manifest.update({
@@ -225,9 +216,19 @@ def _resolve_groups(date_groups, days):
             "weekend": {d for d in days if d.weekday() >= 5}}
 
 
-def _write_network_series(scores, flow, path):
-    import csv
+def write_analysis(analysis: dict, flow, out_dir, meta: dict | None = None) -> list:
+    """Write the ``analyze`` results into ``out_dir``; returns the file names.
 
+    ``meta``, when given, becomes the ``inrix.csv.meta.json`` sidecar.
+    """
+    ex.write_matrix_csv(analysis["scores"].per_road, os.path.join(out_dir, "inrix.csv"), meta)
+    _write_network_series(analysis["scores"], flow, os.path.join(out_dir, "network_series.csv"))
+    _write_daily(analysis["daily"], os.path.join(out_dir, "daily.csv"))
+    ex.write_json(analysis["fitting"], os.path.join(out_dir, "fitting.json"))
+    return ["inrix.csv", "network_series.csv", "daily.csv", "fitting.json"]
+
+
+def _write_network_series(scores, flow, path):
     labels = flow.interval_labels()
     cf = flow.values.sum(axis=0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -238,8 +239,6 @@ def _write_network_series(scores, flow, path):
 
 
 def _write_daily(daily, path):
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["day", "cf_total", "dc_mean", "partial"])

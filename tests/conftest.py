@@ -3,7 +3,7 @@ import io
 import pytest
 
 from tracepattern import network
-from tracepattern.ingest import IngestStats, ParserConfig, read_chunks
+from tracepattern.ingest import IngestStats, ParserConfig, TraceBatch, read_chunks
 from tracepattern.synth import Scenario, generate, uniform_profile
 
 
@@ -25,8 +25,7 @@ def small_net(small_generated):
 def parse_all(trace_csv, config=None):
     config = config or ParserConfig()
     stats = IngestStats()
-    records = [r for chunk in read_chunks(io.StringIO(trace_csv), config, stats)
-               for r in chunk]
+    records = TraceBatch.concat(list(read_chunks(io.StringIO(trace_csv), config, stats)))
     return records, stats
 
 

@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 
@@ -77,6 +78,18 @@ class TestEstimate:
             "--out", str(tmp_path / "out"), "--offset", "0", "0"])
         assert result.exit_code == 2
 
+    def test_truncated_gzip_exit_1_one_line(self, runner, workspace, tmp_path):
+        with open(workspace["traces"], "rb") as fh:
+            data = gzip.compress(fh.read())
+        bad_path = tmp_path / "traces.csv.gz"
+        bad_path.write_bytes(data[:len(data) // 2])
+        result = runner.invoke(main, [
+            "estimate", "--traces", str(bad_path), "--network", workspace["net"],
+            "--out", str(tmp_path / "out"), "--offset", "0", "0"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: read failure")
+        assert result.stderr.count("\n") == 1
+
     def test_config_file_with_flag_precedence(self, runner, workspace, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"traces_path: {workspace['traces']}\n"
@@ -134,6 +147,11 @@ class TestAnalyze:
         b = ex.read_matrix_csv(os.path.join(workspace["out"], "inrix.csv"))
         np.testing.assert_array_equal(np.nan_to_num(a.values, nan=-1),
                                       np.nan_to_num(b.values, nan=-1))
+        for name in ("inrix.csv", "network_series.csv", "daily.csv", "fitting.json"):
+            with open(os.path.join(out, name), "rb") as fa, \
+                    open(os.path.join(workspace["out"], name), "rb") as fb:
+                assert fa.read() == fb.read(), name
+        assert not os.path.exists(os.path.join(out, "inrix.csv.meta.json"))
 
 
 class TestHeatmap:

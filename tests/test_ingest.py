@@ -2,19 +2,31 @@ import datetime
 import gzip
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracepattern.errors import DataQualityError, ParseError, RecordValidationError
+from tracepattern.errors import (DataQualityError, IngestError, ParseError,
+                                 RecordValidationError)
 from tracepattern.ingest import (IngestStats, IntervalIndex, ParserConfig,
-                                 assign_interval, open_trace_file, parse_record,
-                                 read_chunks)
+                                 TraceBatch, assign_interval, day_slot,
+                                 open_trace_file, parse_record, read_chunks)
 
 
 def rows_csv(n, start_ts=1475280000):
     lines = [f"d{i},o{i},{start_ts + i},104.06,30.65" for i in range(n)]
     return "\n".join(lines) + "\n"
+
+
+def read_all(stream, config=ParserConfig(), stats=None):
+    """Every parsed row of a stream as one TraceBatch."""
+    return TraceBatch.concat(list(read_chunks(stream, config, stats)))
+
+
+def as_rows(batch):
+    return list(zip(batch.order_id, batch.timestamp.tolist(), batch.lat.tolist(),
+                    batch.lon.tolist()))
 
 
 class TestParseRecord:
@@ -56,20 +68,19 @@ class TestReadChunks:
         assert list(read_chunks(io.StringIO(""))) == []
 
     def test_source_order_preserved(self):
-        cfg = ParserConfig(chunk_size=7)
-        records = [r for c in read_chunks(io.StringIO(rows_csv(100)), cfg) for r in c]
-        assert [r.driver_id for r in records] == [f"d{i}" for i in range(100)]
+        records = read_all(io.StringIO(rows_csv(100)), ParserConfig(chunk_size=7))
+        assert list(records.order_id) == [f"o{i}" for i in range(100)]
 
     def test_header_detected_and_skipped(self):
         text = "driver_id,order_id,timestamp,lon,lat\n" + rows_csv(3)
         stats = IngestStats()
-        records = [r for c in read_chunks(io.StringIO(text), ParserConfig(), stats) for r in c]
+        records = read_all(io.StringIO(text), ParserConfig(), stats)
         assert len(records) == 3 and stats.skipped == 0
 
     def test_count_conservation(self):
         text = rows_csv(10) + "bad,row\n" + "d,o,1,200.0,30.0\n" + rows_csv(5)
         stats = IngestStats()
-        records = [r for c in read_chunks(io.StringIO(text), ParserConfig(), stats) for r in c]
+        records = read_all(io.StringIO(text), ParserConfig(), stats)
         assert stats.parsed == len(records) == 15
         assert stats.parse_errors == 1 and stats.validation_errors == 1
         assert stats.parsed + stats.skipped == stats.total == 17
@@ -85,19 +96,30 @@ class TestReadChunks:
         with gzip.open(path, "wt") as fh:
             fh.write(rows_csv(42))
         with open_trace_file(path) as stream:
-            records = [r for c in read_chunks(stream) for r in c]
+            records = read_all(stream)
         assert len(records) == 42
+
+    def test_truncated_gzip_is_ingest_error(self, tmp_path):
+        path = tmp_path / "traces.csv.gz"
+        data = gzip.compress(rows_csv(5000).encode())
+        path.write_bytes(data[:len(data) // 2])
+        with open_trace_file(path) as stream, pytest.raises(IngestError):
+            read_all(stream)
+
+    def test_non_utf8_byte_is_ingest_error(self, tmp_path):
+        path = tmp_path / "traces.csv"
+        path.write_bytes(rows_csv(10).encode() + b"d\xff,o,1475280000,104.06,30.65\n")
+        with open_trace_file(path) as stream, pytest.raises(IngestError):
+            read_all(stream)
 
     @given(chunk_size=st.integers(min_value=1, max_value=50),
            n_rows=st.integers(min_value=0, max_value=120))
     @settings(max_examples=40, deadline=None)
     def test_chunking_content_invariant(self, chunk_size, n_rows):
         text = rows_csv(n_rows)
-        whole = [r for c in read_chunks(io.StringIO(text), ParserConfig(chunk_size=10 ** 9))
-                 for r in c]
-        chunked = [r for c in read_chunks(io.StringIO(text), ParserConfig(chunk_size=chunk_size))
-                   for r in c]
-        assert whole == chunked
+        whole = read_all(io.StringIO(text), ParserConfig(chunk_size=10 ** 9))
+        chunked = read_all(io.StringIO(text), ParserConfig(chunk_size=chunk_size))
+        assert as_rows(whole) == as_rows(chunked)
 
 
 class TestAssignInterval:
@@ -129,6 +151,16 @@ class TestAssignInterval:
         a = assign_interval(base)
         b = assign_interval(base + delta)
         assert (b.day, b.slot) >= (a.day, a.slot)
+
+    def test_day_slot_arrays_match_calendar_oracle(self):
+        ts = self.MIDNIGHT + np.array([-1, 0, 899, 900, 86399, 86400, 7 * 86400 + 12345])
+        for tz in (0, 8 * 3600, -5 * 3600):
+            day, slot = day_slot(ts, tz)
+            for t, d, s in zip(ts.tolist(), day.tolist(), slot.tolist()):
+                day_num, sec_of_day = divmod(t + tz, 86400)
+                assert datetime.date.fromordinal(d) == \
+                    datetime.date(1970, 1, 1) + datetime.timedelta(days=day_num)
+                assert s == sec_of_day // 900
 
     def test_label_round_trip(self):
         iv = IntervalIndex(datetime.date(2016, 10, 5), 33)

@@ -4,17 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracepattern.errors import OffsetCapError, OffsetEstimationError
-from tracepattern.ingest import TraceRecord
-from tracepattern.matching import (MatchedPoint, OffsetVector, apply_offset,
-                                   estimate_offset, match_batch)
-from tracepattern.network import load_network
+from tracepattern.ingest import TraceBatch, TraceRecord, day_slot
+from tracepattern.matching import (OffsetVector, apply_offset, estimate_offset,
+                                   match_batch)
+from tracepattern.network import load_network, point_to_segment_distance
 from tracepattern.synth import Scenario, generate, uniform_profile
 
 from conftest import parse_all
 
 
-def rec(lat, lon, ts=1475280000, order="o1"):
-    return TraceRecord("d1", order, ts, lat, lon)
+def batch(*points, ts=1475280000, order="o1"):
+    """A TraceBatch of (lat, lon) points."""
+    return TraceBatch.from_records([TraceRecord("d1", order, ts, lat, lon)
+                                    for lat, lon in points])
 
 
 class TestOffsetVector:
@@ -29,30 +31,31 @@ class TestOffsetVector:
 
 class TestApplyOffset:
     def test_translation(self):
-        out, skipped = apply_offset([rec(30.65, 104.06)], OffsetVector(0.001, -0.001))
+        out, skipped = apply_offset(batch((30.65, 104.06)), OffsetVector(0.001, -0.001))
         assert skipped == 0
-        assert out[0].lat == pytest.approx(30.651)
-        assert out[0].lon == pytest.approx(104.059)
+        assert out.lat[0] == pytest.approx(30.651)
+        assert out.lon[0] == pytest.approx(104.059)
 
     def test_zero_offset_identity(self):
-        batch = [rec(30.65, 104.06), rec(31.0, 105.0)]
-        out, skipped = apply_offset(batch, OffsetVector(0.0, 0.0))
-        assert out == batch and skipped == 0
+        b = batch((30.65, 104.06), (31.0, 105.0))
+        out, skipped = apply_offset(b, OffsetVector(0.0, 0.0))
+        assert skipped == 0
+        for name in ("order_id", "timestamp", "lat", "lon"):
+            assert np.array_equal(getattr(out, name), getattr(b, name))
 
     def test_out_of_range_skipped(self):
-        out, skipped = apply_offset([rec(89.9999, 104.06)], OffsetVector(0.001, 0.0))
-        assert out == [] and skipped == 1
+        out, skipped = apply_offset(batch((89.9999, 104.06)), OffsetVector(0.001, 0.0))
+        assert len(out) == 0 and skipped == 1
 
     @given(dlat=st.floats(-0.009, 0.009), dlon=st.floats(-0.009, 0.009))
     @settings(max_examples=30, deadline=None)
     def test_invertible(self, dlat, dlon):
-        batch = [rec(30.65, 104.06), rec(30.7, 104.1)]
+        b = batch((30.65, 104.06), (30.7, 104.1))
         off = OffsetVector(dlat, dlon)
-        fwd, _ = apply_offset(batch, off)
+        fwd, _ = apply_offset(b, off)
         back, _ = apply_offset(fwd, off.negated())
-        for a, b in zip(back, batch):
-            assert a.lat == pytest.approx(b.lat, abs=1e-12)
-            assert a.lon == pytest.approx(b.lon, abs=1e-12)
+        np.testing.assert_allclose(back.lat, b.lat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(back.lon, b.lon, rtol=0, atol=1e-12)
 
 
 class TestEstimateOffset:
@@ -92,24 +95,27 @@ class TestEstimateOffset:
 
 class TestMatchBatch:
     def test_empty_batch(self, small_net):
-        assert match_batch([], small_net) == ([], 0)
+        matched, unmatched = match_batch(batch(), small_net)
+        assert len(matched) == 0 and unmatched == 0
 
     def test_on_road_points_match_generating_segment(self, small_generated, small_net,
                                                      small_records):
         matched, unmatched = match_batch(small_records, small_net)
         assert unmatched == 0
-        assert all(isinstance(m, MatchedPoint) for m in matched[:5])
-        assert all(m.match_dist_km <= 0.05 for m in matched)
+        assert isinstance(matched, TraceBatch) and len(matched) == len(small_records)
+        for lat, lon, road in zip(matched.lat, matched.lon, matched.road_id):
+            assert point_to_segment_distance(lat, lon, small_net.segments[road]) <= 0.05
 
     def test_far_point_unmatched(self, small_net):
-        far = [rec(40.0, 110.0)]
-        matched, unmatched = match_batch(far, small_net)
-        assert matched == [] and unmatched == 1
+        matched, unmatched = match_batch(batch((40.0, 110.0)), small_net)
+        assert len(matched) == 0 and unmatched == 1
 
     def test_interval_labels_attached(self, small_net, small_records):
-        matched, _ = match_batch(small_records[:50], small_net)
-        for m in matched:
-            assert 0 <= m.interval.slot < 96
+        matched, unmatched = match_batch(small_records[:50], small_net)
+        assert unmatched == 0
+        np.testing.assert_array_equal(matched.timestamp, small_records[:50].timestamp)
+        _, slot = day_slot(matched.timestamp)
+        assert np.all((0 <= slot) & (slot < 96))
 
     def test_full_match_after_correction(self):
         shift = (0.002, -0.002)

@@ -52,6 +52,31 @@ class TestLoadNetwork:
                     for a, b in zip(coords, coords[1:]))
         assert net.segments[7].length_km == pytest.approx(total, rel=1e-9)
 
+    def test_non_integer_id_is_network_error(self):
+        with pytest.raises(NetworkError, match="'r7'"):
+            load_network(doc([line("r7", [[104.0, 30.0], [104.0, 30.01]])]))
+
+    def test_altitude_accepted_and_ignored(self):
+        flat = load_network(doc([line(1, [[104.0, 30.0], [104.0, 30.01]])]))
+        net = load_network(doc([line(1, [[104.0, 30.0, 512.0], [104.0, 30.01, 498.5]])]))
+        assert net.segments[1] == flat.segments[1]
+
+    def test_features_not_an_array_is_network_error(self):
+        with pytest.raises(NetworkError):
+            load_network({"type": "FeatureCollection", "features": 3})
+
+    def test_malformed_json_is_network_error(self, tmp_path):
+        path = tmp_path / "roads.geojson"
+        path.write_text('{"type": "FeatureCollection", "features": [')
+        with pytest.raises(NetworkError):
+            load_network(str(path))
+
+    def test_non_utf8_document_is_network_error(self, tmp_path):
+        path = tmp_path / "roads.geojson"
+        path.write_bytes(b'{"type": "FeatureCollection", "name": "\xff", "features": []}')
+        with pytest.raises(NetworkError):
+            load_network(str(path))
+
     def test_bbox_covers_vertices(self):
         net = load_network(doc([line(1, [[104.0, 30.0], [104.5, 30.2]])]))
         assert net.bbox == (30.0, 104.0, 30.2, 104.5)

@@ -6,24 +6,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracepattern import geo
-from tracepattern.ingest import IntervalIndex, TraceRecord
-from tracepattern.matching import MatchedPoint, match_batch
-from tracepattern.network import load_network
+from tracepattern.ingest import TraceBatch, assign_interval
+from tracepattern.matching import match_batch
 from tracepattern.patterns import (SpatioTemporalMatrix, TensorBuilder,
-                                   build_pairs, clean_speed_matrix,
-                                   filter_missing, flow_count,
+                                   clean_speed_matrix, filter_missing,
                                    full_interval_axis, interpolate_missing,
-                                   repair_anomalies, road_mean_speed)
-from tracepattern.synth import Scenario, generate, uniform_profile
-
-from conftest import parse_all
+                                   repair_anomalies)
 
 DAY = datetime.date(2016, 10, 1)
+LAT, LON = 30.65, 104.06
+KM = 1 / geo.KM_PER_DEG  # degrees of latitude per km
 
 
-def mp(road, ts, lat, lon, order="o1", slot=None):
-    return MatchedPoint(TraceRecord("d1", order, ts, lat, lon), road, 0.0,
-                        IntervalIndex(DAY, slot if slot is not None else (ts % 86400) // 900))
+def mp(road, ts, lat, lon, order="o1"):
+    """One matched ping, as a (road, ts, lat, lon, order) row."""
+    return road, ts, lat, lon, order
+
+
+def matched(rows):
+    """A matched TraceBatch from mp() rows."""
+    road, ts, lat, lon, order = zip(*rows)
+    return TraceBatch(np.array(order, dtype=object), np.array(ts, dtype=np.int64),
+                      np.array(lat), np.array(lon), np.array(road, dtype=np.int64))
+
+
+def tensors(rows, road_ids=(1, 2)):
+    """(flow, speed) of one batch of mp() rows."""
+    builder = TensorBuilder(road_ids)
+    builder.add(matched(rows))
+    return builder.finalize()
+
+
+def pair_speeds(rows):
+    """The non-empty speed cells, each a mean over the pairs starting in it."""
+    _, speed = tensors(rows)
+    return speed.values[speed.values != 0.0]
 
 
 class TestHaversine:
@@ -62,75 +79,78 @@ class TestHaversine:
 
 
 class TestBuildPairs:
+    """Pair construction inside TensorBuilder.finalize."""
+
     def test_pair_speed(self):
         # ~50 m apart, 5 s apart -> 36 km/h
-        a = mp(1, 1000, 30.65, 104.06)
-        b = mp(1, 1005, 30.65 + 0.05 / geo.KM_PER_DEG, 104.06)
-        pairs = build_pairs([a, b])
-        assert len(pairs) == 1
-        assert pairs[0].v_kmh == pytest.approx(36.0, rel=1e-6)
-        assert pairs[0].dt_s == 5.0
+        v = pair_speeds([mp(1, 1000, LAT, LON), mp(1, 1005, LAT + 0.05 * KM, LON)])
+        assert v.size == 1
+        assert v[0] == pytest.approx(36.0, rel=1e-6)
 
     def test_gap_above_threshold_dropped(self):
-        a = mp(1, 1000, 30.65, 104.06)
-        b = mp(1, 1015, 30.651, 104.06)
-        assert build_pairs([a, b]) == []
+        assert pair_speeds([mp(1, 1000, LAT, LON), mp(1, 1015, 30.651, LON)]).size == 0
 
     def test_boundary_inclusive(self):
-        a = mp(1, 1000, 30.65, 104.06)
-        b = mp(1, 1010, 30.651, 104.06)
-        assert len(build_pairs([a, b])) == 1
+        assert pair_speeds([mp(1, 1000, LAT, LON), mp(1, 1010, 30.651, LON)]).size == 1
 
     def test_duplicate_timestamp_dropped(self):
-        a = mp(1, 1000, 30.65, 104.06)
-        b = mp(1, 1000, 30.651, 104.06)
-        assert build_pairs([a, b]) == []
+        assert pair_speeds([mp(1, 1000, LAT, LON), mp(1, 1000, 30.651, LON)]).size == 0
 
     def test_cross_road_dropped(self):
-        a = mp(1, 1000, 30.65, 104.06)
-        b = mp(2, 1003, 30.651, 104.06)
-        assert build_pairs([a, b]) == []
+        assert pair_speeds([mp(1, 1000, LAT, LON), mp(2, 1003, 30.651, LON)]).size == 0
 
 
 class TestRoadMeanSpeed:
+    """A speed cell is the arithmetic mean of its pair speeds."""
+
     def test_mean(self):
-        a = mp(1, 1000, 30.65, 104.06)
-        b = mp(1, 1005, 30.65 + 0.05 / geo.KM_PER_DEG, 104.06)
-        c = mp(1, 1010, 30.65 + 0.15 / geo.KM_PER_DEG, 104.06)
-        pairs = build_pairs([a, b, c])  # 36 and 72 km/h
-        assert road_mean_speed(pairs) == pytest.approx(54.0, rel=1e-6)
+        v = pair_speeds([mp(1, 1000, LAT, LON), mp(1, 1005, LAT + 0.05 * KM, LON),
+                         mp(1, 1010, LAT + 0.15 * KM, LON)])  # 36 and 72 km/h
+        assert v.size == 1
+        assert v[0] == pytest.approx(54.0, rel=1e-6)
 
     def test_empty_is_zero(self):
-        assert road_mean_speed([]) == 0.0
+        flow, speed = tensors([mp(1, 1000, LAT, LON)])
+        assert flow.values.sum() == 1
+        assert not speed.values.any()
 
     def test_single_pair(self):
-        a = mp(1, 1000, 30.65, 104.06)
-        b = mp(1, 1005, 30.65 + 0.05 / geo.KM_PER_DEG, 104.06)
-        assert road_mean_speed(build_pairs([a, b])) == pytest.approx(36.0, rel=1e-6)
+        v = pair_speeds([mp(1, 1000, LAT, LON), mp(1, 1005, LAT + 0.05 * KM, LON)])
+        assert v.tolist() == [pytest.approx(36.0, rel=1e-6)]
 
 
 class TestFlowCount:
+    """A flow cell counts the distinct order ids among its points."""
+
     def test_distinct_orders(self):
-        pts = [mp(1, 1000 + i, 30.65, 104.06, order=o)
-               for i, o in enumerate(["o1", "o1", "o2", "o3", "o3"])]
-        assert flow_count(pts) == 3
+        flow, _ = tensors([mp(1, 1000 + i, LAT, LON, order=o)
+                           for i, o in enumerate(["o1", "o1", "o2", "o3", "o3"])])
+        assert flow.values[flow.values != 0].tolist() == [3]
 
     def test_empty(self):
-        assert flow_count([]) == 0
+        flow, _ = tensors([mp(1, 1000, LAT, LON)])
+        assert not flow.values[flow.road_ids.index(2)].any()
 
     def test_matches_hash_set_oracle(self):
         rng = np.random.default_rng(3)
         orders = [f"o{rng.integers(0, 500)}" for _ in range(10_000)]
-        pts = [mp(1, 1000 + i, 30.65, 104.06, order=o) for i, o in enumerate(orders)]
-        assert flow_count(pts) == len(set(orders))
+        flow, _ = tensors([mp(1, 1000 + i, LAT, LON, order=o) for i, o in enumerate(orders)])
+        col_of = {iv: j for j, iv in enumerate(flow.intervals)}
+        expected = np.zeros_like(flow.values)
+        by_cell = {}
+        for i, o in enumerate(orders):
+            by_cell.setdefault(col_of[assign_interval(1000 + i)], set()).add(o)
+        for col, seen in by_cell.items():
+            expected[flow.road_ids.index(1), col] = len(seen)
+        assert np.array_equal(flow.values, expected)
 
 
 class TestTensorBuilder:
     def test_single_pair_cell(self):
         a = mp(3, 32 * 900 + 10, 30.65, 104.06)
         b = mp(3, 32 * 900 + 15, 30.65 + 0.05 / geo.KM_PER_DEG, 104.06)
-        builder = TensorBuilder(road_ids=[0, 3, 5])
-        builder.add([a, b])
+        builder = TensorBuilder(road_ids=[0, 3, 5], tz_offset_s=0)
+        builder.add(matched([a, b]))
         flow, speed = builder.finalize()
         r = flow.road_ids.index(3)
         assert flow.values[r, 32] == 1
@@ -164,8 +184,8 @@ class TestTensorBuilder:
         raw = np.zeros_like(flow.values)
         col_of = {iv: j for j, iv in enumerate(flow.intervals)}
         row_of = {rid: i for i, rid in enumerate(flow.road_ids)}
-        for m in matched:
-            raw[row_of[m.road_id], col_of[m.interval]] += 1
+        for road, ts in zip(matched.road_id.tolist(), matched.timestamp.tolist()):
+            raw[row_of[road], col_of[assign_interval(ts)]] += 1
         assert np.all(flow.values <= raw)
 
     def test_matches_in_memory_oracle(self, small_net, small_records):
@@ -176,22 +196,24 @@ class TestTensorBuilder:
         flow, speed = builder.finalize()
 
         by_order = {}
-        for m in matched:
-            by_order.setdefault(m.record.order_id, []).append(m)
+        for order, ts, road, lat, lon in zip(matched.order_id, matched.timestamp.tolist(),
+                                             matched.road_id.tolist(), matched.lat.tolist(),
+                                             matched.lon.tolist()):
+            by_order.setdefault(order, []).append((ts, road, lat, lon))
         col_of = {iv: j for j, iv in enumerate(flow.intervals)}
         row_of = {rid: i for i, rid in enumerate(flow.road_ids)}
         flow_sets = {}
         v_acc = {}
         for order, pts in by_order.items():
-            pts.sort(key=lambda m: m.record.timestamp)
-            for m in pts:
-                flow_sets.setdefault((m.road_id, m.interval), set()).add(order)
-            for a, b in zip(pts, pts[1:]):
-                dt = b.record.timestamp - a.record.timestamp
-                if a.road_id != b.road_id or dt <= 0 or dt > 10:
+            pts.sort(key=lambda p: p[0])
+            for ts, road, _, _ in pts:
+                flow_sets.setdefault((road, assign_interval(ts)), set()).add(order)
+            for (ts_a, road_a, lat_a, lon_a), (ts_b, road_b, lat_b, lon_b) in zip(pts, pts[1:]):
+                dt = ts_b - ts_a
+                if road_a != road_b or dt <= 0 or dt > 10:
                     continue
-                d = geo.haversine(a.record.lat, a.record.lon, b.record.lat, b.record.lon)
-                v_acc.setdefault((a.road_id, a.interval), []).append(d / (dt / 3600.0))
+                d = geo.haversine(lat_a, lon_a, lat_b, lon_b)
+                v_acc.setdefault((road_a, assign_interval(ts_a)), []).append(d / (dt / 3600.0))
         exp_flow = np.zeros_like(flow.values)
         for (rid, iv), orders in flow_sets.items():
             exp_flow[row_of[rid], col_of[iv]] = len(orders)
