@@ -14,13 +14,14 @@ import os
 import sys
 
 import click
+import numpy as np
 import yaml
 
 from . import congestion as cg
 from . import export as ex
 from . import matching, network, patterns, pipeline, synth
 from .errors import ConfigError, DataQualityError, TracePatternError
-from .ingest import IngestStats, ParserConfig, read_chunks_from_path
+from .ingest import read_chunks_from_path
 
 logger = logging.getLogger(__name__)
 
@@ -113,16 +114,14 @@ def estimate(config_file, **overrides):
 @click.option("--traces", "traces_path", type=click.Path(exists=True), required=True)
 @click.option("--network", "network_path", type=click.Path(exists=True), required=True)
 @click.option("--sample-size", type=int, default=matching.DEFAULT_MIN_SAMPLE, show_default=True)
-@click.option("--tz-offset", "tz_offset_s", type=int, default=None)
 @_fatal_guard
-def offset(traces_path, network_path, sample_size, tz_offset_s):
+def offset(traces_path, network_path, sample_size):
     """Estimate and print the coordinate shift; no other processing."""
     net = network.load_network(network_path)
-    parser = ParserConfig() if tz_offset_s is None else ParserConfig(tz_offset_s=tz_offset_s)
     cfg = pipeline.RunConfig(traces_path=traces_path, network_path=network_path,
                              out_dir="", offset_sample_size=sample_size)
     off, _ = pipeline.resolve_offset(
-        cfg, net, read_chunks_from_path(traces_path, parser, IngestStats()))
+        cfg, net, read_chunks_from_path(traces_path))
     click.echo(f"{off.dlat:+.6f} {off.dlon:+.6f}")
 
 
@@ -187,34 +186,22 @@ def heatmap(matrix_path, network_path, interval, out_path):
 @_fatal_guard
 def timeseries(series_path, scenario, config_file, measure, normalize, out_dir):
     """Per-scenario daily-overlay time series as CSV and SVG."""
-    import csv as _csv
-    import datetime as _dt
-
-    import numpy as np
-
-    with open(series_path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(_csv.reader(fh))[1:]
-    by_day = {}
-    for label, dc, cf in rows:
-        day = _dt.date.fromisoformat(label.split("T")[0])
-        value = float(dc) if measure == "dc" and dc else float(cf) if measure == "cf" else float("nan")
-        by_day.setdefault(day, []).append(value)
-
+    days, series = pipeline.read_network_series(series_path)
     data = _load_config_file(config_file)
-    groups = pipeline._resolve_groups(data.get("date_groups", {}), sorted(by_day))
+    groups = pipeline._resolve_groups(data.get("date_groups", {}), days)
     if scenario not in groups:
         raise ConfigError(f"unknown scenario {scenario!r}; have {sorted(groups)}")
-    days = sorted(groups[scenario])
-    if not days:
+    chosen = sorted(groups[scenario])
+    if not chosen:
         raise ConfigError(f"scenario {scenario!r} matches no days in the series")
-    mat = np.array([by_day[d] for d in days])
+    mat = series[measure][[days.index(d) for d in chosen]]
     suffix = measure + ("_norm" if normalize else "")
     if normalize:
         mat = np.stack([cg.min_max_normalize(r)[0] for r in mat])
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"timeseries_{scenario}_{suffix}.csv")
     svg_path = os.path.join(out_dir, f"timeseries_{scenario}_{suffix}.svg")
-    ex.export_timeseries(mat, days, csv_path, svg_path,
+    ex.export_timeseries(mat, chosen, csv_path, svg_path,
                          f"{measure.upper()} by slot ({scenario})", measure.upper())
     click.echo(f"wrote {csv_path} and {svg_path}")
 

@@ -42,7 +42,8 @@ class UndefinedScoreError(TracePatternError):
 
 
 class ExportError(TracePatternError):
-    """Requested export target does not exist in the data."""
+    """Requested export target does not exist in the data, or an exported
+    file read back is malformed."""
 
 
 class ComparisonError(TracePatternError):

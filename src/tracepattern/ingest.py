@@ -1,7 +1,8 @@
 """Chunked trace-file ingestion.
 
 Reads delimited GPS trace files (optionally gzipped) in fixed-size chunks,
-validates each row, and hands each chunk on as one TraceBatch of columns.
+converts and validates each block of rows as column arrays, and hands each
+chunk on as one TraceBatch of columns.
 Also maps timestamps to day-local 15-minute intervals.
 """
 
@@ -29,6 +30,8 @@ DEFAULT_COLUMNS = ("driver_id", "order_id", "timestamp", "lon", "lat")
 DEFAULT_TZ_OFFSET_S = 8 * 3600  # UTC+8
 DEFAULT_CHUNK_SIZE = 10_000
 DEFAULT_ERROR_RATE_CEILING = 0.01
+# 9999-12-31T00:00Z: with |tz offset| < 1 day, every local date stays in year 9999
+MAX_TIMESTAMP = 253402214400
 
 # Don't trip the error-rate ceiling on a handful of rows.
 _CEILING_MIN_ROWS = 1000
@@ -113,7 +116,6 @@ class ParserConfig:
 
     columns: tuple = DEFAULT_COLUMNS
     delimiter: str = ","
-    tz_offset_s: int = DEFAULT_TZ_OFFSET_S
     chunk_size: int = DEFAULT_CHUNK_SIZE
     error_rate_ceiling: float = DEFAULT_ERROR_RATE_CEILING
 
@@ -150,25 +152,81 @@ def parse_record(fields, config: ParserConfig = ParserConfig()) -> TraceRecord:
     """
     if isinstance(fields, str):
         fields = fields.rstrip("\r\n").split(config.delimiter)
-    if len(fields) != len(config.columns):
-        raise ParseError(f"expected {len(config.columns)} fields, got {len(fields)}")
-    row = dict(zip(config.columns, fields))
+    batch, errors = _parse_rows([fields], config)
+    if errors:
+        raise errors[0][1]
+    return TraceRecord(fields[config.columns.index("driver_id")], batch.order_id[0],
+                       int(batch.timestamp[0]), float(batch.lat[0]), float(batch.lon[0]))
+
+
+def _parse_rows(rows, config: ParserConfig):
+    """Parse and validate a block of rows, each a list of field strings.
+
+    Returns (TraceBatch of the valid rows in order, [(position, error)] in
+    row order), where ``error`` is the ParseError or RecordValidationError
+    of the first rule the row at ``position`` breaks: field count; then
+    timestamp, lat and lon conversion; then empty id, timestamp range,
+    latitude range and longitude range.
+    """
+    width = len(config.columns)
+    errors = {}
+    positions = range(len(rows))
+    if set(map(len, rows)) - {width}:
+        for pos, r in enumerate(rows):
+            if len(r) != width:
+                errors[pos] = ParseError(f"expected {width} fields, got {len(r)}")
+        positions = [pos for pos in positions if pos not in errors]
+        rows = [rows[pos] for pos in positions]
+    column = dict(zip(config.columns, zip(*rows) if rows else [()] * width))
+    bad = np.zeros(len(rows), dtype=bool)
+
+    def reject(rule, error):
+        bad[rule] = True
+        for i in np.flatnonzero(rule).tolist():
+            errors.setdefault(positions[i], error(i))
+
+    converted = []
+    for name, kind in (("timestamp", int), ("lat", float), ("lon", float)):
+        values, failed = _convert(column[name], kind)
+        for i, exc in failed.items():
+            bad[i] = True
+            errors.setdefault(positions[i], ParseError(f"malformed numeric field: {exc}"))
+        converted.append(values)
+    ts_int, lat_float, lon_float = converted
+    ts = np.array(ts_int, dtype=object)  # range-checked before the int64 cast
+    lat = np.array(lat_float, dtype=np.float64)
+    lon = np.array(lon_float, dtype=np.float64)
+    order = np.array(column["order_id"], dtype=object)
+
+    reject((np.array(column["driver_id"], dtype=object) == "") | (order == ""),
+           lambda i: RecordValidationError("empty driver_id or order_id"))
+    reject(ts <= 0, lambda i: RecordValidationError(f"non-positive timestamp {ts_int[i]}"))
+    reject(ts >= MAX_TIMESTAMP,
+           lambda i: RecordValidationError(f"timestamp {ts_int[i]} past year 9999"))
+    reject(~((lat >= -90.0) & (lat <= 90.0)),
+           lambda i: RecordValidationError(f"latitude {lat_float[i]} out of range"))
+    reject(~((lon >= -180.0) & (lon <= 180.0)),
+           lambda i: RecordValidationError(f"longitude {lon_float[i]} out of range"))
+
+    keep = ~bad
+    batch = TraceBatch(order[keep], ts[keep].astype(np.int64), lat[keep], lon[keep])
+    return batch, sorted(errors.items())
+
+
+def _convert(texts, kind):
+    """(``kind`` of each text, {index: ValueError}); a text that fails reads as 0."""
     try:
-        ts = int(row["timestamp"])
-        lat = float(row["lat"])
-        lon = float(row["lon"])
-    except ValueError as exc:
-        raise ParseError(f"malformed numeric field: {exc}") from None
-    driver, order = row["driver_id"], row["order_id"]
-    if not driver or not order:
-        raise RecordValidationError("empty driver_id or order_id")
-    if ts <= 0:
-        raise RecordValidationError(f"non-positive timestamp {ts}")
-    if not -90.0 <= lat <= 90.0:
-        raise RecordValidationError(f"latitude {lat} out of range")
-    if not -180.0 <= lon <= 180.0:
-        raise RecordValidationError(f"longitude {lon} out of range")
-    return TraceRecord(driver, order, ts, lat, lon)
+        return list(map(kind, texts)), {}
+    except ValueError:
+        pass
+    values, failed = [], {}
+    for i, text in enumerate(texts):
+        try:
+            values.append(kind(text))
+        except ValueError as exc:
+            values.append(kind(0))
+            failed[i] = exc
+    return values, failed
 
 
 def _looks_like_header(fields, config: ParserConfig) -> bool:
@@ -199,38 +257,49 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
     """
     if stats is None:
         stats = IngestStats()
-    reader = csv.reader(source, delimiter=config.delimiter)
-    chunk: list[TraceRecord] = []
+    records = enumerate(csv.reader(source, delimiter=config.delimiter), start=1)
+    chunk: list[TraceBatch] = []
     first = True
     row_num = 0
     try:
-        for row_num, fields in enumerate(reader, start=1):
-            if not fields:
-                continue
-            if first:
-                first = False
-                if _looks_like_header(fields, config):
+        while True:
+            # a block never crosses a chunk boundary, so the error rate is
+            # checked after the same rows as a row-at-a-time reader would
+            need = config.chunk_size - sum(map(len, chunk))
+            rows, row_nums = [], []
+            for row_num, fields in records:
+                if not fields:
                     continue
-            try:
-                chunk.append(parse_record(fields, config))
-                stats.parsed += 1
-            except ParseError as exc:
-                stats.parse_errors += 1
+                if first:
+                    first = False
+                    if _looks_like_header(fields, config):
+                        continue
+                rows.append(fields)
+                row_nums.append(row_num)
+                if len(rows) == need:
+                    break
+            batch, errors = _parse_rows(rows, config)
+            stats.parsed += len(batch)
+            for pos, exc in errors:
+                if isinstance(exc, ParseError):
+                    stats.parse_errors += 1
+                else:
+                    stats.validation_errors += 1
                 if len(stats.samples) < 10:
-                    stats.samples.append(f"row {row_num}: {exc}")
-            except RecordValidationError as exc:
-                stats.validation_errors += 1
-                if len(stats.samples) < 10:
-                    stats.samples.append(f"row {row_num}: {exc}")
-            if len(chunk) == config.chunk_size:
+                    stats.samples.append(f"row {row_nums[pos]}: {exc}")
+            if len(batch):
+                chunk.append(batch)
+            if len(rows) < need:  # end of input
+                break
+            if len(batch) == need:
                 _check_error_rate(stats, config)
-                yield TraceBatch.from_records(chunk)
+                yield TraceBatch.concat(chunk)
                 chunk = []
     except (OSError, EOFError, zlib.error, UnicodeDecodeError, csv.Error) as exc:
         raise IngestError(f"read failure after row {row_num}: {exc}") from exc
     _check_error_rate(stats, config)
     if chunk:
-        yield TraceBatch.from_records(chunk)
+        yield TraceBatch.concat(chunk)
 
 
 def _check_error_rate(stats: IngestStats, config: ParserConfig):

@@ -55,10 +55,11 @@ def load_network(path_or_obj) -> RoadNetwork:
     """Load a GeoJSON-style document of LineString features.
 
     Each feature needs a unique integer ``id`` property (duplicate ids are
-    fatal); ``free_flow_kmh`` is optional. Coordinates are [lon, lat] or
-    [lon, lat, alt] positions; altitude is ignored. Features with fewer
-    than 2 vertices are skipped and counted. A document that is not valid
-    JSON of this shape raises NetworkError.
+    fatal); ``free_flow_kmh`` is optional and, if given, a positive finite
+    number. Coordinates are [lon, lat] or [lon, lat, alt] positions in
+    degrees, lon in [-180, 180] and lat in [-90, 90]; altitude is ignored.
+    Features with fewer than 2 vertices are skipped and counted. A document
+    that is not valid JSON of this shape raises NetworkError.
     """
     if isinstance(path_or_obj, dict):
         doc = path_or_obj
@@ -66,7 +67,7 @@ def load_network(path_or_obj) -> RoadNetwork:
         try:
             with open(path_or_obj, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
             raise NetworkError(f"{path_or_obj} is not a JSON document: {exc}") from None
     features = doc.get("features") if isinstance(doc, dict) else None
     if not isinstance(features, list):
@@ -74,17 +75,22 @@ def load_network(path_or_obj) -> RoadNetwork:
 
     segments: dict[int, RoadSegment] = {}
     skipped = 0
-    for feat in features:
-        props = feat.get("properties") or {}
-        if "id" not in props:
-            raise NetworkError("feature missing 'id' property")
+    for n, feat in enumerate(features):
+        props = feat.get("properties") if isinstance(feat, dict) else None
+        if not isinstance(props, dict) or "id" not in props:
+            raise NetworkError(f"feature #{n} has no 'properties' object with an 'id'")
         try:
             seg_id = int(props["id"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise NetworkError(f"feature id {props['id']!r} is not an integer") from None
         if seg_id in segments:
             raise NetworkError(f"duplicate segment id {seg_id}")
-        coords = (feat.get("geometry") or {}).get("coordinates") or []
+        geometry = feat.get("geometry") or {}
+        if not isinstance(geometry, dict):
+            raise NetworkError(f"segment {seg_id}: geometry is not an object")
+        coords = geometry.get("coordinates") or []
+        if not isinstance(coords, list):
+            raise NetworkError(f"segment {seg_id}: coordinates are not an array")
         if len(coords) < 2:
             skipped += 1
             logger.warning("segment %d has %d vertices, skipped", seg_id, len(coords))
@@ -94,6 +100,9 @@ def load_network(path_or_obj) -> RoadNetwork:
         except (TypeError, ValueError):
             raise NetworkError(f"segment {seg_id}: coordinates must be "
                                f"[lon, lat] or [lon, lat, alt] positions") from None
+        if not all(-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0 for lat, lon in polyline):
+            raise NetworkError(f"segment {seg_id}: a position is not a finite "
+                               f"lon in [-180, 180] and lat in [-90, 90]")
         length = geo.polyline_length_km(polyline)
         if length <= 0.0:
             skipped += 1
@@ -101,9 +110,13 @@ def load_network(path_or_obj) -> RoadNetwork:
             continue
         ff = props.get("free_flow_kmh")
         if ff is not None:
-            ff = float(ff)
-            if ff <= 0:
-                raise NetworkError(f"segment {seg_id}: free_flow_kmh must be positive")
+            try:
+                ff = float(ff)
+            except (TypeError, ValueError):
+                raise NetworkError(f"segment {seg_id}: free_flow_kmh {ff!r} "
+                                   f"is not a number") from None
+            if not 0 < ff < math.inf:
+                raise NetworkError(f"segment {seg_id}: free_flow_kmh must be positive and finite")
         segments[seg_id] = RoadSegment(seg_id, polyline, length, ff)
 
     if segments:

@@ -16,10 +16,11 @@ import numpy as np
 from . import congestion as cg
 from . import export as ex
 from . import matching, network, patterns
-from .errors import ConfigError
+from .errors import ConfigError, ExportError
 from .ingest import (DEFAULT_CHUNK_SIZE, DEFAULT_ERROR_RATE_CEILING,
-                     DEFAULT_TZ_OFFSET_S, IngestStats, ParserConfig,
-                     TraceBatch, read_chunks_from_path)
+                     DEFAULT_TZ_OFFSET_S, SECONDS_PER_DAY, SLOTS_PER_DAY, IngestStats,
+                     IntervalIndex, ParserConfig, TraceBatch,
+                     read_chunks_from_path)
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +46,8 @@ class RunConfig:
                      "anomaly_kmh", "error_rate_ceiling"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if abs(self.tz_offset_s) >= SECONDS_PER_DAY:
+            raise ConfigError("tz_offset_s must be less than one day in magnitude")
         if not 0.0 <= self.missing_fraction <= 1.0:
             raise ConfigError("missing_fraction must be in [0, 1]")
         seen = {}
@@ -91,8 +94,7 @@ def run_pipeline(config: RunConfig) -> dict:
         manifest["stages_completed"].append(stage)
 
         stage = "ingest_and_match"
-        parser = ParserConfig(tz_offset_s=config.tz_offset_s,
-                              chunk_size=config.chunk_size,
+        parser = ParserConfig(chunk_size=config.chunk_size,
                               error_rate_ceiling=config.error_rate_ceiling)
         stats = IngestStats()
         chunks = read_chunks_from_path(config.traces_path, parser, stats)
@@ -228,14 +230,46 @@ def write_analysis(analysis: dict, flow, out_dir, meta: dict | None = None) -> l
     return ["inrix.csv", "network_series.csv", "daily.csv", "fitting.json"]
 
 
+_SERIES_HEADER = ["interval", "network_inrix", "cf_total"]
+
+
 def _write_network_series(scores, flow, path):
     labels = flow.interval_labels()
     cf = flow.values.sum(axis=0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["interval", "network_inrix", "cf_total"])
+        w.writerow(_SERIES_HEADER)
         for lbl, dc, f in zip(labels, scores.network, cf):
             w.writerow([lbl, "" if np.isnan(dc) else repr(float(dc)), int(f)])
+
+
+def read_network_series(path):
+    """Read a ``network_series.csv``; returns (days, {"dc": ..., "cf": ...}).
+
+    Each matrix has one row of 96 slots per day; an empty ``network_inrix``
+    cell reads as NaN. A file that is not a whole number of complete days of
+    that layout raises ExportError.
+    """
+    by_day = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        try:
+            if next(rows, None) != _SERIES_HEADER:
+                raise ExportError(f"{path}: header is not {','.join(_SERIES_HEADER)}")
+            for row in rows:
+                label, dc, cf = row
+                iv = IntervalIndex.from_label(label)
+                by_day.setdefault(iv.day, []).append(
+                    (iv.slot, float(dc) if dc else float("nan"), float(cf)))
+        except (ValueError, csv.Error) as exc:  # UnicodeDecodeError included
+            raise ExportError(f"{path} line {rows.line_num}: {exc}") from None
+    days = sorted(by_day)
+    for day in days:
+        if [slot for slot, _, _ in by_day[day]] != list(range(SLOTS_PER_DAY)):
+            raise ExportError(f"{path}: {day} does not hold slots 0-{SLOTS_PER_DAY - 1} "
+                              f"once each, in order")
+    cells = np.array([by_day[d] for d in days], dtype=np.float64).reshape(-1, SLOTS_PER_DAY, 3)
+    return days, {"dc": cells[:, :, 1], "cf": cells[:, :, 2]}
 
 
 def _write_daily(daily, path):

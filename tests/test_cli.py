@@ -90,6 +90,26 @@ class TestEstimate:
         assert result.stderr.startswith("error: read failure")
         assert result.stderr.count("\n") == 1
 
+    def test_timestamp_past_year_9999_is_a_skipped_row(self, runner, workspace, tmp_path):
+        lines = workspace["gen"].trace_csv.splitlines()
+        lines.insert(5, "d9,o9,99999999999999,104.06,30.65")
+        path = tmp_path / "traces.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "estimate", "--traces", str(path), "--network", workspace["net"],
+            "--out", str(out), "--offset", "0", "0"])
+        assert result.exit_code == 0, result.output
+        with open(out / "manifest.json") as fh:
+            assert json.load(fh)["counts"]["skipped_rows"] == 1
+
+    def test_tz_offset_of_a_day_exit_1(self, runner, workspace, tmp_path):
+        result = runner.invoke(main, [
+            "estimate", "--traces", workspace["traces"], "--network", workspace["net"],
+            "--out", str(tmp_path / "out"), "--tz-offset", str(10 ** 12)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: tz_offset_s must be less than one day in magnitude\n"
+
     def test_config_file_with_flag_precedence(self, runner, workspace, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"traces_path: {workspace['traces']}\n"
@@ -229,6 +249,21 @@ class TestTimeseries:
             os.path.join(workspace["out"], "network_series.csv"),
             "--scenario", "holiday", "--out-dir", str(tmp_path)])
         assert result.exit_code == 1
+
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:5] + ["2016-10-01T01:15,0.5"] + rows[6:],  # two fields
+        lambda rows: rows[:-1],  # the last day ends one interval early
+    ], ids=["two_fields", "partial_day"])
+    def test_malformed_series_exit_1_one_line(self, runner, workspace, tmp_path, edit):
+        with open(os.path.join(workspace["out"], "network_series.csv")) as fh:
+            rows = fh.read().splitlines()
+        path = tmp_path / "series.csv"
+        path.write_text("\n".join(edit(rows)) + "\n")
+        result = runner.invoke(main, ["timeseries", "--series", str(path),
+                                      "--scenario", "weekend", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 class TestSynthCommand:

@@ -1,3 +1,4 @@
+import csv
 import datetime
 import gzip
 import io
@@ -10,8 +11,65 @@ from hypothesis import strategies as st
 from tracepattern.errors import (DataQualityError, IngestError, ParseError,
                                  RecordValidationError)
 from tracepattern.ingest import (IngestStats, IntervalIndex, ParserConfig,
-                                 TraceBatch, assign_interval, day_slot,
+                                 TraceBatch, TraceRecord, _check_error_rate,
+                                 _looks_like_header, assign_interval, day_slot,
                                  open_trace_file, parse_record, read_chunks)
+
+
+def oracle_parse_record(fields, config=ParserConfig()):
+    """The row-at-a-time reference for the row rules of ``read_chunks``."""
+    if len(fields) != len(config.columns):
+        raise ParseError(f"expected {len(config.columns)} fields, got {len(fields)}")
+    row = dict(zip(config.columns, fields))
+    try:
+        ts = int(row["timestamp"])
+        lat = float(row["lat"])
+        lon = float(row["lon"])
+    except ValueError as exc:
+        raise ParseError(f"malformed numeric field: {exc}") from None
+    driver, order = row["driver_id"], row["order_id"]
+    if not driver or not order:
+        raise RecordValidationError("empty driver_id or order_id")
+    if ts <= 0:
+        raise RecordValidationError(f"non-positive timestamp {ts}")
+    if ts >= 253402214400:  # 9999-12-31T00:00Z
+        raise RecordValidationError(f"timestamp {ts} past year 9999")
+    if not -90.0 <= lat <= 90.0:
+        raise RecordValidationError(f"latitude {lat} out of range")
+    if not -180.0 <= lon <= 180.0:
+        raise RecordValidationError(f"longitude {lon} out of range")
+    return TraceRecord(driver, order, ts, lat, lon)
+
+
+def oracle_read_chunks(source, config=ParserConfig(), stats=None):
+    """The row-at-a-time reference for ``read_chunks``."""
+    stats = IngestStats() if stats is None else stats
+    chunk, first = [], True
+    for row_num, fields in enumerate(csv.reader(source, delimiter=config.delimiter), start=1):
+        if not fields:
+            continue
+        if first:
+            first = False
+            if _looks_like_header(fields, config):
+                continue
+        try:
+            chunk.append(oracle_parse_record(fields, config))
+            stats.parsed += 1
+        except ParseError as exc:
+            stats.parse_errors += 1
+            if len(stats.samples) < 10:
+                stats.samples.append(f"row {row_num}: {exc}")
+        except RecordValidationError as exc:
+            stats.validation_errors += 1
+            if len(stats.samples) < 10:
+                stats.samples.append(f"row {row_num}: {exc}")
+        if len(chunk) == config.chunk_size:
+            _check_error_rate(stats, config)
+            yield TraceBatch.from_records(chunk)
+            chunk = []
+    _check_error_rate(stats, config)
+    if chunk:
+        yield TraceBatch.from_records(chunk)
 
 
 def rows_csv(n, start_ts=1475280000):
@@ -51,6 +109,12 @@ class TestParseRecord:
     def test_empty_order_id(self):
         with pytest.raises(RecordValidationError):
             parse_record("d1,,1475280000,104.06,30.65")
+
+    def test_timestamp_past_year_9999(self):
+        assert parse_record("d1,o1,253402214399,104.06,30.65").timestamp == 253402214399
+        for ts in ("253402214400", "99999999999999", str(10 ** 19)):
+            with pytest.raises(RecordValidationError, match="past year 9999"):
+                parse_record(f"d1,o1,{ts},104.06,30.65")
 
     def test_custom_column_order(self):
         cfg = ParserConfig(columns=("timestamp", "lat", "lon", "driver_id", "order_id"))
@@ -120,6 +184,75 @@ class TestReadChunks:
         whole = read_all(io.StringIO(text), ParserConfig(chunk_size=10 ** 9))
         chunked = read_all(io.StringIO(text), ParserConfig(chunk_size=chunk_size))
         assert as_rows(whole) == as_rows(chunked)
+
+
+NUMBER_EDGES = [" 12", "1_000", "+5", "1.5", "nan", "inf", "-inf", "1e400", "", "0",
+                "-7", "x", "253402214399", "253402214400", "99999999999999", str(10 ** 19)]
+fields = {
+    "driver_id": st.sampled_from(["d1", "d,2", ""]),
+    "order_id": st.sampled_from(["o1", "o2", 'o"3', ""]),
+    "timestamp": st.sampled_from(["1475280000", "1475283600"] + NUMBER_EDGES)
+    | st.integers(-10, 2 ** 70).map(str),
+    "lon": st.sampled_from(["104.06", "-180", "180.5"] + NUMBER_EDGES)
+    | st.floats(-200, 200).map(repr),
+    "lat": st.sampled_from(["30.65", "90", "-90.0001"] + NUMBER_EDGES)
+    | st.floats(-100, 100).map(repr),
+}
+trace_rows = st.lists(
+    st.fixed_dictionaries(fields).map(lambda r: [r[c] for c in ParserConfig().columns])
+    | st.lists(st.sampled_from(["d1", "o1", "1475280000", "30.6"]), max_size=7),
+    max_size=60)
+
+
+def run_reader(reader, text, config):
+    """(chunks and any DataQualityError message in order, stats) of one reader."""
+    stats, out = IngestStats(), []
+    try:
+        out.extend(reader(io.StringIO(text), config, stats))
+    except DataQualityError as exc:
+        out.append(str(exc))
+    return out, stats
+
+
+class TestBlockParserEqualsOracle:
+    @given(rows=trace_rows, valid_prefix=st.sampled_from([0, 3, 990, 1100]),
+           header=st.booleans(), quote_all=st.booleans(),
+           chunk_size=st.integers(min_value=1, max_value=50),
+           ceiling=st.sampled_from([0.001, 0.01, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_read_chunks_matches_row_oracle(self, rows, valid_prefix, header, quote_all,
+                                            chunk_size, ceiling):
+        buf = io.StringIO()
+        writer = csv.writer(buf, quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+        if header:
+            writer.writerow(ParserConfig().columns)
+        buf.write(rows_csv(valid_prefix))
+        writer.writerows(rows)
+        config = ParserConfig(chunk_size=chunk_size, error_rate_ceiling=ceiling)
+        got, got_stats = run_reader(read_chunks, buf.getvalue(), config)
+        want, want_stats = run_reader(oracle_read_chunks, buf.getvalue(), config)
+
+        assert got_stats == want_stats
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            if isinstance(b, str):
+                assert a == b
+                continue
+            assert len(a) == len(b)
+            assert a.order_id.tolist() == b.order_id.tolist()
+            for name in ("timestamp", "lat", "lon"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+        for fields in filter(None, rows):
+            try:
+                want_rec = oracle_parse_record(fields)
+            except (ParseError, RecordValidationError) as exc:
+                with pytest.raises(type(exc)) as got_exc:
+                    parse_record(fields)
+                assert str(got_exc.value) == str(exc)
+            else:
+                assert parse_record(fields) == want_rec
 
 
 class TestAssignInterval:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,24 @@ def line(seg_id, coords, **props):
     return {"type": "Feature",
             "properties": {"id": seg_id, **props},
             "geometry": {"type": "LineString", "coordinates": coords}}
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+numbers = st.integers(-200, 200) | st.floats() | st.sampled_from(["nan", "30.5", "x"])
+positions = st.lists(numbers, min_size=0, max_size=4)
+features = json_values | st.fixed_dictionaries({}, optional={
+    "properties": json_values | st.fixed_dictionaries({}, optional={
+        "id": json_values | st.integers(0, 3),
+        "free_flow_kmh": json_values | numbers}),
+    "geometry": json_values | st.fixed_dictionaries({}, optional={
+        "coordinates": json_values | st.lists(positions | json_values, max_size=4)}),
+})
+json_documents = json_values | st.fixed_dictionaries(
+    {"features": json_values | st.lists(features, max_size=4)})
 
 
 class TestLoadNetwork:
@@ -76,6 +95,31 @@ class TestLoadNetwork:
         path.write_bytes(b'{"type": "FeatureCollection", "name": "\xff", "features": []}')
         with pytest.raises(NetworkError):
             load_network(str(path))
+
+    @pytest.mark.parametrize("feature, message", [
+        ("road", "feature #0"),
+        ({"properties": "valid", "geometry": None}, "feature #0"),
+        ({**line(4, []), "geometry": "LineString"}, "segment 4"),
+        (line(4, 5), "segment 4"),
+        (line(4, [[104.0, 30.0], [104.0, 30.01]], free_flow_kmh="fast"), "segment 4"),
+        (line(4, [[104.0, 30.0], [104.0, 30.01]], free_flow_kmh=math.nan), "segment 4"),
+        (line(4, [[104.0, "nan"], [104.0, 30.01]]), "segment 4"),
+        (line(4, [[104.0, math.nan], [104.0, 30.01]]), "segment 4"),
+        (line(math.inf, [[104.0, 30.0], [104.0, 30.01]]), "inf"),
+    ])
+    def test_malformed_feature_is_network_error(self, feature, message):
+        with pytest.raises(NetworkError, match=message):
+            load_network(doc([feature]))
+
+    @given(document=json_documents)
+    @settings(max_examples=200, deadline=None)
+    def test_only_network_error_escapes(self, document, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz.geojson"
+        path.write_text(json.dumps(document))
+        try:
+            load_network(str(path))
+        except NetworkError:
+            pass
 
     def test_bbox_covers_vertices(self):
         net = load_network(doc([line(1, [[104.0, 30.0], [104.5, 30.2]])]))
