@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import datetime
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -19,17 +20,19 @@ from .patterns import SpatioTemporalMatrix
 
 
 def write_matrix_csv(matrix: SpatioTemporalMatrix, path, metadata: dict | None = None):
-    """Write a matrix as CSV (header: road_id + interval labels) plus an
-    optional ``<path>.meta.json`` sidecar."""
-    integral = np.issubdtype(matrix.values.dtype, np.integer)
+    """Write a matrix as CSV plus an optional ``<path>.meta.json`` sidecar.
+
+    The header is ``road_id`` and the interval labels; each row is a road id
+    and its cells, integers for an integer matrix and the shortest
+    round-trip ``repr`` of each float otherwise. Lines end in ``\\r\\n``.
+    Rows are formatted one at a time, so no Python copy of the whole matrix
+    is made.
+    """
+    fmt = str if np.issubdtype(matrix.values.dtype, np.integer) else float.__repr__
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["road_id"] + matrix.interval_labels())
+        fh.write(",".join(["road_id", *matrix.interval_labels()]) + "\r\n")
         for rid, row in zip(matrix.road_ids, matrix.values):
-            if integral:
-                w.writerow([rid] + [int(v) for v in row])
-            else:
-                w.writerow([rid] + [repr(float(v)) for v in row])
+            fh.write(",".join([str(rid), *map(fmt, row.tolist())]) + "\r\n")
     if metadata is not None:
         with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
             json.dump(metadata, fh, indent=2, sort_keys=True, default=str)
@@ -37,18 +40,34 @@ def write_matrix_csv(matrix: SpatioTemporalMatrix, path, metadata: dict | None =
 
 
 def read_matrix_csv(path) -> SpatioTemporalMatrix:
+    """Read a matrix CSV in the layout ``write_matrix_csv`` writes.
+
+    Road ids are int64 values returned as Python ints; the cells come back
+    as one C-contiguous float64 array, for integer matrices too. A file
+    that is empty or not UTF-8, a header label that is not an interval, a
+    road id outside int64, a cell that is not a number or a row of the
+    wrong length raises ExportError.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ExportError(f"{path} is empty")
-    intervals = [IntervalIndex.from_label(lbl) for lbl in rows[0][1:]]
-    road_ids = []
-    values = []
-    for row in rows[1:]:
-        road_ids.append(int(row[0]))
-        values.append([float(v) for v in row[1:]])
-    grid = np.asarray(values) if road_ids else np.empty((0, len(intervals)))
-    return SpatioTemporalMatrix(road_ids, intervals, grid)
+        try:
+            header = fh.readline()
+            if not header:
+                raise ExportError(f"{path} is empty")
+            try:
+                intervals = [IntervalIndex.from_label(lbl)
+                             for lbl in header.rstrip("\r\n").split(",")[1:]]
+            except ValueError as exc:
+                raise ExportError(f"{path} header: {exc}") from None
+            record = np.dtype([("id", np.int64), ("v", np.float64, (len(intervals),))])
+            first = fh.readline()  # loadtxt warns on a body without rows
+            body = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None,
+                              ndmin=1, dtype=record) if first else np.empty(0, record)
+        except UnicodeDecodeError as exc:
+            raise ExportError(f"{path} is not UTF-8 text: {exc}") from None
+        except ValueError as exc:
+            raise ExportError(f"{path}, rows after the header: {exc}") from None
+    return SpatioTemporalMatrix(body["id"].tolist(), intervals,
+                                np.ascontiguousarray(body["v"]))
 
 
 def export_heatmap(matrix: SpatioTemporalMatrix, network, interval_label: str) -> dict:

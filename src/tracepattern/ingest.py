@@ -104,10 +104,17 @@ class IntervalIndex:
 
     @classmethod
     def from_label(cls, label: str) -> "IntervalIndex":
-        day_part, time_part = label.split("T")
-        h, m = time_part.split(":")
-        return cls(datetime.date.fromisoformat(day_part),
-                   (int(h) * 3600 + int(m) * 60) // INTERVAL_SECONDS)
+        """Inverse of ``label``; any other string raises ValueError."""
+        try:
+            day_part, time_part = label.split("T")
+            h, m = time_part.split(":")
+            iv = cls(datetime.date.fromisoformat(day_part),
+                     (int(h) * 3600 + int(m) * 60) // INTERVAL_SECONDS)
+        except ValueError:
+            iv = None
+        if iv is None or not 0 <= iv.slot < SLOTS_PER_DAY or iv.label() != label:
+            raise ValueError(f"{label!r} is not an interval label")
+        return iv
 
 
 @dataclass(frozen=True)

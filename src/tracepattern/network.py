@@ -22,6 +22,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_MAX_DIST_KM = 0.05  # 50 m matching gate
 
 _CELL_DEG = 0.005  # ~550 m grid cell
+_ID_RANGE = range(-2**63, 2**63)  # int64, the dtype of road ids in arrays
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,12 @@ class RoadNetwork:
 def load_network(path_or_obj) -> RoadNetwork:
     """Load a GeoJSON-style document of LineString features.
 
-    Each feature needs a unique integer ``id`` property (duplicate ids are
-    fatal); ``free_flow_kmh`` is optional and, if given, a positive finite
-    number. Coordinates are [lon, lat] or [lon, lat, alt] positions in
-    degrees, lon in [-180, 180] and lat in [-90, 90]; altitude is ignored.
+    Each feature needs a unique integer ``id`` property in the int64 range
+    (duplicate ids are fatal; a float id must be integral);
+    ``free_flow_kmh`` is optional and, if given, a positive finite number.
+    Each position is an array of 2 or 3 numbers, [lon, lat] or
+    [lon, lat, alt] in degrees, lon in [-180, 180] and lat in [-90, 90];
+    altitude is ignored.
     Features with fewer than 2 vertices are skipped and counted. A document
     that is not valid JSON of this shape raises NetworkError.
     """
@@ -79,10 +82,7 @@ def load_network(path_or_obj) -> RoadNetwork:
         props = feat.get("properties") if isinstance(feat, dict) else None
         if not isinstance(props, dict) or "id" not in props:
             raise NetworkError(f"feature #{n} has no 'properties' object with an 'id'")
-        try:
-            seg_id = int(props["id"])
-        except (TypeError, ValueError, OverflowError):
-            raise NetworkError(f"feature id {props['id']!r} is not an integer") from None
+        seg_id = _segment_id(props["id"])
         if seg_id in segments:
             raise NetworkError(f"duplicate segment id {seg_id}")
         geometry = feat.get("geometry") or {}
@@ -96,13 +96,9 @@ def load_network(path_or_obj) -> RoadNetwork:
             logger.warning("segment %d has %d vertices, skipped", seg_id, len(coords))
             continue
         try:
-            polyline = tuple((float(lat), float(lon)) for lon, lat, *_alt in coords)
-        except (TypeError, ValueError):
-            raise NetworkError(f"segment {seg_id}: coordinates must be "
-                               f"[lon, lat] or [lon, lat, alt] positions") from None
-        if not all(-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0 for lat, lon in polyline):
-            raise NetworkError(f"segment {seg_id}: a position is not a finite "
-                               f"lon in [-180, 180] and lat in [-90, 90]")
+            polyline = tuple(map(_vertex, coords))
+        except ValueError as exc:
+            raise NetworkError(f"segment {seg_id}: {exc}") from None
         length = geo.polyline_length_km(polyline)
         if length <= 0.0:
             skipped += 1
@@ -126,6 +122,27 @@ def load_network(path_or_obj) -> RoadNetwork:
     else:
         bbox = (0.0, 0.0, 0.0, 0.0)
     return RoadNetwork(segments, bbox, skipped)
+
+
+def _segment_id(raw) -> int:
+    try:
+        seg_id = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        seg_id = None
+    if seg_id is None or (isinstance(raw, float) and seg_id != raw) or seg_id not in _ID_RANGE:
+        raise NetworkError(f"feature id {raw!r} is not an integer in the int64 range")
+    return seg_id
+
+
+def _vertex(pos) -> tuple[float, float]:
+    """(lat, lon) of one position; ValueError unless it is an array of 2 or 3
+    numbers with lon in [-180, 180] and lat in [-90, 90]."""
+    if not (isinstance(pos, (list, tuple)) and len(pos) in (2, 3)
+            and all(isinstance(c, (int, float)) and type(c) is not bool for c in pos)):
+        raise ValueError("coordinates must be [lon, lat] or [lon, lat, alt] arrays of numbers")
+    if not (-180 <= pos[0] <= 180 and -90 <= pos[1] <= 90):
+        raise ValueError("a position is not a finite lon in [-180, 180] and lat in [-90, 90]")
+    return float(pos[1]), float(pos[0])
 
 
 def point_to_segment_distance(lat: float, lon: float, seg: RoadSegment) -> float:

@@ -203,6 +203,39 @@ class TestHeatmap:
         assert result.exit_code == 1
 
 
+def _with_id(rows, rid):
+    return rows[:1] + [f"{rid},{rows[1].split(',', 1)[1]}"] + rows[2:]
+
+
+class TestMalformedMatrix:
+    """A malformed matrix CSV stops analyze/heatmap with one ``error:`` line."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:1] + [rows[1].rsplit(",", 1)[0] + ",x"] + rows[2:],
+        lambda rows: rows[:1] + [rows[1].rsplit(",", 1)[0]] + rows[2:],
+        lambda rows: [rows[0].replace("T00:15", "T0015")] + rows[1:],
+        lambda rows: _with_id(rows, 2**63),
+        lambda rows: _with_id(rows, "1.5"),
+        lambda rows: _with_id(rows, "\udcff"),
+    ], ids=["cell_x", "short_row", "bad_label", "id_past_int64", "float_id", "not_utf8"])
+    @pytest.mark.parametrize("command", ["heatmap", "analyze"])
+    def test_exit_1_one_line(self, runner, workspace, tmp_path, edit, command):
+        flow = os.path.join(workspace["out"], "flow.csv")
+        with open(flow, newline="") as fh:
+            rows = fh.read().split("\r\n")
+        path = tmp_path / "bad.csv"
+        path.write_bytes("\r\n".join(edit(rows)).encode("utf-8", "surrogateescape"))
+        args = {"heatmap": ["heatmap", "--matrix", str(path), "--network", workspace["net"],
+                            "--interval", "2016-10-01T12:00",
+                            "--out", str(tmp_path / "x.geojson")],
+                "analyze": ["analyze", "--flow", flow, "--speed", str(path),
+                            "--network", workspace["net"], "--out", str(tmp_path / "a")]}
+        result = runner.invoke(main, args[command])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert str(path) in result.stderr
+
+
 class TestTimeseries:
     def test_weekend_overlay(self, runner, workspace, tmp_path):
         # 2016-10-01/02 are Saturday/Sunday -> the weekend group has 2 days

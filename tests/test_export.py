@@ -1,0 +1,168 @@
+"""Matrix CSV writer and reader against the csv-module reference."""
+
+import csv
+import datetime
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from tracepattern.errors import ExportError
+from tracepattern.export import read_matrix_csv, write_matrix_csv
+from tracepattern.ingest import IntervalIndex
+from tracepattern.patterns import SpatioTemporalMatrix
+
+INT64 = np.iinfo(np.int64)
+DAY = datetime.date(2016, 10, 1)
+
+
+def oracle_write(matrix: SpatioTemporalMatrix, path):
+    """The csv-module reference for ``write_matrix_csv``, without the sidecar."""
+    integral = np.issubdtype(matrix.values.dtype, np.integer)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["road_id"] + matrix.interval_labels())
+        for rid, row in zip(matrix.road_ids, matrix.values):
+            if integral:
+                w.writerow([rid] + [int(v) for v in row])
+            else:
+                w.writerow([rid] + [repr(float(v)) for v in row])
+
+
+def oracle_read(path) -> SpatioTemporalMatrix:
+    """The csv-module reference for ``read_matrix_csv``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ExportError(f"{path} is empty")
+    intervals = [IntervalIndex.from_label(lbl) for lbl in rows[0][1:]]
+    road_ids = []
+    values = []
+    for row in rows[1:]:
+        road_ids.append(int(row[0]))
+        values.append([float(v) for v in row[1:]])
+    grid = np.asarray(values) if road_ids else np.empty((0, len(intervals)))
+    return SpatioTemporalMatrix(road_ids, intervals, grid)
+
+
+def axis(first_slot, n):
+    """``n`` consecutive intervals from slot ``first_slot`` of DAY on."""
+    return [IntervalIndex(DAY + datetime.timedelta(days=s // 96), s % 96)
+            for s in range(first_slot, first_slot + n)]
+
+
+EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5,
+               np.finfo(np.float64).max, -np.finfo(np.float64).max, 0.1, 36.0]
+floats = st.floats(width=64) | st.sampled_from(EDGE_FLOATS)
+ints = st.integers(INT64.min, INT64.max) | st.sampled_from([INT64.min, INT64.max, 0, -1])
+
+
+@st.composite
+def matrices(draw):
+    n_roads = draw(st.integers(0, 5))
+    n_intervals = draw(st.integers(0, 5))
+    road_ids = draw(st.lists(ints, min_size=n_roads, max_size=n_roads, unique=True))
+    if draw(st.booleans()):
+        values = draw(hnp.arrays(np.int64, (n_roads, n_intervals), elements=ints))
+    else:
+        values = draw(hnp.arrays(np.float64, (n_roads, n_intervals), elements=floats))
+    return SpatioTemporalMatrix(road_ids, axis(draw(st.integers(0, 400)), n_intervals),
+                                values)
+
+
+EDGE_MATRICES = {
+    "float_edges": SpatioTemporalMatrix([1, 2], axis(0, 6),
+                                        np.array(EDGE_FLOATS).reshape(2, 6)),
+    "int64_extremes": SpatioTemporalMatrix([7], axis(95, 4),
+                                           np.array([[INT64.min, INT64.max, 0, -1]])),
+    "int64_road_ids": SpatioTemporalMatrix([INT64.min, -1, 0, INT64.max], axis(3, 2),
+                                           np.arange(8, dtype=np.float64).reshape(4, 2)),
+    "no_roads": SpatioTemporalMatrix([], axis(0, 96), np.empty((0, 96))),
+    "one_road": SpatioTemporalMatrix([5], axis(0, 3), np.array([[1.5, np.nan, 2.0]])),
+    "one_interval": SpatioTemporalMatrix([3, 1, 2], axis(40, 1), np.array([[1], [0], [9]])),
+}
+
+
+def assert_same_matrix(got, want):
+    assert got.road_ids == want.road_ids
+    assert all(type(rid) is int for rid in got.road_ids)
+    assert got.intervals == want.intervals
+    assert got.values.dtype == np.float64 and got.values.flags.c_contiguous
+    assert got.values.shape == want.values.shape
+    np.testing.assert_array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+
+
+def write_both(matrix, tmp_path):
+    ours, ref = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    write_matrix_csv(matrix, ours)
+    oracle_write(matrix, ref)
+    return ours.read_bytes(), ref.read_bytes(), ref
+
+
+class TestEqualsOracle:
+    @pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
+    def test_edge_matrices(self, name, tmp_path):
+        ours, ref, path = write_both(EDGE_MATRICES[name], tmp_path)
+        assert ours == ref
+        assert_same_matrix(read_matrix_csv(path), oracle_read(path))
+
+    @given(matrix=matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_writer_bytes(self, matrix, tmp_path_factory):
+        ours, ref, _ = write_both(matrix, tmp_path_factory.mktemp("w"))
+        assert ours == ref
+
+    @given(matrix=matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_reader_bits(self, matrix, tmp_path_factory):
+        path = tmp_path_factory.mktemp("r") / "m.csv"
+        oracle_write(matrix, path)
+        assert_same_matrix(read_matrix_csv(path), oracle_read(path))
+
+
+def test_header_only_reads_as_empty_matrix_without_warning(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_matrix_csv(EDGE_MATRICES["no_roads"], path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = read_matrix_csv(path)
+    assert got.values.shape == (0, 96) and got.road_ids == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "is empty"),
+    ("road_id,2016-10-01T00:00\r\n9223372036854775808,1.0\r\n", "int64"),
+    ("road_id,2016-10-01T00:00\r\n1.5,1.0\r\n", "int64"),
+    ("road_id,2016-10-01T00:00\r\n1,x\r\n", "'x'"),
+    ("road_id,2016-10-01T00:00,2016-10-01T00:15\r\n1,1.0\r\n", "row 1"),
+    ("road_id,2016-10-01T00:07\r\n1,1.0\r\n", r"bad\.csv header: '2016-10-01T00:07'"),
+    ("road_id,2016-10-01T24:00\r\n1,1.0\r\n", r"bad\.csv header: '2016-10-01T24:00'"),
+])
+def test_malformed_file_is_export_error(text, message, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ExportError, match=message):
+        read_matrix_csv(path)
+
+
+def test_non_utf8_file_is_export_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"road_id,2016-10-01T00:00\r\n1,\xff\r\n")
+    with pytest.raises(ExportError, match="not UTF-8"):
+        read_matrix_csv(path)
+
+
+def test_writer_memory_stays_below_matrix_size(tmp_path):
+    values = np.random.default_rng(0).random((500, 1344)) * 100.0
+    matrix = SpatioTemporalMatrix(list(range(500)), axis(0, 1344), values)
+    tracemalloc.start()
+    try:
+        write_matrix_csv(matrix, tmp_path / "big.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes

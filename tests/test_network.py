@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracepattern import geo
@@ -31,7 +31,7 @@ json_values = st.recursive(
                                                                  max_size=4),
     max_leaves=12)
 numbers = st.integers(-200, 200) | st.floats() | st.sampled_from(["nan", "30.5", "x"])
-positions = st.lists(numbers, min_size=0, max_size=4)
+positions = st.lists(numbers, min_size=0, max_size=4) | st.sampled_from(["12", "12.5", "1234"])
 features = json_values | st.fixed_dictionaries({}, optional={
     "properties": json_values | st.fixed_dictionaries({}, optional={
         "id": json_values | st.integers(0, 3),
@@ -41,6 +41,20 @@ features = json_values | st.fixed_dictionaries({}, optional={
 })
 json_documents = json_values | st.fixed_dictionaries(
     {"features": json_values | st.lists(features, max_size=4)})
+
+
+def number_positions(value):
+    """(lat, lon) of every in-range [lon, lat(, alt)] array of numbers in a
+    JSON value: the only places a loaded vertex may come from."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if not isinstance(value, list):
+        return set()
+    found = set().union(*map(number_positions, value))
+    if (len(value) in (2, 3) and all(type(c) in (int, float) for c in value)
+            and abs(value[0]) <= 180 and abs(value[1]) <= 90):
+        found.add((float(value[1]), float(value[0])))
+    return found
 
 
 class TestLoadNetwork:
@@ -106,20 +120,28 @@ class TestLoadNetwork:
         (line(4, [[104.0, "nan"], [104.0, 30.01]]), "segment 4"),
         (line(4, [[104.0, math.nan], [104.0, 30.01]]), "segment 4"),
         (line(math.inf, [[104.0, 30.0], [104.0, 30.01]]), "inf"),
+        (line(1.7, [[104.0, 30.0], [104.0, 30.01]]), "1.7"),
+        (line(10**30, [[104.0, 30.0], [104.0, 30.01]]), "int64"),
+        (line(4, ["12", "34"]), "segment 4"),
+        (line(4, [[104.0, 30.0, 0.0, 1.0], [104.0, 30.01]]), "segment 4"),
+        (line(4, [[104.0, True], [104.0, 30.01]]), "segment 4"),
     ])
     def test_malformed_feature_is_network_error(self, feature, message):
         with pytest.raises(NetworkError, match=message):
             load_network(doc([feature]))
 
     @given(document=json_documents)
+    @example(document=doc([line(1, ["12", "34"])]))
     @settings(max_examples=200, deadline=None)
     def test_only_network_error_escapes(self, document, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "fuzz.geojson"
         path.write_text(json.dumps(document))
         try:
-            load_network(str(path))
+            net = load_network(str(path))
         except NetworkError:
-            pass
+            return
+        vertices = {v for seg in net.segments.values() for v in seg.polyline}
+        assert vertices <= number_positions(document)
 
     def test_bbox_covers_vertices(self):
         net = load_network(doc([line(1, [[104.0, 30.0], [104.5, 30.2]])]))
