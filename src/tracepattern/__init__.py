@@ -13,7 +13,7 @@ from .ingest import (IntervalIndex, ParserConfig, TraceBatch, TraceRecord,
                      assign_interval, parse_record, read_chunks,
                      read_chunks_from_path)
 from .matching import OffsetVector, apply_offset, estimate_offset, match_batch
-from .network import (RoadNetwork, RoadSegment, load_network, nearest_segment,
+from .network import (RoadNetwork, RoadSegment, load_network,
                       point_to_segment_distance)
 from .patterns import (SpatioTemporalMatrix, TensorBuilder, build_tensors,
                        clean_speed_matrix, filter_missing, interpolate_missing,
@@ -28,9 +28,9 @@ __all__ = [
     "IntervalIndex", "ParserConfig", "TraceBatch", "TraceRecord",
     "assign_interval", "parse_record", "read_chunks", "read_chunks_from_path",
     "OffsetVector", "apply_offset", "estimate_offset", "match_batch",
-    "RoadNetwork", "RoadSegment", "load_network", "nearest_segment",
-    "point_to_segment_distance", "SpatioTemporalMatrix", "TensorBuilder",
-    "build_tensors", "clean_speed_matrix", "filter_missing",
-    "interpolate_missing", "repair_anomalies", "RunConfig", "run_pipeline",
-    "Scenario", "compare", "generate",
+    "RoadNetwork", "RoadSegment", "load_network", "point_to_segment_distance",
+    "SpatioTemporalMatrix", "TensorBuilder", "build_tensors",
+    "clean_speed_matrix", "filter_missing", "interpolate_missing",
+    "repair_anomalies", "RunConfig", "run_pipeline", "Scenario", "compare",
+    "generate",
 ]

@@ -142,11 +142,13 @@ def analyze(flow_path, speed_path, network_path, out_dir, config_file,
     data = _load_config_file(config_file)
     cfg = pipeline.RunConfig(
         traces_path=flow_path, network_path=network_path, out_dir=out_dir,
-        anomaly_kmh=anomaly_kmh or data.get("anomaly_kmh", patterns.DEFAULT_ANOMALY_KMH),
+        anomaly_kmh=(anomaly_kmh if anomaly_kmh is not None
+                     else data.get("anomaly_kmh", patterns.DEFAULT_ANOMALY_KMH)),
         missing_fraction=(missing_fraction if missing_fraction is not None
                           else data.get("missing_fraction", patterns.DEFAULT_MISSING_FRACTION)),
         date_groups=data.get("date_groups", {}),
     )
+    cfg.validate()
     net = network.load_network(network_path)
     flow = ex.read_matrix_csv(flow_path)
     speed = ex.read_matrix_csv(speed_path)

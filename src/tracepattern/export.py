@@ -81,7 +81,9 @@ def export_heatmap(matrix: SpatioTemporalMatrix, network, interval_label: str) -
     overall_max = float(matrix.values.max(initial=0.0))
     features = []
     for rid, row in zip(matrix.road_ids, matrix.values):
-        seg = network.segments[rid]
+        seg = network.segments.get(rid)
+        if seg is None:
+            raise ExportError(f"road {rid} of the matrix is not in the network")
         value = float(row[col])
         features.append({
             "type": "Feature",

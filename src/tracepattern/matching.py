@@ -8,11 +8,13 @@ then applied to every TraceBatch before nearest-segment matching.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import OffsetCapError, OffsetEstimationError
+from .geo import KM_PER_DEG
 from .ingest import TraceBatch
 from .network import DEFAULT_MAX_DIST_KM, RoadNetwork
 
@@ -45,6 +47,9 @@ class OffsetVector:
 
 _MIN_GROUP_FRACTION = 0.05
 _ZERO_DISPLACEMENT_DEG = 1e-9
+# a point shifted by at most the cap on each axis lies within this distance
+# (~1.624 km) of the road it would match unshifted
+_OFFSET_GATE_KM = OFFSET_CAP_DEG * KM_PER_DEG * math.sqrt(2) + DEFAULT_MAX_DIST_KM
 
 
 def _median_step(lats, lons, net: RoadNetwork):
@@ -54,15 +59,21 @@ def _median_step(lats, lons, net: RoadNetwork):
     component normal to that road (the along-road component is always 0),
     so each component's median is taken over the points whose displacement
     is dominated by that axis. Components without enough informative
-    points step by 0.
+    points step by 0. Points with no road within ``_OFFSET_GATE_KM`` give
+    no displacement; if they are the majority, the offset cannot be within
+    the cap and OffsetCapError is raised.
     """
     n = len(lats)
-    dlats = np.empty(n)
-    dlons = np.empty(n)
-    for i, (lat, lon) in enumerate(zip(lats, lons)):
-        _, _, c_lat, c_lon = net.index.nearest(lat, lon, None)  # ungated
-        dlats[i] = c_lat - lat
-        dlons[i] = c_lon - lon
+    seg_ids, _, c_lat, c_lon = net.index.nearest_batch(lats, lons, _OFFSET_GATE_KM)
+    hit = seg_ids >= 0
+    missed = n - int(hit.sum())
+    if 2 * missed > n:
+        raise OffsetCapError(
+            f"{missed} of {n} sample points lie farther than "
+            f"{_OFFSET_GATE_KM:.3f} km from every road; check data/network pairing"
+        )
+    dlats = c_lat[hit] - lats[hit]
+    dlons = c_lon[hit] - lons[hit]
     a_lat = np.abs(dlats)
     a_lon = np.abs(dlons)
     eligible = np.maximum(a_lat, a_lon) > _ZERO_DISPLACEMENT_DEG
@@ -127,7 +138,7 @@ def match_batch(batch: TraceBatch, net: RoadNetwork,
     segment within ``max_dist_km``, ``road_id`` set. Rows without one are
     counted as unmatched, a normal outcome.
     """
-    seg_ids, _ = net.index.nearest_batch(batch.lat, batch.lon, max_dist_km)
+    seg_ids = net.index.nearest_batch(batch.lat, batch.lon, max_dist_km)[0]
     ok = seg_ids >= 0
     matched = replace(batch, road_id=seg_ids)[ok]
     if len(batch):

@@ -152,29 +152,12 @@ def point_to_segment_distance(lat: float, lon: float, seg: RoadSegment) -> float
     return float(np.min(d))
 
 
-def nearest_segment_scan(lat, lon, net: RoadNetwork, max_dist_km=None):
-    """Exhaustive nearest-segment scan; ties broken by lowest id.
-
-    Reference implementation used as the oracle for the spatial index.
-    """
-    best = None
-    for seg_id in net.ordered_ids():
-        d = point_to_segment_distance(lat, lon, net.segments[seg_id])
-        if best is None or d < best[1]:
-            best = (seg_id, d)
-    if best is None:
-        return None
-    if max_dist_km is not None and best[1] > max_dist_km:
-        return None
-    return best
-
-
 class SpatialIndex:
     """Uniform-grid index over polyline sub-segments.
 
     Sub-segments are registered in every grid cell their bounding box
-    overlaps; gated queries inspect a fixed neighborhood, ungated queries
-    expand rings until the best candidate beats the ring lower bound.
+    overlaps; a query inspects the fixed neighborhood of cells that covers
+    its distance gate around the point's cell.
     """
 
     def __init__(self, net: RoadNetwork, cell_deg: float = _CELL_DEG):
@@ -222,84 +205,26 @@ class SpatialIndex:
         self._neighborhood_cache[key] = out
         return out
 
-    def _ring(self, ci, cj, r):
-        if r == 0:
-            return [(ci, cj)]
-        cells = []
-        for dj in range(-r, r + 1):
-            cells.append((ci - r, cj + dj))
-            cells.append((ci + r, cj + dj))
-        for di in range(-r + 1, r):
-            cells.append((ci + di, cj - r))
-            cells.append((ci + di, cj + r))
-        return cells
-
-    def nearest(self, lat, lon, max_dist_km=None):
-        """Nearest segment to a point: (seg_id, dist_km, c_lat, c_lon) or None.
-
-        With ``max_dist_km`` set, returns None when nothing lies within the
-        gate. Ties are broken by lowest segment id.
-        """
-        if self.n_sub == 0:
-            return None
-        ci = math.floor(lat / self.cell_deg)
-        cj = math.floor(lon / self.cell_deg)
-
-        if max_dist_km is not None:
-            radius_deg = max_dist_km / (geo.KM_PER_DEG * self._cos_floor)
-            width = int(math.ceil(radius_deg / self.cell_deg))
-            cand = self._candidates(ci, cj, width)
-            if cand.size == 0:
-                return None
-            hit = self._best(lat, lon, cand)
-            return hit if hit[1] <= max_dist_km else None
-
-        best = None
-        seen: list = []
-        max_r = 2 + int(
-            max(abs(ci), abs(cj)) + max(abs(k[0]) for k in self.cells) + max(abs(k[1]) for k in self.cells)
-        )
-        for r in range(max_r + 1):
-            new = []
-            for cell in self._ring(ci, cj, r):
-                new.extend(self.cells.get(cell, ()))
-            seen.extend(new)
-            if best is None and not seen:
-                continue
-            if new or best is None:
-                cand = np.unique(np.asarray(seen, dtype=np.int64))
-                best = self._best(lat, lon, cand)
-            # anything unscanned is at chebyshev cell distance > r
-            bound = r * self.cell_deg * geo.KM_PER_DEG * self._cos_floor
-            if best is not None and best[1] <= bound:
-                break
-        return best
-
-    def _best(self, lat, lon, cand):
-        d, t = geo.min_dist_to_subsegments(
-            lat, lon, self.a_lat[cand], self.a_lon[cand], self.b_lat[cand], self.b_lon[cand]
-        )
-        k = int(np.argmin(d))
-        i = int(cand[k])
-        tk = float(t[k])
-        c_lat = self.a_lat[i] + tk * (self.b_lat[i] - self.a_lat[i])
-        c_lon = self.a_lon[i] + tk * (self.b_lon[i] - self.a_lon[i])
-        return int(self.seg_ids[i]), float(d[k]), float(c_lat), float(c_lon)
-
     def nearest_batch(self, lats, lons, max_dist_km):
         """Vectorized gated nearest-segment query.
 
-        Returns (seg_id, dist_km) int64/float64 arrays; seg_id is -1 where
-        no segment lies within the gate.
+        Returns (seg_id, dist_km, c_lat, c_lon) arrays: the nearest segment,
+        the distance to it and the closest point on it. Where no segment
+        lies within the gate, seg_id is -1, dist_km inf and c_lat, c_lon NaN.
+        Ties are broken by lowest segment id.
         """
         lats = np.asarray(lats, dtype=np.float64)
         lons = np.asarray(lons, dtype=np.float64)
         n = lats.size
         out_id = np.full(n, -1, dtype=np.int64)
         out_d = np.full(n, np.inf)
+        out_lat = np.full(n, np.nan)
+        out_lon = np.full(n, np.nan)
         if self.n_sub == 0 or n == 0:
-            return out_id, out_d
+            return out_id, out_d, out_lat, out_lon
 
+        near = np.full(n, -1, dtype=np.int64)  # nearest sub-segment in the gate
+        near_t = np.zeros(n)  # projection parameter of the closest point on it
         radius_deg = max_dist_km / (geo.KM_PER_DEG * self._cos_floor)
         width = int(math.ceil(radius_deg / self.cell_deg))
         ci = np.floor(lats / self.cell_deg).astype(np.int64)
@@ -311,22 +236,23 @@ class SpatialIndex:
             if cand.size == 0:
                 continue
             pts = np.nonzero(inverse == u)[0]
-            d, _ = geo.min_dist_to_subsegments(
+            d, t = geo.min_dist_to_subsegments(
                 lats[pts, None], lons[pts, None],
                 self.a_lat[cand][None, :], self.a_lon[cand][None, :],
                 self.b_lat[cand][None, :], self.b_lon[cand][None, :],
             )
             k = np.argmin(d, axis=1)
-            dmin = d[np.arange(pts.size), k]
+            rows = np.arange(pts.size)
+            dmin = d[rows, k]
             ok = dmin <= max_dist_km
-            out_id[pts[ok]] = self.seg_ids[cand[k[ok]]]
-            out_d[pts[ok]] = dmin[ok]
-        return out_id, out_d
+            rows, k, pts = rows[ok], k[ok], pts[ok]
+            near[pts] = cand[k]
+            near_t[pts] = t[rows, k]
+            out_d[pts] = dmin[ok]
 
-
-def nearest_segment(lat, lon, net: RoadNetwork, max_dist_km=DEFAULT_MAX_DIST_KM):
-    """Nearest segment within a distance gate: (seg_id, dist_km) or None."""
-    hit = net.index.nearest(lat, lon, max_dist_km)
-    if hit is None:
-        return None
-    return hit[0], hit[1]
+        hit = near >= 0
+        i, t = near[hit], near_t[hit]
+        out_id[hit] = self.seg_ids[i]
+        out_lat[hit] = self.a_lat[i] + t * (self.b_lat[i] - self.a_lat[i])
+        out_lon[hit] = self.a_lon[i] + t * (self.b_lon[i] - self.a_lon[i])
+        return out_id, out_d, out_lat, out_lon

@@ -173,6 +173,18 @@ class TestAnalyze:
                 assert fa.read() == fb.read(), name
         assert not os.path.exists(os.path.join(out, "inrix.csv.meta.json"))
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--missing-fraction", "2"), ("--anomaly-kmh", "-5"), ("--anomaly-kmh", "0"),
+    ])
+    def test_bad_threshold_exit_1_one_line(self, runner, workspace, tmp_path, flag, value):
+        result = runner.invoke(main, [
+            "analyze", "--flow", os.path.join(workspace["out"], "flow.csv"),
+            "--speed", os.path.join(workspace["out"], "speed_raw.csv"),
+            "--network", workspace["net"], "--out", str(tmp_path / "a"), flag, value])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert flag[2:].replace("-", "_") in result.stderr
+
 
 class TestHeatmap:
     def test_feature_count_and_ratio(self, runner, workspace, tmp_path):
@@ -201,6 +213,18 @@ class TestHeatmap:
             "--network", workspace["net"], "--interval", "1999-01-01T00:00",
             "--out", str(tmp_path / "x.geojson")])
         assert result.exit_code == 1
+
+    def test_road_not_in_network_exit_1_one_line(self, runner, workspace, tmp_path):
+        with open(os.path.join(workspace["out"], "flow.csv"), newline="") as fh:
+            rows = fh.read().split("\r\n")
+        path = tmp_path / "flow.csv"
+        path.write_text("\r\n".join(_with_id(rows, 999999)), newline="")
+        result = runner.invoke(main, [
+            "heatmap", "--matrix", str(path), "--network", workspace["net"],
+            "--interval", "2016-10-01T12:00", "--out", str(tmp_path / "x.geojson")])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "999999" in result.stderr
 
 
 def _with_id(rows, rid):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,33 @@ class TestEstimateOffset:
         records, _ = parse_all(gen.trace_csv)
         with pytest.raises(OffsetCapError):
             estimate_offset(records[:1000], net)
+
+    @staticmethod
+    def _partly_off_network(moved_fraction, shift=(0.002, -0.002)):
+        """A 1,000-row sample with an injected shift, ``moved_fraction`` of
+        its rows (spread evenly) moved a further 0.05° (~5.6 km) north, off
+        the 4 km grid; and its network."""
+        scenario = Scenario(seed=11, demand_profile=uniform_profile(2),
+                            injected_offset=shift)
+        gen = generate(scenario)
+        records, _ = parse_all(gen.trace_csv)
+        sample = records[:1000]
+        moved = np.arange(len(sample)) % 20 < round(20 * moved_fraction)
+        return replace(sample, lat=sample.lat + np.where(moved, 0.05, 0.0)), \
+            load_network(gen.network_doc)
+
+    @pytest.mark.parametrize("moved_fraction", [0.1, 0.3, 0.45])
+    def test_off_network_minority_ignored(self, moved_fraction):
+        shift = (0.002, -0.002)
+        sample, net = self._partly_off_network(moved_fraction, shift)
+        off = estimate_offset(sample, net)
+        assert off.dlat == pytest.approx(-shift[0], rel=0.1)
+        assert off.dlon == pytest.approx(-shift[1], rel=0.1)
+
+    def test_off_network_majority_rejected(self):
+        sample, net = self._partly_off_network(0.6)
+        with pytest.raises(OffsetCapError, match="data/network pairing"):
+            estimate_offset(sample, net)
 
     def test_deterministic(self, small_net, small_records):
         a = estimate_offset(small_records[:1000], small_net)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from tracepattern import geo
 from tracepattern.errors import NetworkError
-from tracepattern.network import (RoadNetwork, SpatialIndex, load_network,
-                                  nearest_segment, nearest_segment_scan,
+from tracepattern.matching import _OFFSET_GATE_KM
+from tracepattern.network import (DEFAULT_MAX_DIST_KM, RoadNetwork,
+                                  SpatialIndex, load_network,
                                   point_to_segment_distance)
 
 MERIDIAN_KM_PER_DEG = math.pi / 180.0 * 6378.137  # 111.3194...
@@ -195,6 +196,32 @@ def random_network(rng, n_segs, center=(30.65, 104.06), spread=0.03):
     return load_network(doc(feats))
 
 
+def nearest_segment_scan(lat, lon, net: RoadNetwork, max_dist_km=None):
+    """Exhaustive nearest-segment scan; ties broken by lowest id.
+
+    Reference implementation used as the oracle for the spatial index.
+    """
+    best = None
+    for seg_id in net.ordered_ids():
+        d = point_to_segment_distance(lat, lon, net.segments[seg_id])
+        if best is None or d < best[1]:
+            best = (seg_id, d)
+    if best is None:
+        return None
+    if max_dist_km is not None and best[1] > max_dist_km:
+        return None
+    return best
+
+
+def nearest(net, lat, lon, max_dist_km=DEFAULT_MAX_DIST_KM):
+    """One-point query of the index: (seg_id, dist_km, c_lat, c_lon) or None."""
+    ids, dists, c_lat, c_lon = net.index.nearest_batch([lat], [lon], max_dist_km)
+    if ids[0] < 0:
+        assert dists[0] == np.inf and np.isnan(c_lat[0]) and np.isnan(c_lon[0])
+        return None
+    return int(ids[0]), float(dists[0]), float(c_lat[0]), float(c_lon[0])
+
+
 class TestNearestSegment:
     def test_gated_hit(self):
         # segment 7 ~10 m away, everything else ~200 m away
@@ -202,25 +229,25 @@ class TestNearestSegment:
         feats += [line(i, [[104.002, 30.0 + 0.01 * i], [104.002, 30.01 + 0.01 * i]])
                   for i in range(3)]
         net = load_network(doc(feats))
-        hit = nearest_segment(30.005, 104.0001, net, max_dist_km=0.05)
+        hit = nearest(net, 30.005, 104.0001, max_dist_km=0.05)
         assert hit is not None and hit[0] == 7
         assert hit[1] == pytest.approx(0.0096, abs=1e-3)
 
     def test_gate_excludes(self):
         net = load_network(doc([line(1, [[104.0, 30.0], [104.0, 30.01]])]))
-        assert nearest_segment(30.005, 104.001, net, max_dist_km=0.05) is None
+        assert nearest(net, 30.005, 104.001, max_dist_km=0.05) is None
 
     def test_tie_lowest_id(self):
         # exactly representable coordinates so both distances are bit-equal
         net = load_network(doc([line(5, [[1.0, 0.0], [1.0, 1.0]]),
                                 line(3, [[-1.0, 0.0], [-1.0, 1.0]])]))
-        hit = nearest_segment(0.5, 0.0, net, max_dist_km=200.0)
+        hit = nearest(net, 0.5, 0.0, max_dist_km=200.0)
         assert hit[0] == 3
 
     def test_empty_network(self):
         net = RoadNetwork({}, (0, 0, 0, 0))
-        assert nearest_segment(30.0, 104.0, net) is None
-        assert net.index.nearest(30.0, 104.0, None) is None
+        assert nearest(net, 30.0, 104.0) is None
+        assert nearest(net, 30.0, 104.0, _OFFSET_GATE_KM) is None
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -230,28 +257,18 @@ class TestNearestSegment:
         for _ in range(10):
             lat = 30.65 + rng.uniform(-0.04, 0.04)
             lon = 104.06 + rng.uniform(-0.04, 0.04)
-            for gate in (None, 0.05, 0.5):
+            for gate in (_OFFSET_GATE_KM, 0.05, 0.5):
                 expected = nearest_segment_scan(lat, lon, net, gate)
-                got = net.index.nearest(lat, lon, gate)
+                got = nearest(net, lat, lon, gate)
                 if expected is None:
                     assert got is None
                 else:
                     assert got is not None
                     assert got[0] == expected[0]
                     assert got[1] == expected[1]
-
-    def test_batch_equals_scalar(self):
-        rng = np.random.default_rng(7)
-        net = random_network(rng, 12)
-        lats = 30.65 + rng.uniform(-0.04, 0.04, 200)
-        lons = 104.06 + rng.uniform(-0.04, 0.04, 200)
-        ids, dists = net.index.nearest_batch(lats, lons, 0.1)
-        for lat, lon, sid, dist in zip(lats, lons, ids, dists):
-            expected = net.index.nearest(lat, lon, 0.1)
-            if expected is None:
-                assert sid == -1
-            else:
-                assert sid == expected[0] and dist == expected[1]
+                    c_lat, c_lon = got[2:]
+                    assert point_to_segment_distance(c_lat, c_lon,
+                                                     net.segments[got[0]]) < 1e-9
 
 
 def test_index_immutable_after_build(small_net):
