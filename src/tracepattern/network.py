@@ -229,13 +229,16 @@ class SpatialIndex:
         width = int(math.ceil(radius_deg / self.cell_deg))
         ci = np.floor(lats / self.cell_deg).astype(np.int64)
         cj = np.floor(lons / self.cell_deg).astype(np.int64)
-        keys = np.stack([ci, cj], axis=1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        for u in range(uniq.shape[0]):
-            cand = self._candidates(int(uniq[u, 0]), int(uniq[u, 1]), width)
+        # group the points by grid cell: sort by (ci, cj), split at key changes
+        by_cell = np.lexsort((cj, ci))
+        ci_s, cj_s = ci[by_cell], cj[by_cell]
+        change = np.flatnonzero((ci_s[1:] != ci_s[:-1]) | (cj_s[1:] != cj_s[:-1])) + 1
+        edges = [0, *change.tolist(), n]
+        for s, e in zip(edges, edges[1:]):
+            cand = self._candidates(int(ci_s[s]), int(cj_s[s]), width)
             if cand.size == 0:
                 continue
-            pts = np.nonzero(inverse == u)[0]
+            pts = by_cell[s:e]
             d, t = geo.min_dist_to_subsegments(
                 lats[pts, None], lons[pts, None],
                 self.a_lat[cand][None, :], self.a_lon[cand][None, :],

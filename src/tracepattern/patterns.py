@@ -123,12 +123,12 @@ class TensorBuilder:
 
         # flow: distinct orders per cell
         flow = np.zeros(n_rows * n_cols, dtype=np.int64)
-        uniq_cells = np.unique(np.stack([cell, order], axis=1), axis=0)[:, 0]
-        cells, counts = np.unique(uniq_cells, return_counts=True)
+        cells, counts = _distinct_per_cell(cell, order)
         flow[cells] = counts
 
-        # speed: mean over consecutive same-order same-road pairs
-        sort = np.lexsort((np.arange(order.size), ts, order))
+        # speed: mean over consecutive same-order same-road pairs; lexsort
+        # is stable, so equal (order, ts) rows keep their arrival order
+        sort = np.lexsort((ts, order))
         o_s, ts_s, road_s = order[sort], ts[sort], road[sort]
         cell_s, lat_s, lon_s = cell[sort], lat[sort], lon[sort]
         dt = ts_s[1:] - ts_s[:-1]
@@ -149,6 +149,16 @@ class TensorBuilder:
                                   datetime.date.fromordinal(day1))
         return (SpatioTemporalMatrix(self.road_ids, axis, flow.reshape(n_rows, n_cols)),
                 SpatioTemporalMatrix(self.road_ids, axis, speed.reshape(n_rows, n_cols)))
+
+
+def _distinct_per_cell(cell, order):
+    """(cells, counts): each occupied cell, ascending, and the number of
+    distinct orders in it. The sort temporaries die on return."""
+    by_cell = np.lexsort((order, cell))
+    cell_s, order_s = cell[by_cell], order[by_cell]
+    first = np.ones(cell_s.size, dtype=bool)
+    first[1:] = (cell_s[1:] != cell_s[:-1]) | (order_s[1:] != order_s[:-1])
+    return np.unique(cell_s[first], return_counts=True)
 
 
 def build_tensors(matched_batches, road_ids,

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import datetime
 import logging
+import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -44,8 +45,8 @@ class RunConfig:
     def validate(self):
         for name in ("chunk_size", "max_dist_km", "pair_dt_max_s",
                      "anomaly_kmh", "error_rate_ceiling"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be positive and finite")
         if abs(self.tz_offset_s) >= SECONDS_PER_DAY:
             raise ConfigError("tz_offset_s must be less than one day in magnitude")
         if not 0.0 <= self.missing_fraction <= 1.0:

@@ -110,6 +110,18 @@ class TestEstimate:
         assert result.exit_code == 1
         assert result.stderr == "error: tz_offset_s must be less than one day in magnitude\n"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-dist-km", "nan"), ("--max-dist-km", "inf"), ("--pair-dt-max", "nan"),
+    ])
+    def test_non_finite_setting_exit_1_one_line(self, runner, workspace, tmp_path,
+                                                flag, value):
+        result = runner.invoke(main, [
+            "estimate", "--traces", workspace["traces"], "--network", workspace["net"],
+            "--out", str(tmp_path / "out"), flag, value])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert flag[2:].replace("-", "_") in result.stderr
+
     def test_config_file_with_flag_precedence(self, runner, workspace, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"traces_path: {workspace['traces']}\n"
@@ -175,6 +187,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("flag, value", [
         ("--missing-fraction", "2"), ("--anomaly-kmh", "-5"), ("--anomaly-kmh", "0"),
+        ("--anomaly-kmh", "nan"),
     ])
     def test_bad_threshold_exit_1_one_line(self, runner, workspace, tmp_path, flag, value):
         result = runner.invoke(main, [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tracepattern import geo
 from tracepattern.errors import NetworkError
 from tracepattern.matching import _OFFSET_GATE_KM
-from tracepattern.network import (DEFAULT_MAX_DIST_KM, RoadNetwork,
+from tracepattern.network import (_CELL_DEG, DEFAULT_MAX_DIST_KM, RoadNetwork,
                                   SpatialIndex, load_network,
                                   point_to_segment_distance)
 
@@ -269,6 +269,32 @@ class TestNearestSegment:
                     c_lat, c_lon = got[2:]
                     assert point_to_segment_distance(c_lat, c_lon,
                                                      net.segments[got[0]]) < 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batch_grouping_equals_linear_scan(self, seed):
+        # one call over many grid cells, several points per cell, points on
+        # cell edges, and cells on both sides of lat 0 and lon 0
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, 20, center=(0.001, -0.002), spread=0.015)
+        edges = _CELL_DEG * np.arange(-4, 5)
+        lats = np.concatenate([rng.uniform(-0.02, 0.02, 240),
+                               rng.choice(edges, 60), rng.uniform(-0.02, 0.02, 30),
+                               [0.0, -0.0, _CELL_DEG, -_CELL_DEG]])
+        lons = np.concatenate([rng.uniform(-0.02, 0.02, 240),
+                               rng.uniform(-0.02, 0.02, 60), rng.choice(edges, 30),
+                               [0.0, -0.0, -_CELL_DEG, _CELL_DEG]])
+        perm = rng.permutation(lats.size)
+        lats, lons = lats[perm], lons[perm]
+        cells = set(zip(np.floor(lats / _CELL_DEG).tolist(), np.floor(lons / _CELL_DEG).tolist()))
+        assert len(cells) > 50 and lats.size >= 4 * len(cells)
+        for gate in (0.05, 0.5, _OFFSET_GATE_KM):
+            ids, dists, _, _ = net.index.nearest_batch(lats, lons, gate)
+            for lat, lon, got_id, got_d in zip(lats, lons, ids, dists):
+                expected = nearest_segment_scan(lat, lon, net, gate)
+                if expected is None:
+                    assert got_id == -1 and got_d == np.inf
+                else:
+                    assert (got_id, got_d) == expected
 
 
 def test_index_immutable_after_build(small_net):
