@@ -9,8 +9,7 @@ from .congestion import (CongestionSeries, FittingResult, daily_aggregates,
                          estimate_free_flow, fitting_index, inrix_score,
                          min_max_normalize, network_inrix, score_matrix)
 from .geo import EARTH_RADIUS_KM, haversine
-from .ingest import (IntervalIndex, ParserConfig, TraceBatch, TraceRecord,
-                     assign_interval, parse_record, read_chunks,
+from .ingest import (IntervalIndex, ParserConfig, TraceBatch, read_chunks,
                      read_chunks_from_path)
 from .matching import OffsetVector, apply_offset, estimate_offset, match_batch
 from .network import (RoadNetwork, RoadSegment, load_network,
@@ -25,8 +24,8 @@ __all__ = [
     "CongestionSeries", "FittingResult", "daily_aggregates",
     "estimate_free_flow", "fitting_index", "inrix_score", "min_max_normalize",
     "network_inrix", "score_matrix", "EARTH_RADIUS_KM", "haversine",
-    "IntervalIndex", "ParserConfig", "TraceBatch", "TraceRecord",
-    "assign_interval", "parse_record", "read_chunks", "read_chunks_from_path",
+    "IntervalIndex", "ParserConfig", "TraceBatch", "read_chunks",
+    "read_chunks_from_path",
     "OffsetVector", "apply_offset", "estimate_offset", "match_batch",
     "RoadNetwork", "RoadSegment", "load_network", "point_to_segment_distance",
     "SpatioTemporalMatrix", "TensorBuilder", "build_tensors",

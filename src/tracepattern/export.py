@@ -65,9 +65,37 @@ def read_matrix_csv(path) -> SpatioTemporalMatrix:
         except UnicodeDecodeError as exc:
             raise ExportError(f"{path} is not UTF-8 text: {exc}") from None
         except ValueError as exc:
-            raise ExportError(f"{path}, rows after the header: {exc}") from None
+            raise ExportError(_first_bad_line(path, record) or f"{path}: {exc}") from None
     return SpatioTemporalMatrix(body["id"].tolist(), intervals,
                                 np.ascontiguousarray(body["v"]))
+
+
+def _first_bad_line(path, record):
+    """The file line number and the reason of the first row of a matrix CSV
+    that np.loadtxt rejects on its own; None if it rejects none."""
+    width = 1 + record["v"].shape[0]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for num, line in enumerate(itertools.islice(fh, 1, None), start=2):
+            if not line.rstrip("\r\n"):  # np.loadtxt skips blank lines
+                continue
+            try:
+                np.loadtxt([line], delimiter=",", comments=None, ndmin=1, dtype=record)
+                continue
+            except ValueError:
+                pass
+            fields = line.rstrip("\r\n").split(",")
+            if len(fields) != width:
+                return f"{path} line {num}: expected {width} fields, got {len(fields)}"
+            for col, text in enumerate(fields, start=1):
+                kind, name = (int, "int64") if col == 1 else (float, "float64")
+                if not text.strip():
+                    return f"{path} line {num}, field {col} is empty"
+                try:
+                    kind(text)
+                except ValueError:
+                    return f"{path} line {num}, field {col}: {text!r} is not {name}"
+            return f"{path} line {num}: not an int64 road id and {width - 1} float64 cells"
+    return None
 
 
 def export_heatmap(matrix: SpatioTemporalMatrix, network, interval_label: str) -> dict:

@@ -1,8 +1,9 @@
 """Chunked trace-file ingestion.
 
 Reads delimited GPS trace files (optionally gzipped) in fixed-size chunks,
-converts and validates each block of rows as column arrays, and hands each
-chunk on as one TraceBatch of columns.
+tokenizes each block of lines with ``np.loadtxt`` (``csv.reader`` where it
+must), validates the block as column arrays, and hands each chunk on as one
+TraceBatch of columns.
 Also maps timestamps to day-local 15-minute intervals.
 """
 
@@ -12,7 +13,9 @@ import csv
 import datetime
 import gzip
 import io
+import itertools
 import logging
+import re
 import zlib
 from dataclasses import dataclass, field
 
@@ -39,17 +42,6 @@ _CEILING_MIN_ROWS = 1000
 _EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One GPS ping."""
-
-    driver_id: str
-    order_id: str
-    timestamp: int
-    lat: float
-    lon: float
-
-
 @dataclass(frozen=True, eq=False)
 class TraceBatch:
     """Aligned columns of parsed pings, in source order.
@@ -65,17 +57,11 @@ class TraceBatch:
     road_id: np.ndarray | None = None  # int64
 
     @classmethod
-    def from_records(cls, records) -> "TraceBatch":
-        return cls(np.array([r.order_id for r in records], dtype=object),
-                   np.array([r.timestamp for r in records], dtype=np.int64),
-                   np.array([r.lat for r in records], dtype=np.float64),
-                   np.array([r.lon for r in records], dtype=np.float64))
-
-    @classmethod
     def concat(cls, batches) -> "TraceBatch":
         """One batch holding the rows of ``batches`` in order."""
         if not batches:
-            return cls.from_records([])
+            return cls(np.empty(0, dtype=object), np.empty(0, dtype=np.int64),
+                       np.empty(0), np.empty(0))
         road = None if batches[0].road_id is None else \
             np.concatenate([b.road_id for b in batches])
         return cls(*(np.concatenate([getattr(b, name) for b in batches])
@@ -129,8 +115,9 @@ class ParserConfig:
     def __post_init__(self):
         if set(self.columns) != set(DEFAULT_COLUMNS):
             raise ValueError(f"columns must be a permutation of {DEFAULT_COLUMNS}")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+        if not isinstance(self.chunk_size, int) or isinstance(self.chunk_size, bool) \
+                or self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be an integer >= 1, not {self.chunk_size!r}")
 
 
 @dataclass
@@ -151,29 +138,14 @@ class IngestStats:
         return self.parsed + self.skipped
 
 
-def parse_record(fields, config: ParserConfig = ParserConfig()) -> TraceRecord:
-    """Parse one delimited row (a string or a pre-split field list).
-
-    Raises ParseError on malformed rows and RecordValidationError on
-    out-of-range values.
-    """
-    if isinstance(fields, str):
-        fields = fields.rstrip("\r\n").split(config.delimiter)
-    batch, errors = _parse_rows([fields], config)
-    if errors:
-        raise errors[0][1]
-    return TraceRecord(fields[config.columns.index("driver_id")], batch.order_id[0],
-                       int(batch.timestamp[0]), float(batch.lat[0]), float(batch.lon[0]))
-
-
 def _parse_rows(rows, config: ParserConfig):
-    """Parse and validate a block of rows, each a list of field strings.
+    """Convert and validate a block of rows, each a list of field strings.
 
     Returns (TraceBatch of the valid rows in order, [(position, error)] in
     row order), where ``error`` is the ParseError or RecordValidationError
     of the first rule the row at ``position`` breaks: field count; then
-    timestamp, lat and lon conversion; then empty id, timestamp range,
-    latitude range and longitude range.
+    timestamp, lat and lon conversion; then the value rules of
+    ``_validate``.
     """
     width = len(config.columns)
     errors = {}
@@ -185,39 +157,32 @@ def _parse_rows(rows, config: ParserConfig):
         positions = [pos for pos in positions if pos not in errors]
         rows = [rows[pos] for pos in positions]
     column = dict(zip(config.columns, zip(*rows) if rows else [()] * width))
-    bad = np.zeros(len(rows), dtype=bool)
-
-    def reject(rule, error):
-        bad[rule] = True
-        for i in np.flatnonzero(rule).tolist():
-            errors.setdefault(positions[i], error(i))
-
+    failed = {}
     converted = []
     for name, kind in (("timestamp", int), ("lat", float), ("lon", float)):
-        values, failed = _convert(column[name], kind)
-        for i, exc in failed.items():
-            bad[i] = True
-            errors.setdefault(positions[i], ParseError(f"malformed numeric field: {exc}"))
+        values, bad = _convert(column[name], kind)
+        for i, exc in bad.items():
+            failed.setdefault(i, ParseError(f"malformed numeric field: {exc}"))
         converted.append(values)
-    ts_int, lat_float, lon_float = converted
-    ts = np.array(ts_int, dtype=object)  # range-checked before the int64 cast
-    lat = np.array(lat_float, dtype=np.float64)
-    lon = np.array(lon_float, dtype=np.float64)
-    order = np.array(column["order_id"], dtype=object)
-
-    reject((np.array(column["driver_id"], dtype=object) == "") | (order == ""),
-           lambda i: RecordValidationError("empty driver_id or order_id"))
-    reject(ts <= 0, lambda i: RecordValidationError(f"non-positive timestamp {ts_int[i]}"))
-    reject(ts >= MAX_TIMESTAMP,
-           lambda i: RecordValidationError(f"timestamp {ts_int[i]} past year 9999"))
-    reject(~((lat >= -90.0) & (lat <= 90.0)),
-           lambda i: RecordValidationError(f"latitude {lat_float[i]} out of range"))
-    reject(~((lon >= -180.0) & (lon <= 180.0)),
-           lambda i: RecordValidationError(f"longitude {lon_float[i]} out of range"))
-
-    keep = ~bad
-    batch = TraceBatch(order[keep], ts[keep].astype(np.int64), lat[keep], lon[keep])
+    batch, failed = _validate(np.array(column["driver_id"], dtype=object),
+                              np.array(column["order_id"], dtype=object),
+                              np.array(converted[0], dtype=object),  # may overflow int64
+                              np.array(converted[1], dtype=np.float64),
+                              np.array(converted[2], dtype=np.float64), failed)
+    errors.update((positions[i], exc) for i, exc in failed.items())
     return batch, sorted(errors.items())
+
+
+def _add_rows(batch, errors, kept, rows, nums, config: ParserConfig):
+    """Parse the field lists ``rows``, numbered ``nums``, into ``batch``,
+    whose rows are numbered ``kept``, and its [(number, error)] ``errors``,
+    keeping row order in both."""
+    more, failed = _parse_rows(rows, config)
+    dropped = [pos for pos, _ in failed]
+    kept = np.concatenate([kept, np.delete(np.asarray(nums, dtype=np.int64), dropped)])
+    batch = TraceBatch.concat([batch, more])[np.argsort(kept, kind="stable")]
+    errors += ((nums[pos], exc) for pos, exc in failed)
+    return batch, sorted(errors, key=lambda error: error[0])
 
 
 def _convert(texts, kind):
@@ -234,6 +199,89 @@ def _convert(texts, kind):
             values.append(kind(0))
             failed[i] = exc
     return values, failed
+
+
+def _validate(driver, order, ts, lat, lon, errors=None):
+    """Apply the value rules to converted columns of one block.
+
+    ``errors`` maps the rows already rejected to their error. The rules,
+    in order: empty driver or order id, timestamp not in
+    (0, MAX_TIMESTAMP), latitude not in [-90, 90], longitude not in
+    [-180, 180]. Returns (TraceBatch of the rows that pass, {row: error}),
+    each failed row keeping the error of the first rule it breaks.
+    """
+    errors = {} if errors is None else errors
+    bad = np.zeros(len(ts), dtype=bool)
+    bad[list(errors)] = True
+
+    def reject(rule, error):
+        bad[rule] = True
+        for i in np.flatnonzero(rule).tolist():
+            errors.setdefault(i, error(i))
+
+    reject((driver == "") | (order == ""),
+           lambda i: RecordValidationError("empty driver_id or order_id"))
+    reject(ts <= 0, lambda i: RecordValidationError(f"non-positive timestamp {int(ts[i])}"))
+    reject(ts >= MAX_TIMESTAMP,
+           lambda i: RecordValidationError(f"timestamp {int(ts[i])} past year 9999"))
+    reject(~((lat >= -90.0) & (lat <= 90.0)),
+           lambda i: RecordValidationError(f"latitude {float(lat[i])} out of range"))
+    reject(~((lon >= -180.0) & (lon <= 180.0)),
+           lambda i: RecordValidationError(f"longitude {float(lon[i])} out of range"))
+    keep = ~bad
+    return TraceBatch(order[keep], ts[keep].astype(np.int64), lat[keep], lon[keep]), errors
+
+
+_COLUMN_TYPES = {"driver_id": object, "order_id": object, "timestamp": np.int64,
+                 "lat": np.float64, "lon": np.float64}
+
+
+def _load_lines(lines, config: ParserConfig):
+    """Tokenize and convert a block of lines, none holding a ``"``, with np.loadtxt.
+
+    Blank lines are dropped. Returns (records in ``config.columns`` order,
+    index in ``lines`` of each record, indices in ``lines`` of the lines
+    left to csv.reader): the lines np.loadtxt rejects (a wrong field count,
+    a number it will not parse or an int64 overflow), or every line when
+    one is longer than csv's field limit, where csv.reader raises and
+    np.loadtxt would not.
+    """
+    dtype = np.dtype([(name, _COLUMN_TYPES[name]) for name in config.columns])
+    lengths = list(map(len, lines))
+    if lines and max(lengths) > csv.field_size_limit():
+        return np.empty(0, dtype), [], range(len(lines))
+    at = range(len(lines))
+    if lines and min(lengths) <= 2:  # room for a blank line
+        at = [i for i, line in enumerate(lines) if line.rstrip("\r\n")]
+        lines = [lines[i] for i in at]
+
+    def load(rows):
+        return np.loadtxt(rows, dtype=dtype, delimiter=config.delimiter, comments=None,
+                          quotechar=None, ndmin=1) if rows else np.empty(0, dtype)
+
+    rejected, lo, table = [], 0, np.empty(0, dtype)
+    while lo < len(lines):
+        try:
+            table = load(itertools.islice(lines, lo, None))
+            break
+        except ValueError as exc:
+            named = _LOADTXT_ROW.search(str(exc))
+        if named:
+            # np.loadtxt numbers the rejected row from 0 or from 1, by the
+            # kind of error, so the rows before the named one minus 1 loaded
+            rejected.append(max(lo + int(named[1]) - 1, lo))
+            lo = rejected[-1] + 1
+        else:  # csv.reader takes the rest
+            rejected += range(lo, len(lines))
+            lo = len(lines)
+    if rejected:  # load the lines before the last one rejected, then the tail
+        keep = sorted(set(range(lo)).difference(rejected))
+        table = np.concatenate([load([lines[i] for i in keep]), table])
+        at, rejected = [at[i] for i in keep] + list(at[lo:]), [at[i] for i in rejected]
+    return table, at, rejected
+
+
+_LOADTXT_ROW = re.compile(r" at row (\d+)")
 
 
 def _looks_like_header(fields, config: ParserConfig) -> bool:
@@ -261,42 +309,92 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
     error rate exceeds the configured ceiling (checked per chunk, after a
     minimum of 1000 rows). A stream that cannot be read or decoded raises
     IngestError.
+
+    Each block of lines is tokenized by np.loadtxt; a line it rejects goes
+    through csv.reader, and so does every line of a block with a line
+    longer than csv's field limit.
+    From the first line holding a ``"`` on, the rest of the stream goes
+    through csv.reader, since a quoted field may span lines. Either way a
+    row's number is its csv record number.
     """
     if stats is None:
         stats = IngestStats()
-    records = enumerate(csv.reader(source, delimiter=config.delimiter), start=1)
+    lines = iter(source)
+    records = None  # csv.reader's (row number, fields), from the first '"' on
     chunk: list[TraceBatch] = []
     first = True
-    row_num = 0
+    row_num = 0  # the last row read
     try:
         while True:
             # a block never crosses a chunk boundary, so the error rate is
             # checked after the same rows as a row-at-a-time reader would
             need = config.chunk_size - sum(map(len, chunk))
-            rows, row_nums = [], []
-            for row_num, fields in records:
-                if not fields:
-                    continue
-                if first:
-                    first = False
-                    if _looks_like_header(fields, config):
+            end = False
+            pairs = records
+            if records is None:
+                size = 1 if first else need  # only the first row can be a header
+                block = []
+                try:
+                    block.extend(itertools.islice(lines, size))
+                finally:
+                    row_num += len(block)
+                start = row_num - len(block) + 1
+                end = len(block) < size
+                if '"' in "".join(block):
+                    quoted = next(i for i, line in enumerate(block) if '"' in line)
+                    records = enumerate(csv.reader(itertools.chain(block[quoted:], lines),
+                                                   delimiter=config.delimiter),
+                                        start=start + quoted)
+                    block, end, row_num = block[:quoted], False, start + quoted - 1
+                table, at, rejected = _load_lines(block, config)
+                first = first and not len(table)
+                batch, failed = _validate(table["driver_id"], table["order_id"],
+                                          table["timestamp"], table["lat"], table["lon"])
+                errors = [(start + at[i], exc) for i, exc in sorted(failed.items())]
+                if rejected:
+                    rows, nums = [], []
+                    for i in rejected:
+                        row_num = start + i - 1  # for a csv.Error on the line
+                        fields = next(csv.reader([block[i]], delimiter=config.delimiter))
+                        if not fields:
+                            continue
+                        if first:
+                            first = False
+                            if _looks_like_header(fields, config):
+                                continue
+                        rows.append(fields)
+                        nums.append(start + i)
+                    row_num = start + len(block) - 1
+                    kept = np.delete(np.asarray(at, dtype=np.int64), list(failed)) + start
+                    batch, errors = _add_rows(batch, errors, kept, rows, nums, config)
+            if pairs is not None:
+                rows, nums = [], []
+                for row_num, fields in pairs:
+                    if not fields:
                         continue
-                rows.append(fields)
-                row_nums.append(row_num)
-                if len(rows) == need:
-                    break
-            batch, errors = _parse_rows(rows, config)
+                    if first:
+                        first = False
+                        if _looks_like_header(fields, config):
+                            continue
+                    rows.append(fields)
+                    nums.append(row_num)
+                    if len(rows) == need:
+                        break
+                else:
+                    end = end or pairs is records  # csv.reader reached the end of input
+                batch, errors = _parse_rows(rows, config)
+                errors = [(nums[pos], exc) for pos, exc in errors]
             stats.parsed += len(batch)
-            for pos, exc in errors:
+            for num, exc in errors:
                 if isinstance(exc, ParseError):
                     stats.parse_errors += 1
                 else:
                     stats.validation_errors += 1
                 if len(stats.samples) < 10:
-                    stats.samples.append(f"row {row_nums[pos]}: {exc}")
+                    stats.samples.append(f"row {num}: {exc}")
             if len(batch):
                 chunk.append(batch)
-            if len(rows) < need:  # end of input
+            if end:
                 break
             if len(batch) == need:
                 _check_error_rate(stats, config)
@@ -335,9 +433,3 @@ def day_slot(timestamps, tz_offset_s: int = DEFAULT_TZ_OFFSET_S):
     day, slot = np.divmod((np.asarray(timestamps, dtype=np.int64) + tz_offset_s)
                           // INTERVAL_SECONDS, SLOTS_PER_DAY)
     return day + _EPOCH_ORDINAL, slot
-
-
-def assign_interval(timestamp: int, tz_offset_s: int = DEFAULT_TZ_OFFSET_S) -> IntervalIndex:
-    """Map an epoch timestamp to its day-local 15-minute interval."""
-    day, slot = day_slot(timestamp, tz_offset_s)
-    return IntervalIndex(datetime.date.fromordinal(int(day)), int(slot))

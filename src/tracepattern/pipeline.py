@@ -9,6 +9,7 @@ import csv
 import datetime
 import logging
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -43,6 +44,15 @@ class RunConfig:
     date_groups: dict = field(default_factory=dict)  # scenario -> [iso dates]
 
     def validate(self):
+        # settings from a YAML config arrive with whatever type it spelled
+        for kind, word, names in (
+                (int, "an integer", ("chunk_size", "tz_offset_s", "offset_sample_size")),
+                (numbers.Real, "a number", ("max_dist_km", "pair_dt_max_s", "anomaly_kmh",
+                                            "error_rate_ceiling", "missing_fraction"))):
+            for name in names:
+                value = getattr(self, name)
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise ConfigError(f"{name} must be {word}, not {value!r}")
         for name in ("chunk_size", "max_dist_km", "pair_dt_max_s",
                      "anomaly_kmh", "error_rate_ceiling"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too

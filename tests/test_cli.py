@@ -7,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from tracepattern import export as ex
-from tracepattern.cli import main
+from tracepattern.cli import _build_run_config, main
+from tracepattern.errors import ConfigError
 from tracepattern.synth import (Scenario, generate, uniform_profile,
                                 write_scenario)
 
@@ -135,6 +136,29 @@ class TestEstimate:
         assert os.path.exists(os.path.join(out, "manifest.json"))
         assert not os.path.exists(str(tmp_path / "from_yaml"))
 
+    @pytest.mark.parametrize("line", ["max_dist_km: abc", "chunk_size: 2.5",
+                                      "chunk_size: true", "anomaly_kmh: [1]",
+                                      "tz_offset_s: 3600.5", "missing_fraction: x",
+                                      "offset_sample_size: abc"])
+    def test_setting_of_wrong_type_is_config_error(self, workspace, tmp_path, line):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"traces_path: {workspace['traces']}\n"
+                       f"network_path: {workspace['net']}\n"
+                       f"out_dir: {tmp_path / 'o'}\n{line}\n")
+        config = _build_run_config(str(cfg), {})
+        with pytest.raises(ConfigError, match=line.split(":")[0]):
+            config.validate()
+
+    def test_non_numeric_setting_exit_1_one_line(self, runner, workspace, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"traces_path: {workspace['traces']}\n"
+                       f"network_path: {workspace['net']}\n"
+                       f"out_dir: {tmp_path / 'o'}\n"
+                       "max_dist_km: abc\n")
+        result = runner.invoke(main, ["estimate", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: max_dist_km must be a number, not 'abc'\n"
+
     def test_unknown_config_key_exit_1(self, runner, workspace, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"traces_path: {workspace['traces']}\n"
@@ -197,6 +221,28 @@ class TestAnalyze:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert flag[2:].replace("-", "_") in result.stderr
+
+    @pytest.mark.parametrize("cells, reason", [
+        (lambda cells: [cells[0], "x", *cells[2:]], "line 3, field 2: 'x' is not float64"),
+        (lambda cells: cells[:-1], "line 3: expected"),
+        (lambda cells: [cells[0], "", *cells[2:]], "line 3, field 2 is empty"),
+        (lambda cells: [cells[0], "1 2", *cells[2:]], "line 3, field 2: '1 2' is not float64"),
+        (lambda cells: [str(2**63), *cells[1:]], "line 3: not an int64 road id"),
+    ], ids=["bad-cell", "short-row", "empty-cell", "spaced-cell", "id-overflow"])
+    def test_bad_matrix_line_named_by_file_line(self, runner, workspace, tmp_path,
+                                                cells, reason):
+        with open(os.path.join(workspace["out"], "flow.csv"), newline="") as fh:
+            lines = fh.readlines()
+        lines[2] = ",".join(cells(lines[2].rstrip("\r\n").split(","))) + "\r\n"
+        bad = tmp_path / "flow.csv"
+        bad.write_text("".join(lines), newline="")
+        result = runner.invoke(main, [
+            "analyze", "--flow", str(bad),
+            "--speed", os.path.join(workspace["out"], "speed_raw.csv"),
+            "--network", workspace["net"], "--out", str(tmp_path / "a")])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: {bad} {reason}")
+        assert result.stderr.count("\n") == 1 and "usecols" not in result.stderr
 
 
 class TestHeatmap:

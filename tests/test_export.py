@@ -138,7 +138,7 @@ def test_header_only_reads_as_empty_matrix_without_warning(tmp_path):
     ("road_id,2016-10-01T00:00\r\n9223372036854775808,1.0\r\n", "int64"),
     ("road_id,2016-10-01T00:00\r\n1.5,1.0\r\n", "int64"),
     ("road_id,2016-10-01T00:00\r\n1,x\r\n", "'x'"),
-    ("road_id,2016-10-01T00:00,2016-10-01T00:15\r\n1,1.0\r\n", "row 1"),
+    ("road_id,2016-10-01T00:00,2016-10-01T00:15\r\n1,1.0\r\n", "line 2"),
     ("road_id,2016-10-01T00:07\r\n1,1.0\r\n", r"bad\.csv header: '2016-10-01T00:07'"),
     ("road_id,2016-10-01T24:00\r\n1,1.0\r\n", r"bad\.csv header: '2016-10-01T24:00'"),
 ])

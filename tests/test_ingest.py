@@ -10,10 +10,24 @@ from hypothesis import strategies as st
 
 from tracepattern.errors import (DataQualityError, IngestError, ParseError,
                                  RecordValidationError)
-from tracepattern.ingest import (IngestStats, IntervalIndex, ParserConfig,
-                                 TraceBatch, TraceRecord, _check_error_rate,
-                                 _looks_like_header, assign_interval, day_slot,
-                                 open_trace_file, parse_record, read_chunks)
+from tracepattern.ingest import (DEFAULT_COLUMNS, IngestStats, IntervalIndex,
+                                 ParserConfig, TraceBatch, _check_error_rate,
+                                 _looks_like_header, _parse_rows, day_slot,
+                                 open_trace_file, read_chunks)
+
+from conftest import TraceRecord, assign_interval, batch_from_records
+
+
+def parse_record(fields, config=ParserConfig()):
+    """One delimited row (a string or a pre-split field list) through the
+    block parser; raises the error of the first rule it breaks."""
+    if isinstance(fields, str):
+        fields = fields.rstrip("\r\n").split(config.delimiter)
+    batch, errors = _parse_rows([fields], config)
+    if errors:
+        raise errors[0][1]
+    return TraceRecord(fields[config.columns.index("driver_id")], batch.order_id[0],
+                       int(batch.timestamp[0]), float(batch.lat[0]), float(batch.lon[0]))
 
 
 def oracle_parse_record(fields, config=ParserConfig()):
@@ -65,11 +79,11 @@ def oracle_read_chunks(source, config=ParserConfig(), stats=None):
                 stats.samples.append(f"row {row_num}: {exc}")
         if len(chunk) == config.chunk_size:
             _check_error_rate(stats, config)
-            yield TraceBatch.from_records(chunk)
+            yield batch_from_records(chunk)
             chunk = []
     _check_error_rate(stats, config)
     if chunk:
-        yield TraceBatch.from_records(chunk)
+        yield batch_from_records(chunk)
 
 
 def rows_csv(n, start_ts=1475280000):
@@ -120,6 +134,13 @@ class TestParseRecord:
         cfg = ParserConfig(columns=("timestamp", "lat", "lon", "driver_id", "order_id"))
         rec = parse_record("1475280000,30.65,104.06,d9,o9", cfg)
         assert rec.driver_id == "d9" and rec.lat == 30.65
+
+
+class TestParserConfig:
+    @pytest.mark.parametrize("chunk_size", [2.5, "10", True, 0])
+    def test_chunk_size_must_be_a_positive_int(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size"):
+            ParserConfig(chunk_size=chunk_size)
 
 
 class TestReadChunks:
@@ -204,14 +225,44 @@ trace_rows = st.lists(
     max_size=60)
 
 
-def run_reader(reader, text, config):
+def run_reader(reader, text, config, newline="\n"):
     """(chunks and any DataQualityError message in order, stats) of one reader."""
     stats, out = IngestStats(), []
     try:
-        out.extend(reader(io.StringIO(text), config, stats))
+        out.extend(reader(io.StringIO(text, newline=newline), config, stats))
     except DataQualityError as exc:
         out.append(str(exc))
     return out, stats
+
+
+def assert_matches_oracle(text, config, newline="\n"):
+    """read_chunks gives the oracle's stats, samples and bit-equal chunks."""
+    got, got_stats = run_reader(read_chunks, text, config, newline)
+    want, want_stats = run_reader(oracle_read_chunks, text, config, newline)
+
+    assert got_stats == want_stats
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, str):
+            assert a == b
+            continue
+        assert len(a) == len(b)
+        assert a.order_id.tolist() == b.order_id.tolist()
+        for name in ("timestamp", "lat", "lon"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    return want_stats
+
+
+def valid_lines(n, columns=DEFAULT_COLUMNS, delimiter=","):
+    """``n`` valid rows as lines, fields in ``columns`` order, ids with ``#`` and ``'``."""
+    lines = []
+    for i in range(n):
+        row = {"driver_id": f"d'{i % 13}", "order_id": f"o#{i % 17}",
+               "timestamp": str(1475280000 + 7 * i), "lat": f"30.{i % 97:02d}",
+               "lon": f"104.{i % 89:02d}"}
+        lines.append(delimiter.join(row[c] for c in columns) + "\n")
+    return lines
 
 
 class TestBlockParserEqualsOracle:
@@ -229,20 +280,7 @@ class TestBlockParserEqualsOracle:
         buf.write(rows_csv(valid_prefix))
         writer.writerows(rows)
         config = ParserConfig(chunk_size=chunk_size, error_rate_ceiling=ceiling)
-        got, got_stats = run_reader(read_chunks, buf.getvalue(), config)
-        want, want_stats = run_reader(oracle_read_chunks, buf.getvalue(), config)
-
-        assert got_stats == want_stats
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            if isinstance(b, str):
-                assert a == b
-                continue
-            assert len(a) == len(b)
-            assert a.order_id.tolist() == b.order_id.tolist()
-            for name in ("timestamp", "lat", "lon"):
-                x, y = getattr(a, name), getattr(b, name)
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert_matches_oracle(buf.getvalue(), config)
 
         for fields in filter(None, rows):
             try:
@@ -253,6 +291,98 @@ class TestBlockParserEqualsOracle:
                 assert str(got_exc.value) == str(exc)
             else:
                 assert parse_record(fields) == want_rec
+
+    # np.loadtxt loads the lines of a block that it accepts, csv.reader the
+    # rest; these put one odd text into an otherwise valid block
+    @pytest.mark.parametrize("text", NUMBER_EDGES + ["\u0661\u0662"])
+    def test_odd_number_in_a_loaded_block(self, text):
+        for column in ("timestamp", "lat", "lon"):
+            lines = valid_lines(1100)
+            row = lines[500].rstrip("\n").split(",")
+            row[DEFAULT_COLUMNS.index(column)] = text
+            lines[500] = ",".join(row) + "\n"
+            for chunk_size in (10_000, 7):
+                assert_matches_oracle("".join(lines), ParserConfig(chunk_size=chunk_size))
+
+    @pytest.mark.parametrize("chunk_size", [10_000, 1000, 7])
+    def test_rejected_lines_among_loaded_ones(self, chunk_size):
+        # both kinds of np.loadtxt error (a field count, numbered from 1, and
+        # a number, numbered from 0), next to each other, to blank lines and
+        # to the ends of a block, lines that csv.reader and int() accept, and
+        # rows of a loaded run that break a value rule
+        lines = valid_lines(2200)
+        odd = {1: "d1,o1,1475280000,104.06\n", 2: "d1,o1,1_000,104.06,30.65\n",
+               3: "d1,o1,1.5,104.06,30.65\n", 500: "\n", 501: "d1,o1,x,104.06,30.65\n",
+               502: "d1,o1,1475280000,104.06,30.65,9\n", 503: "d1,o2,+1_5,104.06,30.65\n",
+               504: "\n", 999: "d1,o1,1475280000,104.06,\u0661\n", 1000: "d1,o1,1,2\n",
+               2199: "d1,o9,1_475_280_000,104.06,30.65\n",
+               10: "d1,o1,1475280000,104.06,95.0\n", 1501: "d1,,1475280000,104.06,30.65\n"}
+        odd.update((i, "d1,o1,1475280000,1x4.06,30.65\n") for i in range(1100, 2100, 97))
+        for i, line in odd.items():
+            lines[i] = line
+        stats = assert_matches_oracle("".join(lines), ParserConfig(chunk_size=chunk_size))
+        assert (stats.parse_errors, stats.validation_errors, stats.parsed) == (16, 2, 2180)
+
+    def test_csv_error_on_a_rejected_line_stops_the_read(self):
+        lines = valid_lines(1100)
+        lines[600] = "d1,o1\r1475280000,104.06,30.65\n"  # \r inside a line
+        with pytest.raises(csv.Error) as want:
+            list(oracle_read_chunks(io.StringIO("".join(lines))))
+        with pytest.raises(IngestError) as got:
+            list(read_chunks(io.StringIO("".join(lines))))
+        assert str(got.value) == f"read failure after row 600: {want.value}"
+
+    def test_quoted_field_spanning_lines_after_three_blocks(self):
+        # blocks of 1, 9 and 10 lines, then a record over two lines
+        lines = valid_lines(60)
+        lines[4] = "d1,o1,1475280000,104.06,95.0\n"
+        lines[30] = 'd1,"o\n1",1475280000,104.06,30.65\n'
+        lines[33] = "d1,o1,1475280000,104.06\n"
+        lines[55] = "d1,o1,1475280000,104.06,95.0\n"
+        stats = assert_matches_oracle("".join(lines), ParserConfig(chunk_size=10))
+        assert stats.samples == ["row 5: latitude 95.0 out of range",
+                                 "row 34: expected 5 fields, got 4",
+                                 "row 56: latitude 95.0 out of range"]
+
+    @pytest.mark.parametrize("text, config, newline", [
+        ("".join(valid_lines(1100)[:400]) + " \t \n" + "".join(valid_lines(700)),
+         ParserConfig(), "\n"),
+        ("".join(valid_lines(1100)[:400]) + "d1,o1,1475280000,104.06,30.65\r"
+         + "".join(valid_lines(700)), ParserConfig(chunk_size=7), ""),
+        ("".join(valid_lines(1100, delimiter="\t")) + "d1\to1\t5\t104.06\t91\n",
+         ParserConfig(delimiter="\t"), "\n"),
+        ("".join(valid_lines(1100, ("timestamp", "lat", "lon", "driver_id", "order_id")))
+         + "1475280000,30.65,104.06,d1,\n",
+         ParserConfig(columns=("timestamp", "lat", "lon", "driver_id", "order_id"),
+                      chunk_size=7), "\n"),
+        ("".join(valid_lines(1100)[:400]) + "\r\r\n" + "".join(valid_lines(700)),
+         ParserConfig(), "\n"),
+    ], ids=["whitespace-line", "lone-cr-line-end", "tab-delimiter", "order-id-last",
+            "cr-only-line"])
+    def test_layouts_of_a_loaded_block(self, text, config, newline):
+        stats = assert_matches_oracle(text, config, newline)
+        assert stats.parsed >= 1099
+
+    def test_line_over_the_field_limit_stops_the_read(self):
+        lines = valid_lines(1100)
+        lines[600] = "d" * 200_000 + ",o1,1475280000,104.06,30.65\n"
+        with pytest.raises(csv.Error) as want:
+            list(oracle_read_chunks(io.StringIO("".join(lines))))
+        with pytest.raises(IngestError) as got:
+            list(read_chunks(io.StringIO("".join(lines))))
+        assert str(got.value) == f"read failure after row 600: {want.value}"
+
+    def test_truncated_gzip_names_the_last_row_read(self, tmp_path):
+        path = tmp_path / "traces.csv.gz"
+        data = gzip.compress("".join(valid_lines(50_000)).encode())
+        path.write_bytes(data[:len(data) // 2])
+        rows_read = 0
+        with open_trace_file(path) as stream, pytest.raises(EOFError):
+            for _ in stream:
+                rows_read += 1
+        with open_trace_file(path) as stream, pytest.raises(IngestError) as got:
+            read_all(stream)
+        assert str(got.value).startswith(f"read failure after row {rows_read}: ")
 
 
 class TestAssignInterval:

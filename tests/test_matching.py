@@ -6,19 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracepattern.errors import OffsetCapError, OffsetEstimationError
-from tracepattern.ingest import TraceBatch, TraceRecord, day_slot
+from tracepattern.ingest import TraceBatch, day_slot
 from tracepattern.matching import (OffsetVector, apply_offset, estimate_offset,
                                    match_batch)
 from tracepattern.network import load_network, point_to_segment_distance
 from tracepattern.synth import Scenario, generate, uniform_profile
 
-from conftest import parse_all
+from conftest import TraceRecord, batch_from_records, parse_all
 
 
 def batch(*points, ts=1475280000, order="o1"):
     """A TraceBatch of (lat, lon) points."""
-    return TraceBatch.from_records([TraceRecord("d1", order, ts, lat, lon)
-                                    for lat, lon in points])
+    return batch_from_records([TraceRecord("d1", order, ts, lat, lon)
+                               for lat, lon in points])
 
 
 class TestOffsetVector:

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracepattern import geo
-from tracepattern.ingest import TraceBatch, assign_interval
+from tracepattern.ingest import TraceBatch
 from tracepattern.matching import match_batch
 from tracepattern.patterns import (SpatioTemporalMatrix, TensorBuilder,
                                    clean_speed_matrix, filter_missing,
                                    full_interval_axis, interpolate_missing,
                                    repair_anomalies)
+
+from conftest import assign_interval
 
 DAY = datetime.date(2016, 10, 1)
 LAT, LON = 30.65, 104.06
