@@ -6,29 +6,28 @@ congestion scoring and temporal-dispersion analytics -> file exports.
 """
 
 from .congestion import (CongestionSeries, FittingResult, daily_aggregates,
-                         estimate_free_flow, fitting_index, inrix_score,
-                         min_max_normalize, network_inrix, score_matrix)
+                         estimate_free_flow, fitting_index, min_max_normalize,
+                         score_matrix)
 from .geo import EARTH_RADIUS_KM, haversine
 from .ingest import (IntervalIndex, ParserConfig, TraceBatch, read_chunks,
                      read_chunks_from_path)
 from .matching import OffsetVector, apply_offset, estimate_offset, match_batch
 from .network import (RoadNetwork, RoadSegment, load_network,
                       point_to_segment_distance)
-from .patterns import (SpatioTemporalMatrix, TensorBuilder, build_tensors,
-                       clean_speed_matrix, filter_missing, interpolate_missing,
-                       repair_anomalies)
+from .patterns import (SpatioTemporalMatrix, TensorBuilder, clean_speed_matrix,
+                       filter_missing, interpolate_missing, repair_anomalies)
 from .pipeline import RunConfig, run_pipeline
 from .synth import Scenario, compare, generate
 
 __all__ = [
     "CongestionSeries", "FittingResult", "daily_aggregates",
-    "estimate_free_flow", "fitting_index", "inrix_score", "min_max_normalize",
-    "network_inrix", "score_matrix", "EARTH_RADIUS_KM", "haversine",
+    "estimate_free_flow", "fitting_index", "min_max_normalize",
+    "score_matrix", "EARTH_RADIUS_KM", "haversine",
     "IntervalIndex", "ParserConfig", "TraceBatch", "read_chunks",
     "read_chunks_from_path",
     "OffsetVector", "apply_offset", "estimate_offset", "match_batch",
     "RoadNetwork", "RoadSegment", "load_network", "point_to_segment_distance",
-    "SpatioTemporalMatrix", "TensorBuilder", "build_tensors",
+    "SpatioTemporalMatrix", "TensorBuilder",
     "clean_speed_matrix", "filter_missing", "interpolate_missing",
     "repair_anomalies", "RunConfig", "run_pipeline", "Scenario", "compare",
     "generate",

@@ -190,7 +190,9 @@ def timeseries(series_path, scenario, config_file, measure, normalize, out_dir):
     """Per-scenario daily-overlay time series as CSV and SVG."""
     days, series = pipeline.read_network_series(series_path)
     data = _load_config_file(config_file)
-    groups = pipeline._resolve_groups(data.get("date_groups", {}), days)
+    date_groups = data.get("date_groups", {})
+    pipeline.check_date_groups(date_groups)
+    groups = pipeline._resolve_groups(date_groups, days)
     if scenario not in groups:
         raise ConfigError(f"unknown scenario {scenario!r}; have {sorted(groups)}")
     chosen = sorted(groups[scenario])

@@ -49,25 +49,6 @@ def estimate_free_flow(speed_row, anomaly_kmh: float = DEFAULT_ANOMALY_KMH) -> f
     return float(np.clip(p85, FREE_FLOW_MIN_KMH, anomaly_kmh))
 
 
-def inrix_score(free_flow_kmh: float, speed_kmh: float) -> float:
-    """Congestion score for one road-interval: max(TH/RE - 1, 0)."""
-    if speed_kmh <= 0.0:
-        raise UndefinedScoreError(f"speed {speed_kmh} km/h is not positive")
-    return max(free_flow_kmh / speed_kmh - 1.0, 0.0)
-
-
-def network_inrix(scores, lengths_km) -> float:
-    """Length-weighted network congestion score over roads with defined
-    scores. Raises UndefinedScoreError for an empty road set.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    lengths = np.asarray(lengths_km, dtype=np.float64)
-    ok = ~np.isnan(scores)
-    if not np.any(ok):
-        raise UndefinedScoreError("no roads with defined scores")
-    return float(np.sum(lengths[ok] * scores[ok]) / np.sum(lengths[ok]))
-
-
 def score_matrix(speeds: SpatioTemporalMatrix, network,
                  anomaly_kmh: float = DEFAULT_ANOMALY_KMH) -> CongestionSeries:
     """Congestion series from a cleaned speed matrix.

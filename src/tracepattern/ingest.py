@@ -284,6 +284,17 @@ def _load_lines(lines, config: ParserConfig):
 _LOADTXT_ROW = re.compile(r" at row (\d+)")
 
 
+def _whole_record(line, config: ParserConfig) -> bool:
+    """True if csv.reader ends a record at the end of ``line``: no quoted
+    field runs on into the next line."""
+    rows = csv.reader([line, ""], delimiter=config.delimiter)
+    try:
+        next(rows, None)
+    except csv.Error:
+        return False
+    return rows.line_num == 1
+
+
 def _looks_like_header(fields, config: ParserConfig) -> bool:
     if len(fields) != len(config.columns):
         return True
@@ -313,9 +324,11 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
     Each block of lines is tokenized by np.loadtxt; a line it rejects goes
     through csv.reader, and so does every line of a block with a line
     longer than csv's field limit.
-    From the first line holding a ``"`` on, the rest of the stream goes
-    through csv.reader, since a quoted field may span lines. Either way a
-    row's number is its csv record number.
+    A first non-blank line holding a ``"`` (a quoted header) goes through
+    csv.reader alone when it is one whole record. Otherwise, from the first
+    line holding a ``"`` on, the rest of the stream goes through
+    csv.reader, since a quoted field may span lines. Either way a row's
+    number is its csv record number.
     """
     if stats is None:
         stats = IngestStats()
@@ -340,13 +353,19 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
                     row_num += len(block)
                 start = row_num - len(block) + 1
                 end = len(block) < size
-                if '"' in "".join(block):
-                    quoted = next(i for i, line in enumerate(block) if '"' in line)
-                    records = enumerate(csv.reader(itertools.chain(block[quoted:], lines),
-                                                   delimiter=config.delimiter),
-                                        start=start + quoted)
-                    block, end, row_num = block[:quoted], False, start + quoted - 1
-                table, at, rejected = _load_lines(block, config)
+                quoted = '"' in "".join(block)
+                if quoted and first and _whole_record(block[0], config):
+                    # the first line alone, a quoted header most often: it
+                    # takes csv.reader, and the lines after it np.loadtxt
+                    table, at, rejected = _load_lines([], config)[0], [], [0]
+                else:
+                    if quoted:
+                        q = next(i for i, line in enumerate(block) if '"' in line)
+                        records = enumerate(csv.reader(itertools.chain(block[q:], lines),
+                                                       delimiter=config.delimiter),
+                                            start=start + q)
+                        block, end, row_num = block[:q], False, start + q - 1
+                    table, at, rejected = _load_lines(block, config)
                 first = first and not len(table)
                 batch, failed = _validate(table["driver_id"], table["order_id"],
                                           table["timestamp"], table["lat"], table["lon"])

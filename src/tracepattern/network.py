@@ -21,7 +21,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_DIST_KM = 0.05  # 50 m matching gate
 
-_CELL_DEG = 0.005  # ~550 m grid cell
+_CELL_DEG = 0.002  # ~220 m grid cell
+_PAIR_BUDGET = 1 << 16  # (point, candidate) pairs evaluated per slice of a query
+_SLACK = 1e-6  # relative growth of the gate radii in the candidate filter
 _ID_RANGE = range(-2**63, 2**63)  # int64, the dtype of road ids in arrays
 
 
@@ -152,58 +154,102 @@ def point_to_segment_distance(lat: float, lon: float, seg: RoadSegment) -> float
     return float(np.min(d))
 
 
+def _ranges(starts, counts):
+    """Concatenation of ``arange(s, s + c)`` for each start s and count c."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _cell_key(ci, cj):
+    """One sortable int64 key per grid cell, ordered by row ci, then column cj."""
+    return (ci << 32) + cj
+
+
+def _cell(deg):
+    # clipped so that _cell_key stays injective; no road lies that far out
+    return np.clip(np.floor(deg / _CELL_DEG), -2**30, 2**30).astype(np.int64)
+
+
 class SpatialIndex:
     """Uniform-grid index over polyline sub-segments.
 
     Sub-segments are registered in every grid cell their bounding box
-    overlaps; a query inspects the fixed neighborhood of cells that covers
-    its distance gate around the point's cell.
+    overlaps, as a CSR table: sorted cell keys, offsets and sub-segment ids.
+    A query groups its points by cell, keeps for each occupied cell the
+    sub-segments that can lie within the distance gate of some point in it,
+    and evaluates the resulting (point, candidate) pairs in fixed-size slices.
     """
 
-    def __init__(self, net: RoadNetwork, cell_deg: float = _CELL_DEG):
-        self.cell_deg = cell_deg
-        a_lat, a_lon, b_lat, b_lon, seg_ids = [], [], [], [], []
-        for seg_id in net.ordered_ids():
-            v = net.segments[seg_id].polyline
-            for i in range(len(v) - 1):
-                a_lat.append(v[i][0])
-                a_lon.append(v[i][1])
-                b_lat.append(v[i + 1][0])
-                b_lon.append(v[i + 1][1])
-                seg_ids.append(seg_id)
-        self.a_lat = np.asarray(a_lat)
-        self.a_lon = np.asarray(a_lon)
-        self.b_lat = np.asarray(b_lat)
-        self.b_lon = np.asarray(b_lon)
-        self.seg_ids = np.asarray(seg_ids, dtype=np.int64)
-        self.n_sub = len(seg_ids)
+    def __init__(self, net: RoadNetwork):
+        lines = [np.asarray(net.segments[s].polyline, dtype=np.float64)
+                 for s in net.ordered_ids()]
+        n_vert = np.array([len(v) for v in lines], dtype=np.int64)
+        v = np.concatenate(lines) if lines else np.zeros((0, 2))
+        # vertex k starts a sub-segment unless it ends its polyline
+        starts = np.ones(len(v), dtype=bool)
+        starts[np.cumsum(n_vert) - 1] = False
+        a, b = v[starts], v[np.roll(starts, 1)]
+        self.a_lat, self.a_lon, self.b_lat, self.b_lon = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+        self.seg_ids = np.repeat(np.asarray(net.ordered_ids(), dtype=np.int64), n_vert - 1)
+        self.n_sub = len(self.seg_ids)
+        self.lat_lo = np.minimum(self.a_lat, self.b_lat)
+        self.lat_hi = np.maximum(self.a_lat, self.b_lat)
+        self.lon_lo = np.minimum(self.a_lon, self.b_lon)
+        self.lon_hi = np.maximum(self.a_lon, self.b_lon)
 
-        self.cells: dict[tuple, list] = {}
-        for i in range(self.n_sub):
-            i0 = math.floor(min(self.a_lat[i], self.b_lat[i]) / cell_deg)
-            i1 = math.floor(max(self.a_lat[i], self.b_lat[i]) / cell_deg)
-            j0 = math.floor(min(self.a_lon[i], self.b_lon[i]) / cell_deg)
-            j1 = math.floor(max(self.a_lon[i], self.b_lon[i]) / cell_deg)
-            for ci in range(i0, i1 + 1):
-                for cj in range(j0, j1 + 1):
-                    self.cells.setdefault((ci, cj), []).append(i)
-        self._neighborhood_cache: dict[tuple, np.ndarray] = {}
-        max_lat = float(np.max(np.abs(np.concatenate([self.a_lat, [0.0]])))) if self.n_sub else 0.0
-        self._cos_floor = math.cos(math.radians(min(89.0, max_lat + 1.0)))
+        i0, i1 = _cell(self.lat_lo), _cell(self.lat_hi)
+        j0 = _cell(self.lon_lo)
+        n_j = _cell(self.lon_hi) - j0 + 1
+        n_cells = (i1 - i0 + 1) * n_j
+        sub = np.repeat(np.arange(self.n_sub), n_cells)
+        k = _ranges(np.zeros_like(n_cells), n_cells)  # rank of the cell within its sub-segment
+        keys = _cell_key(i0[sub] + k // n_j[sub], j0[sub] + k % n_j[sub])
+        order = np.argsort(keys, kind="stable")  # sub-segments ascending within a cell
+        self.cell_keys, first = np.unique(keys[order], return_index=True)
+        self.cell_start = np.append(first, order.size)
+        self.cell_subs = sub[order]
+        # the grid rows that hold registered cells
+        self.row_lo, self.row_hi = (int(i0.min()), int(i1.max())) if self.n_sub else (0, -1)
+        self.max_abs_lat = float(np.max(np.abs(v[:, 0]), initial=0.0))
 
-    def _candidates(self, ci, cj, width):
-        key = (ci, cj, width)
-        cached = self._neighborhood_cache.get(key)
-        if cached is not None:
-            return cached
-        idx: list = []
-        for di in range(-width, width + 1):
-            for dj in range(-width, width + 1):
-                idx.extend(self.cells.get((ci + di, cj + dj), ()))
-        # sorted unique indices: argmin then resolves ties by lowest seg id
-        out = np.unique(np.asarray(idx, dtype=np.int64))
-        self._neighborhood_cache[key] = out
-        return out
+    def _radii(self, max_dist_km):
+        """(r_lat, r_lon): a road within the gate of a point has its closest
+        point within these degrees of latitude and longitude of it.
+
+        Such a point lies within r_lat of a road's latitudes, so the cosine
+        of its latitude is at least that at ``max_abs_lat + r_lat``. The
+        slack absorbs rounding. 360 degrees, the cap, cover the globe.
+        """
+        r_lat = max_dist_km / geo.KM_PER_DEG * (1.0 + _SLACK)
+        cos_min = math.cos(math.radians(min(self.max_abs_lat + r_lat, 90.0)))
+        return min(r_lat, 360.0), min(r_lat / cos_min, 360.0)
+
+    def _cell_candidates(self, ci, cj, r_lat, r_lon):
+        """Per occupied cell (ci[u], cj[u]): the sub-segments whose bounding
+        box, grown by r_lat and r_lon degrees, meets the cell's box.
+
+        Returns (counts, subs): ``subs`` holds each cell's candidates in
+        ascending order, cell after cell, ``counts[u]`` of them for cell u.
+        """
+        width = int(r_lon // _CELL_DEG) + 1  # r_lon >= r_lat
+        # the neighbourhood's rows that hold registered cells, one range of keys each
+        lo = np.maximum(ci - width, self.row_lo)
+        n_rows = np.maximum(np.minimum(ci + width, self.row_hi) - lo + 1, 0)
+        u = np.repeat(np.arange(ci.size), n_rows)
+        row = _ranges(lo, n_rows)
+        first = np.searchsorted(self.cell_keys, _cell_key(row, cj[u] - width), "left")
+        last = np.searchsorted(self.cell_keys, _cell_key(row, cj[u] + width), "right")
+        s, e = self.cell_start[first], self.cell_start[last]
+        u = np.repeat(u, e - s)
+        sub = self.cell_subs[_ranges(s, e - s)]
+        lat0, lon0 = ci[u] * _CELL_DEG, cj[u] * _CELL_DEG
+        meets = ((self.lat_lo[sub] - r_lat <= lat0 + _CELL_DEG)
+                 & (self.lat_hi[sub] + r_lat >= lat0)
+                 & (self.lon_lo[sub] - r_lon <= lon0 + _CELL_DEG)
+                 & (self.lon_hi[sub] + r_lon >= lon0))
+        # a sub-segment registered in several cells of the neighbourhood once
+        pair = np.unique(u[meets] * self.n_sub + sub[meets])
+        return np.bincount(pair // self.n_sub, minlength=ci.size), pair % self.n_sub
 
     def nearest_batch(self, lats, lons, max_dist_km):
         """Vectorized gated nearest-segment query.
@@ -223,35 +269,45 @@ class SpatialIndex:
         if self.n_sub == 0 or n == 0:
             return out_id, out_d, out_lat, out_lon
 
+        # group the points by grid cell
+        ci, cj = _cell(lats), _cell(lons)
+        by_cell = np.argsort(_cell_key(ci, cj), kind="stable")
+        ci, cj = ci[by_cell], cj[by_cell]
+        new = np.flatnonzero(np.r_[True, (ci[1:] != ci[:-1]) | (cj[1:] != cj[:-1])])
+        n_cand, cand = self._cell_candidates(ci[new], cj[new], *self._radii(max_dist_km))
+
+        # each point against every candidate of its cell, as flat pairs, in
+        # slices of whole points that hold at most _PAIR_BUDGET pairs unless
+        # one point alone holds more
+        cell = np.repeat(np.arange(new.size), np.diff(np.append(new, n)))
+        count = n_cand[cell]
+        has = count > 0
+        pts, count = by_cell[has], count[has]
+        cand_start = (np.cumsum(n_cand) - n_cand)[cell[has]]
+        ends = np.cumsum(count)
         near = np.full(n, -1, dtype=np.int64)  # nearest sub-segment in the gate
         near_t = np.zeros(n)  # projection parameter of the closest point on it
-        radius_deg = max_dist_km / (geo.KM_PER_DEG * self._cos_floor)
-        width = int(math.ceil(radius_deg / self.cell_deg))
-        ci = np.floor(lats / self.cell_deg).astype(np.int64)
-        cj = np.floor(lons / self.cell_deg).astype(np.int64)
-        # group the points by grid cell: sort by (ci, cj), split at key changes
-        by_cell = np.lexsort((cj, ci))
-        ci_s, cj_s = ci[by_cell], cj[by_cell]
-        change = np.flatnonzero((ci_s[1:] != ci_s[:-1]) | (cj_s[1:] != cj_s[:-1])) + 1
-        edges = [0, *change.tolist(), n]
-        for s, e in zip(edges, edges[1:]):
-            cand = self._candidates(int(ci_s[s]), int(cj_s[s]), width)
-            if cand.size == 0:
-                continue
-            pts = by_cell[s:e]
-            d, t = geo.min_dist_to_subsegments(
-                lats[pts, None], lons[pts, None],
-                self.a_lat[cand][None, :], self.a_lon[cand][None, :],
-                self.b_lat[cand][None, :], self.b_lon[cand][None, :],
-            )
-            k = np.argmin(d, axis=1)
-            rows = np.arange(pts.size)
-            dmin = d[rows, k]
+        s = 0
+        while s < pts.size:
+            base = ends[s] - count[s]
+            e = max(s + 1, int(np.searchsorted(ends, base + _PAIR_BUDGET, "right")))
+            c = count[s:e]
+            sub = cand[_ranges(cand_start[s:e], c)]
+            p = np.repeat(pts[s:e], c)
+            d, t = geo.min_dist_to_subsegments(lats[p], lons[p],
+                                               self.a_lat[sub], self.a_lon[sub],
+                                               self.b_lat[sub], self.b_lon[sub])
+            first = ends[s:e] - c - base  # each point's first pair
+            dmin = np.minimum.reduceat(d, first)
             ok = dmin <= max_dist_km
-            rows, k, pts = rows[ok], k[ok], pts[ok]
-            near[pts] = cand[k]
-            near_t[pts] = t[rows, k]
-            out_d[pts] = dmin[ok]
+            # a point's first pair at its minimum has its lowest sub-segment
+            at_min = np.flatnonzero(d == np.repeat(dmin, c))
+            k = at_min[np.searchsorted(at_min, first[ok])]
+            hit = pts[s:e][ok]
+            near[hit] = sub[k]
+            near_t[hit] = t[k]
+            out_d[hit] = d[k]
+            s = e
 
         hit = near >= 0
         i, t = near[hit], near_t[hit]

@@ -40,9 +40,6 @@ class SpatioTemporalMatrix:
         if self.values.shape != (len(self.road_ids), len(self.intervals)):
             raise ValueError("grid shape does not match axes")
 
-    def row(self, road_id):
-        return self.values[self.road_ids.index(road_id)]
-
     def interval_labels(self):
         return [iv.label() for iv in self.intervals]
 
@@ -159,17 +156,6 @@ def _distinct_per_cell(cell, order):
     first = np.ones(cell_s.size, dtype=bool)
     first[1:] = (cell_s[1:] != cell_s[:-1]) | (order_s[1:] != order_s[:-1])
     return np.unique(cell_s[first], return_counts=True)
-
-
-def build_tensors(matched_batches, road_ids,
-                  pair_dt_max_s: float = DEFAULT_PAIR_DT_MAX_S):
-    """(FlowMatrix, SpeedMatrix) from an iterable of matched TraceBatches,
-    with intervals in the default UTC+8 offset (use TensorBuilder for
-    another)."""
-    builder = TensorBuilder(road_ids, pair_dt_max_s)
-    for batch in matched_batches:
-        builder.add(batch)
-    return builder.finalize()
 
 
 def filter_missing(speeds: SpatioTemporalMatrix,

@@ -61,16 +61,40 @@ class RunConfig:
             raise ConfigError("tz_offset_s must be less than one day in magnitude")
         if not 0.0 <= self.missing_fraction <= 1.0:
             raise ConfigError("missing_fraction must be in [0, 1]")
-        seen = {}
-        for group, dates in self.date_groups.items():
-            for d in dates:
-                if d in seen:
-                    raise ConfigError(f"date {d} in both {seen[d]!r} and {group!r}")
-                seen[d] = group
+        off = self.offset
+        if off is not None and not (
+                isinstance(off, (list, tuple)) and len(off) == 2
+                and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                        and math.isfinite(v) for v in off)):
+            raise ConfigError(f"offset must be null or two finite numbers, dlat and dlon, "
+                              f"not {off!r}")
+        check_date_groups(self.date_groups)
         if not os.path.exists(self.traces_path):
             raise ConfigError(f"traces file not found: {self.traces_path}")
         if not os.path.exists(self.network_path):
             raise ConfigError(f"network file not found: {self.network_path}")
+
+
+def check_date_groups(date_groups):
+    """ConfigError unless ``date_groups`` maps names to lists of ISO date
+    strings, no date in two groups."""
+    if not isinstance(date_groups, dict):
+        raise ConfigError(f"date_groups must map group names to lists of dates, "
+                          f"not {date_groups!r}")
+    seen = {}
+    for group, dates in date_groups.items():
+        if not isinstance(group, str) or not isinstance(dates, list):
+            raise ConfigError(f"date_groups must map group names to lists of dates; "
+                              f"{group!r} maps to {dates!r}")
+        for d in dates:
+            try:
+                day = datetime.date.fromisoformat(d)
+            except (TypeError, ValueError):
+                raise ConfigError(f"date_groups {group!r}: {d!r} is not an ISO date "
+                                  f"string (quote dates in YAML)") from None
+            if day in seen:
+                raise ConfigError(f"date {d} in both {seen[day]!r} and {group!r}")
+            seen[day] = group
 
 
 def resolve_offset(config: RunConfig, net, chunks_iter):

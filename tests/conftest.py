@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from tracepattern import network
+from tracepattern.errors import UndefinedScoreError
 from tracepattern.ingest import (DEFAULT_TZ_OFFSET_S, IngestStats, IntervalIndex,
                                  ParserConfig, TraceBatch, day_slot, read_chunks)
+from tracepattern.patterns import DEFAULT_PAIR_DT_MAX_S, TensorBuilder
 from tracepattern.synth import Scenario, generate, uniform_profile
 
 
@@ -34,6 +36,36 @@ def assign_interval(timestamp, tz_offset_s=DEFAULT_TZ_OFFSET_S):
     """The day-local 15-minute interval of one epoch timestamp."""
     day, slot = day_slot(timestamp, tz_offset_s)
     return IntervalIndex(datetime.date.fromordinal(int(day)), int(slot))
+
+
+def inrix_score(free_flow_kmh: float, speed_kmh: float) -> float:
+    """Congestion score for one road-interval: max(TH/RE - 1, 0); the
+    scalar oracle of ``congestion.score_matrix``'s cells."""
+    if speed_kmh <= 0.0:
+        raise UndefinedScoreError(f"speed {speed_kmh} km/h is not positive")
+    return max(free_flow_kmh / speed_kmh - 1.0, 0.0)
+
+
+def network_inrix(scores, lengths_km) -> float:
+    """Length-weighted network congestion score over roads with defined
+    scores; the oracle of one ``CongestionSeries.network`` value. Raises
+    UndefinedScoreError for an empty road set.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    lengths = np.asarray(lengths_km, dtype=np.float64)
+    ok = ~np.isnan(scores)
+    if not np.any(ok):
+        raise UndefinedScoreError("no roads with defined scores")
+    return float(np.sum(lengths[ok] * scores[ok]) / np.sum(lengths[ok]))
+
+
+def build_tensors(matched_batches, road_ids, pair_dt_max_s=DEFAULT_PAIR_DT_MAX_S):
+    """(FlowMatrix, SpeedMatrix) from an iterable of matched TraceBatches,
+    intervals in the default UTC+8 offset."""
+    builder = TensorBuilder(road_ids, pair_dt_max_s)
+    for batch in matched_batches:
+        builder.add(batch)
+    return builder.finalize()
 
 
 @pytest.fixture(scope="session")

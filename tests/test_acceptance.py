@@ -15,19 +15,17 @@ import pytest
 
 from tracepattern import export as ex
 from tracepattern import geo
-from tracepattern.congestion import (fitting_index, inrix_score,
-                                     min_max_normalize, network_inrix)
+from tracepattern.congestion import fitting_index, min_max_normalize
 from tracepattern.ingest import ParserConfig
 from tracepattern.matching import apply_offset, estimate_offset, match_batch
 from tracepattern.network import load_network
-from tracepattern.patterns import (SpatioTemporalMatrix, build_tensors,
-                                   clean_speed_matrix, filter_missing,
-                                   full_interval_axis)
+from tracepattern.patterns import (SpatioTemporalMatrix, clean_speed_matrix,
+                                   filter_missing, full_interval_axis)
 from tracepattern.pipeline import RunConfig, run_pipeline
 from tracepattern.synth import (Scenario, compare, generate, inject_anomalies,
                                 uniform_profile, write_scenario)
 
-from conftest import parse_all
+from conftest import build_tensors, inrix_score, network_inrix, parse_all
 
 
 @contextlib.contextmanager

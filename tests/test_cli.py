@@ -159,6 +159,22 @@ class TestEstimate:
         assert result.exit_code == 1
         assert result.stderr == "error: max_dist_km must be a number, not 'abc'\n"
 
+    @pytest.mark.parametrize("line", [
+        "offset: [1]", "offset: [0.001, abc]", "offset: [.nan, 0.0]", "offset: ab",
+        "date_groups: 5", "date_groups: {weekday: 5}", "date_groups: null",
+        "date_groups: {weekday: [2016-10-03]}", "date_groups: {weekday: ['2016-13-01']}",
+    ])
+    def test_malformed_offset_or_date_groups_exit_1_one_line(self, runner, workspace,
+                                                             tmp_path, line):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"traces_path: {workspace['traces']}\n"
+                       f"network_path: {workspace['net']}\n"
+                       f"out_dir: {tmp_path / 'o'}\n{line}\n")
+        result = runner.invoke(main, ["estimate", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert line.split(":")[0] in result.stderr
+
     def test_unknown_config_key_exit_1(self, runner, workspace, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"traces_path: {workspace['traces']}\n"
@@ -221,6 +237,23 @@ class TestAnalyze:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert flag[2:].replace("-", "_") in result.stderr
+
+    @pytest.mark.parametrize("line", [
+        "date_groups: 5", "date_groups: {weekday: 5}", "date_groups: [2016-10-03]",
+        "date_groups: {weekday: [2016-10-03]}", "date_groups: {1: ['2016-10-03']}",
+        "date_groups: {a: ['2016-10-03'], b: ['20161003']}",
+    ])
+    def test_malformed_date_groups_exit_1_one_line(self, runner, workspace, tmp_path, line):
+        cfg = tmp_path / "analyze.yaml"
+        cfg.write_text(line + "\n")
+        result = runner.invoke(main, [
+            "analyze", "--flow", os.path.join(workspace["out"], "flow.csv"),
+            "--speed", os.path.join(workspace["out"], "speed_raw.csv"),
+            "--network", workspace["net"], "--out", str(tmp_path / "a"),
+            "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "date" in result.stderr
 
     @pytest.mark.parametrize("cells, reason", [
         (lambda cells: [cells[0], "x", *cells[2:]], "line 3, field 2: 'x' is not float64"),
@@ -366,6 +399,15 @@ class TestTimeseries:
             "--scenario", "holiday", "--out-dir", str(tmp_path)])
         assert result.exit_code == 1
 
+
+    def test_malformed_date_groups_exit_1(self, runner, workspace, tmp_path):
+        cfg = tmp_path / "ts.yaml"
+        cfg.write_text("date_groups: {weekend: [2016-10-01]}\n")
+        result = runner.invoke(main, [
+            "timeseries", "--series", os.path.join(workspace["out"], "network_series.csv"),
+            "--scenario", "weekend", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: date_groups") and result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("edit", [
         lambda rows: rows[:5] + ["2016-10-01T01:15,0.5"] + rows[6:],  # two fields

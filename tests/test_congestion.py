@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from tracepattern.congestion import (daily_aggregates, estimate_free_flow,
                                      fitting_index, flow_day_matrix,
-                                     inrix_score, min_max_normalize,
-                                     network_day_matrix, network_inrix,
+                                     min_max_normalize, network_day_matrix,
                                      score_matrix)
 from tracepattern.errors import UndefinedScoreError
 from tracepattern.network import load_network
 from tracepattern.patterns import SpatioTemporalMatrix, full_interval_axis
+
+from conftest import inrix_score, network_inrix
 
 DAY = datetime.date(2016, 10, 1)
 
@@ -186,6 +187,24 @@ class TestScoreMatrix:
         assert series.network[0] == pytest.approx(expected, rel=1e-9)
         assert np.nanmin(series.per_road.values[:, 0]) <= series.network[0] \
             <= np.nanmax(series.per_road.values[:, 0])
+
+    def test_cells_and_network_equal_the_scalar_oracles(self):
+        net, speeds = toy_network_and_speeds()
+        rng = np.random.default_rng(3)
+        speeds.values[:] = rng.uniform(5.0, 80.0, speeds.values.shape)
+        speeds.values[0, ::7] = 0.0  # no data
+        speeds.values[:, 5] = 0.0  # no road with a score
+        series = score_matrix(speeds, net)
+        lengths = [net.segments[rid].length_km for rid in speeds.road_ids]
+        for i, rid in enumerate(speeds.road_ids):
+            th = series.free_flow[rid][0]
+            for got, re in zip(series.per_road.values[i], speeds.values[i]):
+                assert np.isnan(got) if re == 0.0 else got == inrix_score(th, re)
+        for j, got in enumerate(series.network):
+            if j == 5:
+                assert np.isnan(got)
+            else:
+                assert got == network_inrix(series.per_road.values[:, j], lengths)
 
 
 class TestDailyAggregates:

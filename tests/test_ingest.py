@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracepattern import ingest
 from tracepattern.errors import (DataQualityError, IngestError, ParseError,
                                  RecordValidationError)
 from tracepattern.ingest import (DEFAULT_COLUMNS, IngestStats, IntervalIndex,
@@ -362,6 +363,34 @@ class TestBlockParserEqualsOracle:
     def test_layouts_of_a_loaded_block(self, text, config, newline):
         stats = assert_matches_oracle(text, config, newline)
         assert stats.parsed >= 1099
+
+    @pytest.mark.parametrize("head, loaded", [
+        ('"driver_id","order_id","timestamp","lon","lat"\n', 2200),
+        ('\n\n"driver_id","order_id","timestamp","lon","lat"\r\n', 2202),
+        ('"d""1","o1",1475280000,"104.06",30.65\n', 2200),
+        ('"d1","o\n1",1475280000,104.06,30.65\n', 0),
+    ], ids=["quote-all-header", "after-blank-lines", "quoted-first-row",
+            "first-record-over-two-lines"])
+    def test_quoted_first_line_over_a_plain_body(self, monkeypatch, head, loaded):
+        # a quoted first line that is one whole record takes csv.reader
+        # alone; np.loadtxt still reads the plain lines after it
+        lines = valid_lines(2200)
+        lines[700] = "d1,o1,x,104.06,30.65\n"
+        lines[1500] = "d1,o1,1475280000,104.06\n"
+        text = head + "".join(lines)
+        loaded_lines = []
+
+        def load_lines(block, config):
+            loaded_lines.extend(block)
+            return load_lines.real(block, config)
+
+        load_lines.real = ingest._load_lines
+        monkeypatch.setattr(ingest, "_load_lines", load_lines)
+        for chunk_size in (10_000, 1000, 7):
+            loaded_lines.clear()
+            stats = assert_matches_oracle(text, ParserConfig(chunk_size=chunk_size))
+            assert (stats.parse_errors, stats.validation_errors) == (2, 0)
+            assert len(loaded_lines) == loaded
 
     def test_line_over_the_field_limit_stops_the_read(self):
         lines = valid_lines(1100)

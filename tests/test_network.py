@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tracepattern import geo
+from tracepattern import geo, network
 from tracepattern.errors import NetworkError
 from tracepattern.matching import _OFFSET_GATE_KM
-from tracepattern.network import (_CELL_DEG, DEFAULT_MAX_DIST_KM, RoadNetwork,
-                                  SpatialIndex, load_network,
+from tracepattern.network import (_CELL_DEG, _PAIR_BUDGET, DEFAULT_MAX_DIST_KM,
+                                  RoadNetwork, SpatialIndex, load_network,
                                   point_to_segment_distance)
 
 MERIDIAN_KM_PER_DEG = math.pi / 180.0 * 6378.137  # 111.3194...
@@ -275,13 +276,14 @@ class TestNearestSegment:
         # one call over many grid cells, several points per cell, points on
         # cell edges, and cells on both sides of lat 0 and lon 0
         rng = np.random.default_rng(seed)
-        net = random_network(rng, 20, center=(0.001, -0.002), spread=0.015)
+        half = 4 * _CELL_DEG  # the points span 8 x 8 cells
+        net = random_network(rng, 20, center=(0.001, -0.002), spread=0.75 * half)
         edges = _CELL_DEG * np.arange(-4, 5)
-        lats = np.concatenate([rng.uniform(-0.02, 0.02, 240),
-                               rng.choice(edges, 60), rng.uniform(-0.02, 0.02, 30),
+        lats = np.concatenate([rng.uniform(-half, half, 240),
+                               rng.choice(edges, 60), rng.uniform(-half, half, 30),
                                [0.0, -0.0, _CELL_DEG, -_CELL_DEG]])
-        lons = np.concatenate([rng.uniform(-0.02, 0.02, 240),
-                               rng.uniform(-0.02, 0.02, 60), rng.choice(edges, 30),
+        lons = np.concatenate([rng.uniform(-half, half, 240),
+                               rng.uniform(-half, half, 60), rng.choice(edges, 30),
                                [0.0, -0.0, -_CELL_DEG, _CELL_DEG]])
         perm = rng.permutation(lats.size)
         lats, lons = lats[perm], lons[perm]
@@ -295,6 +297,103 @@ class TestNearestSegment:
                     assert got_id == -1 and got_d == np.inf
                 else:
                     assert (got_id, got_d) == expected
+
+    def test_slices_equal_linear_scan(self, monkeypatch):
+        # a dense network and many points per cell: the pairs fill several
+        # slices, whose edges fall between points of one cell
+        rng = np.random.default_rng(5)
+        net = random_network(rng, 120, center=(30.651, 104.061), spread=0.004)
+        lats = 30.651 + rng.uniform(-2.5 * _CELL_DEG, 2.5 * _CELL_DEG, 800)
+        lons = 104.061 + rng.uniform(-2.5 * _CELL_DEG, 2.5 * _CELL_DEG, 800)
+        scans = [nearest_segment_scan(lat, lon, net) for lat, lon in zip(lats, lons)]
+        idx = net.index
+        for budget in (_PAIR_BUDGET, 61):
+            monkeypatch.setattr(network, "_PAIR_BUDGET", budget)
+            for gate in (0.05, 0.5, _OFFSET_GATE_KM):
+                if budget < _PAIR_BUDGET or gate > 0.05:
+                    assert pair_count(idx, lats, lons, gate) > 2 * budget  # 3+ slices
+                ids, dists, _, _ = idx.nearest_batch(lats, lons, gate)
+                for got_id, got_d, (seg_id, d) in zip(ids, dists, scans):
+                    if d > gate:
+                        assert got_id == -1 and got_d == np.inf
+                    else:
+                        assert (got_id, got_d) == (seg_id, d)
+
+    def test_road_at_the_grown_gate_box_of_the_cell(self):
+        # a point on the bottom edge of its cell and a road just south of it,
+        # as far as it can lie inside the gate: rounding puts the road's box
+        # beyond the cell's box grown by the bare gate radius
+        gate = 0.05
+        r_lat = gate / geo.KM_PER_DEG
+        p, q = next(pq for k in itertools.count(int(30.6 / _CELL_DEG))
+                    if (pq := at_the_edge(k, gate))[1] + r_lat < k * _CELL_DEG)
+        net = load_network(doc([line(1, [[104.0, q], [104.01, q]])]))
+        assert nearest_segment_scan(p, 104.0, net, gate) == (1, (p - q) * geo.KM_PER_DEG)
+        hit = nearest(net, p, 104.0, gate)
+        assert hit is not None and hit[:2] == (1, (p - q) * geo.KM_PER_DEG)
+        assert nearest(net, p, 104.0, gate * 0.999) is None
+
+    def test_road_near_the_pole_equals_linear_scan(self):
+        # a degree of longitude shrinks toward the pole, so the gate spans
+        # more of them at the point than at the road's southern end
+        net = load_network(doc([line(1, [[10.0, 89.5], [10.0, 89.99]]),
+                                line(2, [[-170.0, 89.7], [-169.9, 89.7]])]))
+        lats, lons = (a.ravel() for a in np.meshgrid(np.linspace(89.4, 89.999, 25),
+                                                     10.0 + np.geomspace(1e-4, 0.3, 30)))
+        for gate in (0.05, 0.5, _OFFSET_GATE_KM):
+            ids, dists, _, _ = net.index.nearest_batch(lats, lons, gate)
+            assert (ids >= 0).sum() > 100
+            for lat, lon, got_id, got_d in zip(lats, lons, ids, dists):
+                expected = nearest_segment_scan(lat, lon, net, gate)
+                if expected is None:
+                    assert got_id == -1 and got_d == np.inf
+                else:
+                    assert (got_id, got_d) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cell_candidates_are_the_grown_box_filter(self, seed):
+        # the candidates of a cell are exactly the sub-segments whose box,
+        # grown by the gate radii, meets the cell's box, each once, ascending
+        rng = np.random.default_rng(seed)
+        idx = random_network(rng, 40, spread=0.01).index
+        ci = np.floor(rng.uniform(30.62, 30.68, 50) / _CELL_DEG).astype(np.int64)
+        cj = np.floor(rng.uniform(104.03, 104.09, 50) / _CELL_DEG).astype(np.int64)
+        for gate in (0.05, 0.5, _OFFSET_GATE_KM):
+            r_lat = gate / geo.KM_PER_DEG
+            r_lon = 1.3 * r_lat
+            counts, subs = idx._cell_candidates(ci, cj, r_lat, r_lon)
+            for i, j, got in zip(ci, cj, np.split(subs, np.cumsum(counts)[:-1])):
+                lat0, lon0 = i * _CELL_DEG, j * _CELL_DEG
+                meets = ((idx.lat_lo - r_lat <= lat0 + _CELL_DEG) & (idx.lat_hi + r_lat >= lat0)
+                         & (idx.lon_lo - r_lon <= lon0 + _CELL_DEG) & (idx.lon_hi + r_lon >= lon0))
+                assert got.tolist() == np.flatnonzero(meets).tolist()
+
+
+def pair_count(idx, lats, lons, gate):
+    """(point, candidate) pairs of one nearest_batch call, for slicing tests."""
+    cells = sorted(set(zip(np.floor(lats / _CELL_DEG).astype(np.int64).tolist(),
+                           np.floor(lons / _CELL_DEG).astype(np.int64).tolist())))
+    ci, cj = (np.array(v, dtype=np.int64) for v in zip(*cells))
+    counts, _ = idx._cell_candidates(ci, cj, *idx._radii(gate))
+    per_cell = dict(zip(cells, counts.tolist()))
+    return sum(per_cell[(math.floor(lat / _CELL_DEG), math.floor(lon / _CELL_DEG))]
+               for lat, lon in zip(lats, lons))
+
+
+def at_the_edge(k, gate):
+    """(p, q): p the lowest latitude in grid row k, q the lowest latitude
+    whose distance to p, on one meridian, is within the gate."""
+    p = k * _CELL_DEG
+    while math.floor(p / _CELL_DEG) < k:
+        p = np.nextafter(p, np.inf)
+    while math.floor(np.nextafter(p, -np.inf) / _CELL_DEG) == k:
+        p = np.nextafter(p, -np.inf)
+    q = p - gate / geo.KM_PER_DEG
+    while (p - q) * geo.KM_PER_DEG > gate:
+        q = np.nextafter(q, np.inf)
+    while (p - np.nextafter(q, -np.inf)) * geo.KM_PER_DEG <= gate:
+        q = np.nextafter(q, -np.inf)
+    return float(p), float(q)
 
 
 def test_index_immutable_after_build(small_net):
