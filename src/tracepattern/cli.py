@@ -117,9 +117,10 @@ def estimate(config_file, **overrides):
 @_fatal_guard
 def offset(traces_path, network_path, sample_size):
     """Estimate and print the coordinate shift; no other processing."""
-    net = network.load_network(network_path)
     cfg = pipeline.RunConfig(traces_path=traces_path, network_path=network_path,
                              out_dir="", offset_sample_size=sample_size)
+    cfg.validate()
+    net = network.load_network(network_path)
     off, _ = pipeline.resolve_offset(
         cfg, net, read_chunks_from_path(traces_path))
     click.echo(f"{off.dlat:+.6f} {off.dlon:+.6f}")

@@ -26,13 +26,23 @@ def write_matrix_csv(matrix: SpatioTemporalMatrix, path, metadata: dict | None =
     and its cells, integers for an integer matrix and the shortest
     round-trip ``repr`` of each float otherwise. Lines end in ``\\r\\n``.
     Rows are formatted one at a time, so no Python copy of the whole matrix
-    is made.
+    is made. Only the nonzero cells are formatted: each row starts as the
+    zero text (``0`` or ``0.0``) and the others are written into their
+    columns. A cell counts as zero only if all its bits are, so ``-0.0``
+    and NaN are formatted like any other value.
     """
-    fmt = str if np.issubdtype(matrix.values.dtype, np.integer) else float.__repr__
+    values = matrix.values
+    fmt = str if np.issubdtype(values.dtype, np.integer) else float.__repr__
+    zero = fmt(values.dtype.type(0).item())
+    bits = values.view(f"u{values.dtype.itemsize}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["road_id", *matrix.interval_labels()]) + "\r\n")
-        for rid, row in zip(matrix.road_ids, matrix.values):
-            fh.write(",".join([str(rid), *map(fmt, row.tolist())]) + "\r\n")
+        for rid, row, row_bits in zip(matrix.road_ids, values, bits):
+            cells = [zero] * row.size
+            nonzero = np.flatnonzero(row_bits)
+            for col, text in zip(nonzero.tolist(), map(fmt, row[nonzero].tolist())):
+                cells[col] = text
+            fh.write(",".join([str(rid), *cells]) + "\r\n")
     if metadata is not None:
         with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
             json.dump(metadata, fh, indent=2, sort_keys=True, default=str)

@@ -53,8 +53,8 @@ class RunConfig:
                 value = getattr(self, name)
                 if not isinstance(value, kind) or isinstance(value, bool):
                     raise ConfigError(f"{name} must be {word}, not {value!r}")
-        for name in ("chunk_size", "max_dist_km", "pair_dt_max_s",
-                     "anomaly_kmh", "error_rate_ceiling"):
+        for name in ("chunk_size", "offset_sample_size", "max_dist_km",
+                     "pair_dt_max_s", "anomaly_kmh", "error_rate_ceiling"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ConfigError(f"{name} must be positive and finite")
         if abs(self.tz_offset_s) >= SECONDS_PER_DAY:

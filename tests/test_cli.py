@@ -175,6 +175,17 @@ class TestEstimate:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert line.split(":")[0] in result.stderr
 
+    def test_zero_offset_sample_size_exit_1_one_line(self, runner, workspace, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"traces_path: {workspace['traces']}\n"
+                       f"network_path: {workspace['net']}\n"
+                       f"out_dir: {tmp_path / 'o'}\n"
+                       "offset_sample_size: 0\n")
+        result = runner.invoke(main, ["estimate", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: offset_sample_size must be positive and finite\n"
+        assert not os.path.exists(tmp_path / "o")
+
     def test_unknown_config_key_exit_1(self, runner, workspace, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"traces_path: {workspace['traces']}\n"
@@ -202,6 +213,14 @@ class TestOffset:
         dlat, dlon = map(float, result.output.split())
         assert dlat == pytest.approx(-0.002, rel=0.1)
         assert dlon == pytest.approx(0.002, rel=0.1)
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_non_positive_sample_size_exit_1_one_line(self, runner, workspace, size):
+        result = runner.invoke(main, ["offset", "--traces", workspace["traces"],
+                                      "--network", workspace["net"], "--sample-size", size])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: offset_sample_size must be positive and finite\n"
 
 
 class TestAnalyze:

@@ -17,6 +17,8 @@ from tracepattern.ingest import IntervalIndex
 from tracepattern.patterns import SpatioTemporalMatrix
 
 INT64 = np.iinfo(np.int64)
+INT32 = np.iinfo(np.int32)
+FLOAT32 = np.finfo(np.float32)
 DAY = datetime.date(2016, 10, 1)
 
 
@@ -74,6 +76,27 @@ def matrices(draw):
                                 values)
 
 
+# mostly zeros, as in a network-scale flow or speed matrix, so that rows mix
+# zero cells with values whose bits are not all zero
+SPARSE_FLOATS = [0.0] * 12 + [-0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1.0, 36.25]
+SPARSE_INTS = [0] * 12 + [INT64.min, INT64.max, -1, 1, 7]
+
+
+@st.composite
+def sparse_matrices(draw):
+    n_roads = draw(st.integers(0, 6))
+    n_intervals = draw(st.integers(0, 40))
+    road_ids = draw(st.lists(ints, min_size=n_roads, max_size=n_roads, unique=True))
+    if draw(st.booleans()):
+        values = draw(hnp.arrays(np.int64, (n_roads, n_intervals),
+                                 elements=st.sampled_from(SPARSE_INTS)))
+    else:
+        values = draw(hnp.arrays(np.float64, (n_roads, n_intervals),
+                                 elements=st.sampled_from(SPARSE_FLOATS)))
+    return SpatioTemporalMatrix(road_ids, axis(draw(st.integers(0, 400)), n_intervals),
+                                values)
+
+
 EDGE_MATRICES = {
     "float_edges": SpatioTemporalMatrix([1, 2], axis(0, 6),
                                         np.array(EDGE_FLOATS).reshape(2, 6)),
@@ -84,6 +107,17 @@ EDGE_MATRICES = {
     "no_roads": SpatioTemporalMatrix([], axis(0, 96), np.empty((0, 96))),
     "one_road": SpatioTemporalMatrix([5], axis(0, 3), np.array([[1.5, np.nan, 2.0]])),
     "one_interval": SpatioTemporalMatrix([3, 1, 2], axis(40, 1), np.array([[1], [0], [9]])),
+    "sparse_edges": SpatioTemporalMatrix([4, 8, 6], axis(90, 5), np.array([
+        [0.0, 0.0, 0.0, 0.0, 0.0],        # all zero
+        [1.5, -0.0, np.nan, 5e-324, 2.0],  # no zero bits
+        [0.0, 0.0, -0.0, 0.0, 0.0],        # a lone -0.0
+    ])),
+    "zero_width": SpatioTemporalMatrix([2, 1], [], np.empty((2, 0))),
+    "int32_extremes": SpatioTemporalMatrix([1, 2], axis(0, 4), np.array(
+        [[INT32.min, 0, INT32.max, -1], [0, 0, 0, 0]], dtype=np.int32)),
+    "float32_edges": SpatioTemporalMatrix([1, 2], axis(0, 5), np.array(
+        [[np.nan, -0.0, 0.0, np.inf, 0.1],
+         [0.0, -np.inf, FLOAT32.max, FLOAT32.smallest_subnormal, 0.0]], dtype=np.float32)),
 }
 
 
@@ -110,8 +144,8 @@ class TestEqualsOracle:
         assert ours == ref
         assert_same_matrix(read_matrix_csv(path), oracle_read(path))
 
-    @given(matrix=matrices())
-    @settings(max_examples=200, deadline=None)
+    @given(matrix=matrices() | sparse_matrices())
+    @settings(max_examples=400, deadline=None)
     def test_writer_bytes(self, matrix, tmp_path_factory):
         ours, ref, _ = write_both(matrix, tmp_path_factory.mktemp("w"))
         assert ours == ref
@@ -157,12 +191,16 @@ def test_non_utf8_file_is_export_error(tmp_path):
 
 
 def test_writer_memory_stays_below_matrix_size(tmp_path):
-    values = np.random.default_rng(0).random((500, 1344)) * 100.0
-    matrix = SpatioTemporalMatrix(list(range(500)), axis(0, 1344), values)
-    tracemalloc.start()
-    try:
-        write_matrix_csv(matrix, tmp_path / "big.csv")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < values.nbytes
+    rng = np.random.default_rng(0)
+    dense = rng.random((500, 1344)) * 100.0
+    # 97% zero cells, as in a network-scale matrix
+    sparse = np.where(rng.random(dense.shape) < 0.97, 0.0, dense)
+    for values in (dense, sparse):
+        matrix = SpatioTemporalMatrix(list(range(500)), axis(0, 1344), values)
+        tracemalloc.start()
+        try:
+            write_matrix_csv(matrix, tmp_path / "big.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes
