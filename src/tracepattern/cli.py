@@ -152,11 +152,7 @@ def analyze(flow_path, speed_path, network_path, out_dir, config_file,
     cfg.validate()
     net = network.load_network(network_path)
     flow = ex.read_matrix_csv(flow_path)
-    speed = ex.read_matrix_csv(speed_path)
-    cleaning = patterns.clean_speed_matrix(speed, cfg.missing_fraction, cfg.anomaly_kmh)
-    result = pipeline.analyze(flow, cleaning.speeds, net, cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    pipeline.write_analysis(result, flow, out_dir)
+    pipeline.analyze_and_write(flow, ex.read_matrix_csv(speed_path), net, cfg, [])
     click.echo(f"analysis written to {out_dir}")
 
 
@@ -172,7 +168,7 @@ def heatmap(matrix_path, network_path, interval, out_path):
     net = network.load_network(network_path)
     doc = ex.export_heatmap(matrix, net, interval)
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     click.echo(f"wrote {len(doc['features'])} features to {out_path}")
 

@@ -109,17 +109,20 @@ def fitting_index(day_series) -> FittingResult:
 
 
 def min_max_normalize(day_values):
-    """Per-day min-max scaling into [0, 1].
+    """Per-day min-max scaling into [0, 1] over the slots that are not NaN.
 
-    Returns (normalized, degenerate); a constant day normalizes to all
-    zeros with the flag set.
+    Returns (normalized, degenerate); NaN slots stay NaN. A constant day
+    normalizes to zeros and an all-NaN day stays NaN, both with the flag
+    set.
     """
     x = np.asarray(day_values, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty series")
-    lo, hi = float(x.min()), float(x.max())
+    if np.isnan(x).all():
+        return x.copy(), True
+    lo, hi = float(np.nanmin(x)), float(np.nanmax(x))
     if hi == lo:
-        return np.zeros_like(x), True
+        return np.where(np.isnan(x), np.nan, 0.0), True
     return (x - lo) / (hi - lo), False
 
 

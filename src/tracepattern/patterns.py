@@ -244,7 +244,9 @@ def clean_speed_matrix(speeds: SpatioTemporalMatrix,
                        anomaly_kmh: float = DEFAULT_ANOMALY_KMH) -> CleaningReport:
     """Missing-value filter, then interpolation, then anomaly repair."""
     retained, dropped = filter_missing(speeds, max_missing_fraction)
-    values = retained.values.copy()
+    values = retained.values  # a copy made by the filter's row mask
+    if retained is speeds:  # no interval, so nothing was filtered
+        values = values.copy()
     flagged = []
     anomalies = 0
     for i, rid in enumerate(retained.road_ids):

@@ -115,20 +115,23 @@ def resolve_offset(config: RunConfig, net, chunks_iter):
     return off, buffered
 
 
+STAGES = ("load_network", "ingest_and_match", "build_tensors", "clean", "analyze", "export")
+
+
 def run_pipeline(config: RunConfig) -> dict:
     """Execute the full pipeline and write all artifacts to ``out_dir``.
 
-    Returns the manifest (also written as ``manifest.json``).
+    Returns the manifest (also written as ``manifest.json``). A failed run
+    records the stage it failed in as ``failed_stage``.
     """
     config.validate()
     os.makedirs(config.out_dir, exist_ok=True)
-    stage = "load_network"
-    manifest = {"config": _config_echo(config), "stages_completed": []}
+    done = []
+    manifest = {"config": _config_echo(config), "stages_completed": done}
     try:
         net = network.load_network(config.network_path)
-        manifest["stages_completed"].append(stage)
+        done.append("load_network")
 
-        stage = "ingest_and_match"
         parser = ParserConfig(chunk_size=config.chunk_size,
                               error_rate_ceiling=config.error_rate_ceiling)
         stats = IngestStats()
@@ -152,39 +155,13 @@ def run_pipeline(config: RunConfig) -> dict:
             process(chunk)
         for chunk in chunks:
             process(chunk)
-        manifest["stages_completed"].append(stage)
+        done.append("ingest_and_match")
 
-        stage = "build_tensors"
         flow, speed_raw = builder.finalize()
-        manifest["stages_completed"].append(stage)
+        done.append("build_tensors")
 
-        stage = "clean"
-        cleaning = patterns.clean_speed_matrix(speed_raw, config.missing_fraction,
-                                               config.anomaly_kmh)
-        manifest["stages_completed"].append(stage)
-
-        stage = "analyze"
-        analysis = analyze(flow, cleaning.speeds, net, config)
-        manifest["stages_completed"].append(stage)
-
-        stage = "export"
-        meta = {
-            "interval_seconds": 900,
-            "tz_offset_s": config.tz_offset_s,
-            "anomaly_threshold_kmh": config.anomaly_kmh,
-            "missing_fraction_threshold": config.missing_fraction,
-            "dropped_road_ids": cleaning.dropped_road_ids,
-            "anomaly_rate": cleaning.anomaly_rate,
-        }
-        matrices = {"flow.csv": flow, "speed_raw.csv": speed_raw,
-                    "speed_clean.csv": cleaning.speeds}
-        for name, matrix in matrices.items():
-            ex.write_matrix_csv(matrix, os.path.join(config.out_dir, name), meta)
-        written = list(matrices) + write_analysis(analysis, flow, config.out_dir, meta)
-        digests = {name: ex.sha256_file(os.path.join(config.out_dir, name))
-                   for name in written}
-        manifest["stages_completed"].append(stage)
-
+        cleaning, digests = analyze_and_write(flow, speed_raw, net, config, done,
+                                              estimate=True)
         manifest.update({
             "offset": {"dlat": offset.dlat, "dlon": offset.dlon,
                        "source": "explicit" if config.offset is not None else "estimated"},
@@ -203,12 +180,58 @@ def run_pipeline(config: RunConfig) -> dict:
             "digests": digests,
         })
     except Exception as exc:
-        manifest["failed_stage"] = stage
+        manifest["failed_stage"] = STAGES[len(done)]
         manifest["error"] = str(exc)
         ex.write_json(manifest, os.path.join(config.out_dir, "manifest.json"))
         raise
     ex.write_json(manifest, os.path.join(config.out_dir, "manifest.json"))
     return manifest
+
+
+def analyze_and_write(flow, speed_raw, net, config: RunConfig, done: list, estimate=False):
+    """The stages ``estimate`` and ``analyze`` share: clean ``speed_raw``,
+    analyze, and write the results into ``config.out_dir``. Appends
+    "clean", "analyze" and "export" to ``done`` as each one finishes.
+
+    With ``estimate``, the flow and speed matrices are written too, each
+    matrix CSV gets a ``.meta.json`` sidecar, and the second result maps
+    every file written to its SHA-256; otherwise it is None. Returns
+    (cleaning, digests).
+    """
+    cleaning = patterns.clean_speed_matrix(speed_raw, config.missing_fraction,
+                                           config.anomaly_kmh)
+    if not estimate:
+        speed_raw = None  # not written, so let the caller's only copy go
+    done.append("clean")
+    analysis = analyze(flow, cleaning.speeds, net, config)
+    done.append("analyze")
+
+    out = config.out_dir
+    os.makedirs(out, exist_ok=True)
+    meta, matrices = None, {}
+    if estimate:
+        meta = {
+            "interval_seconds": 900,
+            "tz_offset_s": config.tz_offset_s,
+            "anomaly_threshold_kmh": config.anomaly_kmh,
+            "missing_fraction_threshold": config.missing_fraction,
+            "dropped_road_ids": cleaning.dropped_road_ids,
+            "anomaly_rate": cleaning.anomaly_rate,
+        }
+        matrices = {"flow.csv": flow, "speed_raw.csv": speed_raw,
+                    "speed_clean.csv": cleaning.speeds}
+    matrices["inrix.csv"] = analysis["scores"].per_road
+    for name, matrix in matrices.items():
+        ex.write_matrix_csv(matrix, os.path.join(out, name), meta)
+    _write_network_series(analysis["scores"], flow, os.path.join(out, "network_series.csv"))
+    _write_daily(analysis["daily"], os.path.join(out, "daily.csv"))
+    ex.write_json(analysis["fitting"], os.path.join(out, "fitting.json"))
+    digests = None
+    if estimate:
+        digests = {name: ex.sha256_file(os.path.join(out, name))
+                   for name in [*matrices, "network_series.csv", "daily.csv", "fitting.json"]}
+    done.append("export")
+    return cleaning, digests
 
 
 def analyze(flow, cleaned_speeds, net, config: RunConfig) -> dict:
@@ -251,18 +274,6 @@ def _resolve_groups(date_groups, days):
     # no explicit grouping: weekday vs weekend from the calendar
     return {"weekday": {d for d in days if d.weekday() < 5},
             "weekend": {d for d in days if d.weekday() >= 5}}
-
-
-def write_analysis(analysis: dict, flow, out_dir, meta: dict | None = None) -> list:
-    """Write the ``analyze`` results into ``out_dir``; returns the file names.
-
-    ``meta``, when given, becomes the ``inrix.csv.meta.json`` sidecar.
-    """
-    ex.write_matrix_csv(analysis["scores"].per_road, os.path.join(out_dir, "inrix.csv"), meta)
-    _write_network_series(analysis["scores"], flow, os.path.join(out_dir, "network_series.csv"))
-    _write_daily(analysis["daily"], os.path.join(out_dir, "daily.csv"))
-    ex.write_json(analysis["fitting"], os.path.join(out_dir, "fitting.json"))
-    return ["inrix.csv", "network_series.csv", "daily.csv", "fitting.json"]
 
 
 _SERIES_HEADER = ["interval", "network_inrix", "cf_total"]

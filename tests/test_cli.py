@@ -337,6 +337,26 @@ class TestHeatmap:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert "999999" in result.stderr
 
+    def test_nan_cell_is_null_in_strict_json(self, runner, workspace, tmp_path):
+        a, b = (f["properties"]["id"] for f in workspace["gen"].network_doc["features"][:2])
+        path = tmp_path / "m.csv"
+        path.write_text(f"road_id,2016-10-01T00:00,2016-10-01T00:15\r\n"
+                        f"{a},1.0,nan\r\n{b},4.0,2.0\r\n", newline="")
+        out_path = tmp_path / "heat.geojson"
+        result = runner.invoke(main, [
+            "heatmap", "--matrix", str(path), "--network", workspace["net"],
+            "--interval", "2016-10-01T00:15", "--out", str(out_path)])
+        assert result.exit_code == 0, result.output
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out_path.read_text(), parse_constant=no_constant)
+        assert doc["properties"]["max_value"] == 4.0
+        props = {f["properties"]["road_id"]: f["properties"] for f in doc["features"]}
+        assert props[a] == {"road_id": a, "value": None, "ratio": None}
+        assert props[b] == {"road_id": b, "value": 2.0, "ratio": 0.5}
+
 
 def _with_id(rows, rid):
     return rows[:1] + [f"{rid},{rows[1].split(',', 1)[1]}"] + rows[2:]
@@ -410,6 +430,34 @@ class TestTimeseries:
         with open(os.path.join(out, "timeseries_weekend_cf_norm.csv")) as fh:
             values = [float(r["value"]) for r in csv.DictReader(fh)]
         assert min(values) == 0.0 and max(values) == 1.0
+
+    def test_normalize_keeps_a_day_with_an_empty_cell(self, runner, workspace, tmp_path):
+        with open(os.path.join(workspace["out"], "network_series.csv"), newline="") as fh:
+            rows = fh.read().splitlines()
+        # interval,network_inrix,cf_total; empty one score of 2016-10-01
+        label, _, cf = rows[1 + 40].split(",")
+        rows[1 + 40] = f"{label},,{cf}"
+        path = tmp_path / "series.csv"
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "norm"
+        result = runner.invoke(main, ["timeseries", "--series", str(path),
+                                      "--scenario", "weekend", "--normalize",
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        import csv
+        with open(path) as fh:
+            empty = {(r["interval"][:10], int(r["interval"][11:13]) * 4
+                      + int(r["interval"][14:16]) // 15)
+                     for r in csv.DictReader(fh) if not r["network_inrix"]}
+        with open(out / "timeseries_weekend_dc_norm.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert ("2016-10-01", 40) in empty and len(rows) == 2 * 96
+        for day in ("2016-10-01", "2016-10-02"):
+            values = {int(r["slot"]): float(r["value"]) for r in rows if r["day"] == day}
+            assert {s for s, v in values.items() if np.isnan(v)} == {
+                s for d, s in empty if d == day}
+            finite = [v for v in values.values() if not np.isnan(v)]
+            assert min(finite) == 0.0 and max(finite) == 1.0
 
     def test_unknown_scenario_exit_1(self, runner, workspace, tmp_path):
         result = runner.invoke(main, [

@@ -1,4 +1,5 @@
 import datetime
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,22 @@ class TestMinMaxNormalize:
     def test_constant_day(self):
         out, degenerate = min_max_normalize([3, 3, 3])
         np.testing.assert_array_equal(out, [0, 0, 0])
+        assert degenerate
+
+    def test_nan_slot_stays_nan_and_the_rest_normalizes(self):
+        out, degenerate = min_max_normalize([1, np.nan, 3, 2])
+        np.testing.assert_array_equal(out, [0, np.nan, 1, 0.5])
+        assert not degenerate
+
+    @pytest.mark.parametrize("values, want", [
+        ([np.nan, np.nan], [np.nan, np.nan]),
+        ([2, np.nan, 2], [0, np.nan, 0]),
+    ], ids=["all_nan", "constant_with_nan"])
+    def test_degenerate_with_nan(self, values, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, degenerate = min_max_normalize(values)
+        np.testing.assert_array_equal(out, want)
         assert degenerate
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=96, unique=True))

@@ -1,9 +1,13 @@
 """Matrix CSV writer and reader against the csv-module reference."""
 
+import contextlib
 import csv
 import datetime
+import os
+import signal
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tracepattern import export
 from tracepattern.errors import ExportError
 from tracepattern.export import read_matrix_csv, write_matrix_csv
 from tracepattern.ingest import IntervalIndex
@@ -204,3 +209,215 @@ def test_writer_memory_stays_below_matrix_size(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < values.nbytes
+
+
+@contextlib.contextmanager
+def split_jobs(strict=True, cpus=(0, 1)):
+    """Split every matrix CSV job, whatever its size, as on a machine with
+    the CPUs ``cpus``; yields the mock that counts the forks. With
+    ``strict``, a fall back to the serial path fails the test."""
+    real = export._fork_split
+
+    def no_fallback(front, back, join, serial):
+        return real(front, back, join, lambda: pytest.fail("fell back to the serial path"))
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(export, "SPLIT_WRITE_CELLS", 0))
+        stack.enter_context(mock.patch.object(export, "SPLIT_READ_BYTES", 0))
+        stack.enter_context(mock.patch.object(os, "sched_getaffinity",
+                                              return_value=set(cpus)))
+        if strict:
+            stack.enter_context(mock.patch.object(export, "_fork_split", no_fallback))
+        yield stack.enter_context(mock.patch.object(os, "fork", wraps=os.fork))
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def random_matrix(n_roads, n_intervals, integral=False, seed=0):
+    rng = np.random.default_rng(seed)
+    values = rng.random((n_roads, n_intervals)) * 100.0
+    values[rng.random(values.shape) < 0.2] = 0.0
+    if integral:
+        values = values.astype(np.int64)
+    return SpatioTemporalMatrix(list(range(100, 100 + n_roads)), axis(0, n_intervals), values)
+
+
+class TestSplitEqualsSerial:
+    """Rows split between this process and a forked child give the serial
+    bytes and the serial matrix, with no fall back."""
+
+    @given(matrix=matrices() | sparse_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_writer_bytes_and_reader_bits(self, matrix, tmp_path_factory):
+        d = tmp_path_factory.mktemp("s")
+        write_matrix_csv(matrix, d / "serial.csv")
+        with split_jobs() as fork:
+            write_matrix_csv(matrix, d / "split.csv")
+            got = read_matrix_csv(d / "serial.csv")
+        assert fork.call_count == 2
+        assert (d / "split.csv").read_bytes() == (d / "serial.csv").read_bytes()
+        assert_same_matrix(got, read_matrix_csv(d / "serial.csv"))
+
+    @pytest.mark.parametrize("integral", [False, True], ids=["float", "int"])
+    @pytest.mark.parametrize("n_roads", [0, 1, 2, 3, 7, 40])
+    def test_row_counts(self, n_roads, integral, tmp_path):
+        matrix = random_matrix(n_roads, 97, integral)
+        write_matrix_csv(matrix, tmp_path / "serial.csv")
+        with split_jobs() as fork:
+            write_matrix_csv(matrix, tmp_path / "split.csv")
+            got = read_matrix_csv(tmp_path / "split.csv")
+        assert fork.call_count == 2
+        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert_same_matrix(got, read_matrix_csv(tmp_path / "serial.csv"))
+        assert_no_child()
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
+    def test_edge_matrices(self, name, tmp_path):
+        ours, ref, path = write_both(EDGE_MATRICES[name], tmp_path)
+        with split_jobs():
+            write_matrix_csv(EDGE_MATRICES[name], tmp_path / "split.csv")
+            got = read_matrix_csv(path)
+        assert (tmp_path / "split.csv").read_bytes() == ref
+        assert_same_matrix(got, oracle_read(path))
+
+
+class TestSplitFallsBack:
+    # rows of ~1.8 kB, so that row 8 lies past the text reader's first 8 kB,
+    # which it decodes with the header
+    @pytest.mark.parametrize("row", [8, 38], ids=["front", "back"])
+    @pytest.mark.parametrize("edit", [
+        lambda line: line.replace(b",", b",x", 1),
+        lambda line: line.rsplit(b",", 1)[0] + b"\r\n",
+        lambda line: line.replace(b",", b",,", 1),
+        lambda line: b"9223372036854775808" + line[line.index(b","):],
+        lambda line: line.replace(b",", b",\xff", 1),
+        lambda line: line.replace(b",", b",1\r", 1),
+    ], ids=["bad_cell", "short_row", "empty_cell", "id_overflow", "not_utf8", "bare_cr"])
+    def test_malformed_row_gives_the_serial_error(self, row, edit, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_matrix_csv(random_matrix(40, 100), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1 + row] = edit(lines[1 + row])
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ExportError) as serial:
+            read_matrix_csv(path)
+        with split_jobs(strict=False) as fork, pytest.raises(ExportError) as split:
+            read_matrix_csv(path)
+        assert fork.call_count == 1
+        assert str(split.value) == str(serial.value)
+        assert_no_child()
+
+    @pytest.mark.parametrize("how", ["raise", "kill"])
+    @pytest.mark.parametrize("job", ["write", "read"])
+    def test_failed_child(self, job, how, tmp_path):
+        """A child that raises or dies leaves the serial result and no child."""
+        parent = os.getpid()
+        name = {"write": "_write_rows", "read": "_load_lines"}[job]
+        real = getattr(export, name)
+
+        def fails_in_child(*args):
+            if os.getpid() != parent:
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("the child fails")
+            return real(*args)
+
+        matrix = random_matrix(9, 50)
+        out = tmp_path / "out"
+        out.mkdir()
+        write_matrix_csv(matrix, tmp_path / "serial.csv")
+        assert_no_child()
+        with split_jobs(strict=False) as fork, mock.patch.object(export, name, fails_in_child):
+            if job == "write":
+                write_matrix_csv(matrix, out / "m.csv")
+            else:
+                (out / "m.csv").write_bytes((tmp_path / "serial.csv").read_bytes())
+                got = read_matrix_csv(out / "m.csv")
+        assert fork.call_count == 1
+        assert_no_child()
+        assert os.listdir(out) == ["m.csv"]
+        assert (out / "m.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        if job == "read":
+            assert_same_matrix(got, read_matrix_csv(tmp_path / "serial.csv"))
+
+    def test_front_half_raising_still_reaps_the_child(self, tmp_path):
+        real = export._write_rows
+
+        def front_fails(fh, matrix, lo, hi):
+            if (lo, hi) == (0, len(matrix.road_ids) // 2):
+                raise RuntimeError("the front half fails")
+            return real(fh, matrix, lo, hi)
+
+        matrix = random_matrix(9, 50)
+        write_matrix_csv(matrix, tmp_path / "serial.csv")
+        out = tmp_path / "out"
+        out.mkdir()
+        with split_jobs(strict=False) as fork, \
+                mock.patch.object(export, "_write_rows", front_fails):
+            write_matrix_csv(matrix, out / "m.csv", metadata={"a": 1})
+        assert fork.call_count == 1
+        assert_no_child()
+        assert sorted(os.listdir(out)) == ["m.csv", "m.csv.meta.json"]
+        assert (out / "m.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def test_success_leaves_no_child_and_no_file(self, tmp_path):
+        matrix = random_matrix(9, 50)
+        with split_jobs() as fork:
+            write_matrix_csv(matrix, tmp_path / "m.csv")
+            read_matrix_csv(tmp_path / "m.csv")
+        assert fork.call_count == 2
+        assert_no_child()
+        assert os.listdir(tmp_path) == ["m.csv"]
+
+
+class TestWhenToSplit:
+    def test_one_cpu_never_forks(self, tmp_path):
+        matrix = random_matrix(9, 50)
+        write_matrix_csv(matrix, tmp_path / "serial.csv")
+        with split_jobs(cpus=[0]) as fork:
+            write_matrix_csv(matrix, tmp_path / "m.csv")
+            got = read_matrix_csv(tmp_path / "m.csv")
+        assert fork.call_count == 0
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert_same_matrix(got, read_matrix_csv(tmp_path / "serial.csv"))
+
+    def test_small_jobs_stay_serial(self, tmp_path):
+        # a 220-road day, as in the city-day benchmark workload
+        matrix = random_matrix(220, 96)
+        with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+                mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+            write_matrix_csv(matrix, tmp_path / "m.csv")
+            read_matrix_csv(tmp_path / "m.csv")
+
+
+class TestSplitMemory:
+    """Neither side holds a whole half of the file or of the text."""
+
+    MATRIX = random_matrix(800, 1344)
+
+    def test_writer_appends_the_tail_in_blocks(self, tmp_path):
+        with split_jobs():
+            tracemalloc.start()
+            try:
+                write_matrix_csv(self.MATRIX, tmp_path / "m.csv")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert os.path.getsize(tmp_path / "m.csv") > 12 * export._BLOCK  # a tail of > 6
+        assert peak < 3 * export._BLOCK
+
+    def test_reader_loads_lines_one_at_a_time(self, tmp_path):
+        write_matrix_csv(self.MATRIX, tmp_path / "m.csv")
+        with split_jobs():
+            tracemalloc.start()
+            try:
+                read_matrix_csv(tmp_path / "m.csv")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # the front's records, the result and one block; the serial path
+        # holds the records and their contiguous copy (2x)
+        assert peak < 1.8 * self.MATRIX.values.nbytes

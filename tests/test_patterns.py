@@ -324,3 +324,17 @@ class TestCleanSpeedMatrix:
         values = report.speeds.values
         assert np.all(values > 0.0)
         assert np.all(values <= 70.0)
+
+    @pytest.mark.parametrize("n_intervals", [96, 0])
+    def test_input_left_unchanged(self, n_intervals):
+        rng = np.random.default_rng(9)
+        rows = rng.uniform(10, 60, (4, n_intervals))
+        rows[rng.random(rows.shape) < 0.1] = 0.0
+        rows[:, :2] = 120.0  # anomalies to repair
+        before = rows.copy()
+        axis = full_interval_axis(DAY, DAY)[:n_intervals]
+        report = clean_speed_matrix(SpatioTemporalMatrix(list(range(4)), axis, rows), 0.2, 70.0)
+        np.testing.assert_array_equal(rows, before)
+        assert report.speeds.values is not rows
+        if n_intervals:
+            assert report.anomaly_count > 0
