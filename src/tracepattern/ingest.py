@@ -449,6 +449,10 @@ def day_slot(timestamps, tz_offset_s: int = DEFAULT_TZ_OFFSET_S):
     ``day`` is the local date's ``toordinal()`` and ``slot`` its 15-minute
     interval, half-open [t, t + 900) in local time.
     """
-    day, slot = np.divmod((np.asarray(timestamps, dtype=np.int64) + tz_offset_s)
-                          // INTERVAL_SECONDS, SLOTS_PER_DAY)
-    return day + _EPOCH_ORDINAL, slot
+    # in place where it can, so an array input costs two temporaries
+    day = np.asarray(timestamps, dtype=np.int64) + tz_offset_s
+    day //= INTERVAL_SECONDS
+    slot = day % SLOTS_PER_DAY
+    day //= SLOTS_PER_DAY
+    day += _EPOCH_ORDINAL
+    return day, slot

@@ -69,7 +69,9 @@ class TensorBuilder:
 
     Batches may arrive in any chunking of the same source order; the
     result is bit-identical regardless (points are re-sorted per order at
-    finalize, with a stable key, before pair construction).
+    finalize, with a stable key, before pair construction). ``finalize``
+    consumes the builder: it frees the stored columns as it goes, and a
+    later ``add`` or ``finalize`` raises ``ValueError``.
     """
 
     def __init__(self, road_ids, pair_dt_max_s: float = DEFAULT_PAIR_DT_MAX_S,
@@ -79,83 +81,140 @@ class TensorBuilder:
         self.tz_offset_s = tz_offset_s
         self._road_axis = np.asarray(self.road_ids, dtype=np.int64)
         self._order_idx: dict[str, int] = {}
-        self._chunks: list[tuple] = []
+        # chunk parts of (order, ts, road, lat, lon), one list per column;
+        # None once finalized
+        self._columns: tuple[list, ...] | None = ([], [], [], [], [])
         self.n_points = 0
+
+    def _stored(self):
+        if self._columns is None:
+            raise ValueError("TensorBuilder already finalized")
+        return self._columns
 
     def add(self, matched: TraceBatch):
         """Append a batch whose rows ``match_batch`` labeled with road ids."""
+        columns = self._stored()
         n = len(matched)
         if n == 0:
             return
         if matched.road_id is None or not np.isin(matched.road_id, self._road_axis).all():
             raise ValueError("every row needs a road id from the builder's road axis")
         # int codes in first-seen order, so finalize sums pair speeds in
-        # the same order under any chunking
+        # the same order under any chunking; rows arrive grouped by order,
+        # so only the first row of each run of equal ids is looked up
+        ids = matched.order_id
+        run = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
         oidx = self._order_idx
-        order = np.fromiter((oidx.setdefault(o, len(oidx)) for o in matched.order_id),
-                            dtype=np.int64, count=n)
+        codes = np.fromiter((oidx.setdefault(o, len(oidx)) for o in ids[run]),
+                            dtype=np.int64, count=run.size)
+        order = np.repeat(codes, np.diff(run, append=n))
         road = np.searchsorted(self._road_axis, matched.road_id)
-        self._chunks.append((order, matched.timestamp, road, matched.lat, matched.lon))
+        for parts, column in zip(columns, (order, matched.timestamp, road,
+                                           matched.lat, matched.lon)):
+            parts.append(column)
         self.n_points += n
 
     def finalize(self):
-        """Build (flow, speed) matrices over the full road x interval grid."""
-        if not self._chunks:
+        """Build (flow, speed) matrices over the full road x interval grid.
+
+        Holds the stored columns plus about two column-length temporaries
+        at a time; pair speeds are evaluated in blocks of ``_PAIR_BLOCK``.
+        """
+        columns = self._stored()
+        self._columns = None
+        n_rows = len(self.road_ids)
+        if not columns[0]:
             axis = []
-            empty = np.zeros((len(self.road_ids), 0))
-            return (SpatioTemporalMatrix(self.road_ids, axis, empty.copy()),
-                    SpatioTemporalMatrix(self.road_ids, axis, empty.copy()))
-        order, ts, road, lat, lon = (
-            np.concatenate([c[i] for c in self._chunks]) for i in range(5)
-        )
+            return (SpatioTemporalMatrix(self.road_ids, axis,
+                                         np.zeros((n_rows, 0), dtype=np.int64)),
+                    SpatioTemporalMatrix(self.road_ids, axis, np.zeros((n_rows, 0))))
+        order, ts, road, lat, lon = (_take_concat(parts) for parts in columns)
 
         day, slot = day_slot(ts, self.tz_offset_s)
         day0 = int(day.min())
         day1 = int(day.max())
-        n_days = day1 - day0 + 1
-        n_cols = n_days * SLOTS_PER_DAY
-        n_rows = len(self.road_ids)
-        col = (day - day0) * SLOTS_PER_DAY + slot
-        cell = road * n_cols + col
-
-        # flow: distinct orders per cell
-        flow = np.zeros(n_rows * n_cols, dtype=np.int64)
-        cells, counts = _distinct_per_cell(cell, order)
-        flow[cells] = counts
+        n_cols = (day1 - day0 + 1) * SLOTS_PER_DAY
+        n_cells = n_rows * n_cols
+        cell = day  # (day - day0) * 96 + slot, then + road * n_cols, in place
+        cell -= day0
+        cell *= SLOTS_PER_DAY
+        cell += slot
+        del day, slot
+        road *= n_cols
+        cell += road
+        del road
 
         # speed: mean over consecutive same-order same-road pairs; lexsort
         # is stable, so equal (order, ts) rows keep their arrival order
         sort = np.lexsort((ts, order))
-        o_s, ts_s, road_s = order[sort], ts[sort], road[sort]
-        cell_s, lat_s, lon_s = cell[sort], lat[sort], lon[sort]
-        dt = ts_s[1:] - ts_s[:-1]
-        ok = (o_s[1:] == o_s[:-1]) & (road_s[1:] == road_s[:-1]) \
-            & (dt > 0) & (dt <= self.pair_dt_max_s)
-        d = geo.haversine(lat_s[:-1][ok], lon_s[:-1][ok], lat_s[1:][ok], lon_s[1:][ok])
-        v = np.asarray(d) / (dt[ok] / 3600.0)
-        pair_cell = cell_s[:-1][ok]  # pair belongs to the earlier point's slot
+        order = order[sort]
+        ts = ts[sort]
+        cell = cell[sort]
+        lat = lat[sort]
+        lon = lon[sort]
+        del sort
+        ok = order[1:] == order[:-1]
+        dt = ts[1:] - ts[:-1]
+        ok &= dt > 0
+        ok &= dt <= self.pair_dt_max_s
+        del dt
+        road = cell // n_cols  # exact: 0 <= col < n_cols
+        ok &= road[1:] == road[:-1]
+        del road
+        idx = np.flatnonzero(ok)  # a pair starts at each of these rows
+        del ok
 
-        v_sum = np.zeros(n_rows * n_cols)
-        v_cnt = np.zeros(n_rows * n_cols, dtype=np.int64)
-        np.add.at(v_sum, pair_cell, v)
-        np.add.at(v_cnt, pair_cell, 1)
-        with np.errstate(invalid="ignore"):
-            speed = np.where(v_cnt > 0, v_sum / np.maximum(v_cnt, 1), 0.0)
+        # each pair belongs to the earlier point's cell; pairs are summed in
+        # index order, block by block, so sums do not depend on the block
+        v_sum = np.zeros(n_cells)
+        for lo in range(0, idx.size, _PAIR_BLOCK):
+            a = idx[lo:lo + _PAIR_BLOCK]
+            b = a + 1
+            d = geo.haversine(lat[a], lon[a], lat[b], lon[b])
+            np.add.at(v_sum, cell[a], d / ((ts[b] - ts[a]) / 3600.0))
+        del ts, lat, lon
+        v_cnt = np.bincount(cell[idx], minlength=n_cells)
+        del idx
+        np.divide(v_sum, v_cnt, out=v_sum, where=v_cnt > 0)
+        del v_cnt
+
+        # flow: distinct orders per cell, which does not depend on the row
+        # order; after the speed grids, so the count grid is gone
+        flow = np.zeros(n_cells, dtype=np.int64)
+        cells, counts = _distinct_per_cell(cell, order)
+        flow[cells] = counts
 
         axis = full_interval_axis(datetime.date.fromordinal(day0),
                                   datetime.date.fromordinal(day1))
         return (SpatioTemporalMatrix(self.road_ids, axis, flow.reshape(n_rows, n_cols)),
-                SpatioTemporalMatrix(self.road_ids, axis, speed.reshape(n_rows, n_cols)))
+                SpatioTemporalMatrix(self.road_ids, axis, v_sum.reshape(n_rows, n_cols)))
+
+
+_PAIR_BLOCK = 1 << 17  # pairs whose speeds are evaluated at once in finalize
+
+
+def _take_concat(parts):
+    """One array of the chunk parts, emptying ``parts`` so they can be freed."""
+    whole = np.concatenate(parts)
+    parts.clear()
+    return whole
 
 
 def _distinct_per_cell(cell, order):
     """(cells, counts): each occupied cell, ascending, and the number of
     distinct orders in it. The sort temporaries die on return."""
     by_cell = np.lexsort((order, cell))
-    cell_s, order_s = cell[by_cell], order[by_cell]
-    first = np.ones(cell_s.size, dtype=bool)
-    first[1:] = (cell_s[1:] != cell_s[:-1]) | (order_s[1:] != order_s[:-1])
-    return np.unique(cell_s[first], return_counts=True)
+    order_s = order[by_cell]
+    first = np.ones(order_s.size, dtype=bool)
+    np.not_equal(order_s[1:], order_s[:-1], out=first[1:])
+    del order_s
+    cell_s = cell[by_cell]
+    del by_cell
+    first[1:] |= cell_s[1:] != cell_s[:-1]
+    pairs = cell_s[first]  # one entry per distinct (cell, order), ascending
+    del cell_s, first
+    starts = np.flatnonzero(np.diff(pairs, prepend=-1))
+    return pairs[starts], np.diff(starts, append=pairs.size)
 
 
 def filter_missing(speeds: SpatioTemporalMatrix,

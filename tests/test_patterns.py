@@ -1,11 +1,12 @@
 import datetime
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracepattern import geo
+from tracepattern import geo, patterns
 from tracepattern.ingest import TraceBatch
 from tracepattern.matching import match_batch
 from tracepattern.patterns import (SpatioTemporalMatrix, TensorBuilder,
@@ -43,6 +44,71 @@ def pair_speeds(rows):
     """The non-empty speed cells, each a mean over the pairs starting in it."""
     _, speed = tensors(rows)
     return speed.values[speed.values != 0.0]
+
+
+def oracle_tensors(matched, road_ids, intervals):
+    """(flow, speed) grids of a matched batch by grouped per-order
+    recomputation: no chunking, pure dict/loops."""
+    by_order = {}
+    for order, ts, road, lat, lon in zip(matched.order_id, matched.timestamp.tolist(),
+                                         matched.road_id.tolist(), matched.lat.tolist(),
+                                         matched.lon.tolist()):
+        by_order.setdefault(order, []).append((ts, road, lat, lon))
+    col_of = {iv: j for j, iv in enumerate(intervals)}
+    row_of = {rid: i for i, rid in enumerate(road_ids)}
+    flow_sets = {}
+    v_acc = {}
+    for order, pts in by_order.items():
+        pts.sort(key=lambda p: p[0])
+        for ts, road, _, _ in pts:
+            flow_sets.setdefault((road, assign_interval(ts)), set()).add(order)
+        for (ts_a, road_a, lat_a, lon_a), (ts_b, road_b, lat_b, lon_b) in zip(pts, pts[1:]):
+            dt = ts_b - ts_a
+            if road_a != road_b or dt <= 0 or dt > 10:
+                continue
+            d = geo.haversine(lat_a, lon_a, lat_b, lon_b)
+            v_acc.setdefault((road_a, assign_interval(ts_a)), []).append(d / (dt / 3600.0))
+    flow = np.zeros((len(road_ids), len(intervals)), dtype=np.int64)
+    for (rid, iv), orders in flow_sets.items():
+        flow[row_of[rid], col_of[iv]] = len(orders)
+    speed = np.zeros(flow.shape)
+    for (rid, iv), vs in v_acc.items():
+        speed[row_of[rid], col_of[iv]] = np.mean(vs)
+    return flow, speed
+
+
+def assert_matches_oracle(flow, speed, matched):
+    exp_flow, exp_speed = oracle_tensors(matched, flow.road_ids, flow.intervals)
+    assert np.array_equal(flow.values, exp_flow)
+    np.testing.assert_allclose(speed.values, exp_speed, rtol=1e-12, atol=1e-12)
+
+
+def assert_same_bits(a, b):
+    """Two (flow, speed) results hold the same axes, dtypes and bytes."""
+    for x, y in zip(a, b):
+        assert x.road_ids == y.road_ids and x.intervals == y.intervals
+        assert x.values.dtype == y.values.dtype
+        assert x.values.tobytes() == y.values.tobytes()
+
+
+def interleaved(matched, seed=0):
+    """The rows of ``matched`` re-sent as runs of 1-4 rows of one order at a
+    time, orders picked at random (A A B A C C B ...); each order keeps its
+    own row order."""
+    rng = np.random.default_rng(seed)
+    queues = {}
+    for i, order in enumerate(matched.order_id):
+        queues.setdefault(order, []).append(i)
+    pending = list(queues.values())
+    rows = []
+    while pending:
+        k = int(rng.integers(len(pending)))
+        run = int(rng.integers(1, 5))
+        rows.extend(pending[k][:run])
+        del pending[k][:run]
+        if not pending[k]:
+            pending.pop(k)
+    return matched[np.array(rows)]
 
 
 class TestHaversine:
@@ -135,16 +201,22 @@ class TestFlowCount:
 
     def test_matches_hash_set_oracle(self):
         rng = np.random.default_rng(3)
-        orders = [f"o{rng.integers(0, 500)}" for _ in range(10_000)]
-        flow, _ = tensors([mp(1, 1000 + i, LAT, LON, order=o) for i, o in enumerate(orders)])
+        n = 10_000
+        orders = [f"o{rng.integers(0, 500)}" for _ in range(n)]
+        roads = rng.integers(1, 3, n).tolist()
+        stamps = (1000 + np.arange(n) * 29).tolist()  # ~3.4 days
+        flow, _ = tensors([mp(r, t, LAT, LON, order=o)
+                           for r, t, o in zip(roads, stamps, orders)])
+        assert len(flow.days()) >= 4
         col_of = {iv: j for j, iv in enumerate(flow.intervals)}
         expected = np.zeros_like(flow.values)
         by_cell = {}
-        for i, o in enumerate(orders):
-            by_cell.setdefault(col_of[assign_interval(1000 + i)], set()).add(o)
-        for col, seen in by_cell.items():
-            expected[flow.road_ids.index(1), col] = len(seen)
+        for road, ts, o in zip(roads, stamps, orders):
+            by_cell.setdefault((road, col_of[assign_interval(ts)]), set()).add(o)
+        for (road, col), seen in by_cell.items():
+            expected[flow.road_ids.index(road), col] = len(seen)
         assert np.array_equal(flow.values, expected)
+        assert flow.values[0].any() and flow.values[1].any()
 
 
 class TestTensorBuilder:
@@ -161,7 +233,19 @@ class TestTensorBuilder:
 
     def test_empty_stream(self):
         flow, speed = TensorBuilder([1, 2]).finalize()
-        assert flow.values.size == 0 and speed.values.size == 0
+        assert flow.values.shape == speed.values.shape == (2, 0)
+        assert flow.values.dtype == np.int64 and speed.values.dtype == np.float64
+
+    @pytest.mark.parametrize("rows", [[], [mp(1, 1000, LAT, LON)]])
+    def test_finalize_consumes_the_builder(self, rows):
+        builder = TensorBuilder([1, 2])
+        if rows:
+            builder.add(matched(rows))
+        builder.finalize()
+        with pytest.raises(ValueError, match="TensorBuilder already finalized"):
+            builder.finalize()
+        with pytest.raises(ValueError, match="TensorBuilder already finalized"):
+            builder.add(matched([mp(2, 2000, LAT, LON)]))
 
     def test_chunk_invariance_on_synthetic(self, small_generated, small_net,
                                            small_records):
@@ -195,35 +279,66 @@ class TestTensorBuilder:
         matched, _ = match_batch(small_records, small_net)
         builder = TensorBuilder(small_net.ordered_ids())
         builder.add(matched)
-        flow, speed = builder.finalize()
+        assert_matches_oracle(*builder.finalize(), matched)
 
-        by_order = {}
-        for order, ts, road, lat, lon in zip(matched.order_id, matched.timestamp.tolist(),
-                                             matched.road_id.tolist(), matched.lat.tolist(),
-                                             matched.lon.tolist()):
-            by_order.setdefault(order, []).append((ts, road, lat, lon))
-        col_of = {iv: j for j, iv in enumerate(flow.intervals)}
-        row_of = {rid: i for i, rid in enumerate(flow.road_ids)}
-        flow_sets = {}
-        v_acc = {}
-        for order, pts in by_order.items():
-            pts.sort(key=lambda p: p[0])
-            for ts, road, _, _ in pts:
-                flow_sets.setdefault((road, assign_interval(ts)), set()).add(order)
-            for (ts_a, road_a, lat_a, lon_a), (ts_b, road_b, lat_b, lon_b) in zip(pts, pts[1:]):
-                dt = ts_b - ts_a
-                if road_a != road_b or dt <= 0 or dt > 10:
-                    continue
-                d = geo.haversine(lat_a, lon_a, lat_b, lon_b)
-                v_acc.setdefault((road_a, assign_interval(ts_a)), []).append(d / (dt / 3600.0))
-        exp_flow = np.zeros_like(flow.values)
-        for (rid, iv), orders in flow_sets.items():
-            exp_flow[row_of[rid], col_of[iv]] = len(orders)
-        exp_speed = np.zeros_like(speed.values)
-        for (rid, iv), vs in v_acc.items():
-            exp_speed[row_of[rid], col_of[iv]] = np.mean(vs)
-        assert np.array_equal(flow.values, exp_flow)
-        np.testing.assert_allclose(speed.values, exp_speed, rtol=1e-12, atol=1e-12)
+    def test_interleaved_orders_under_chunking(self, small_net, small_records):
+        """Order-id runs split across chunk boundaries keep first-seen codes."""
+        rows = interleaved(match_batch(small_records, small_net)[0])
+        ids = rows.order_id
+        assert (ids[1:] != ids[:-1]).mean() > 0.3  # short runs, many repeats
+        assert len(set(ids.tolist())) < 0.5 * len(rows)
+        results = []
+        for chunk_size in (1, 2, 7, len(rows)):
+            builder = TensorBuilder(small_net.ordered_ids())
+            for i in range(0, len(rows), chunk_size):
+                builder.add(rows[i:i + chunk_size])
+            results.append(builder.finalize())
+        for result in results[1:]:
+            assert_same_bits(result, results[0])
+        assert_matches_oracle(*results[0], rows)
+
+    def test_pair_block_edges(self, monkeypatch, small_net, small_records):
+        matched_rows, _ = match_batch(small_records, small_net)
+        by_block = []
+        for block in (patterns._PAIR_BLOCK, 3):
+            monkeypatch.setattr(patterns, "_PAIR_BLOCK", block)
+            builder = TensorBuilder(small_net.ordered_ids())
+            builder.add(matched_rows)
+            by_block.append(builder.finalize())
+        assert np.count_nonzero(by_block[0][1].values) > 3
+        assert_same_bits(by_block[1], by_block[0])
+
+
+class TestFinalizeMemory:
+    """finalize holds its input columns and a few column-length temporaries."""
+
+    def test_traced_peak(self):
+        rng = np.random.default_rng(11)
+        runs = rng.integers(5, 26, 33_000)  # grouped rows, ~15 per order
+        n = int(runs.sum())
+        order = np.repeat(np.array([f"o{i}" for i in range(runs.size)], dtype=object), runs)
+        step = np.arange(n) - np.repeat(np.cumsum(runs) - runs, runs)
+        ts = np.repeat(rng.integers(1475251200, 1475337000, runs.size), runs) + 3 * step
+        road = np.repeat(rng.integers(0, 50, runs.size), runs)
+        lat = LAT + rng.random(n) * 0.01
+        lon = LON + rng.random(n) * 0.01
+        builder = TensorBuilder(range(50))
+        for i in range(0, n, 100_000):
+            rows = slice(i, i + 100_000)
+            builder.add(TraceBatch(order[rows], ts[rows].copy(), lat[rows].copy(),
+                                   lon[rows].copy(), road[rows].copy()))
+        del ts, lat, lon, road
+        column_bytes = 5 * 8 * n  # order codes, ts, road, lat, lon
+        tracemalloc.start()
+        try:
+            flow, speed = builder.finalize()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n > 450_000
+        assert speed.values.any()
+        # the dense grids are small here; the columns dominate
+        assert peak < 2.5 * column_bytes + 4 * flow.values.nbytes
 
 
 class TestFilterMissing:
