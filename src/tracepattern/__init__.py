@@ -6,8 +6,7 @@ congestion scoring and temporal-dispersion analytics -> file exports.
 """
 
 from .congestion import (CongestionSeries, FittingResult, daily_aggregates,
-                         estimate_free_flow, fitting_index, min_max_normalize,
-                         score_matrix)
+                         fitting_index, min_max_normalize, score_matrix)
 from .geo import EARTH_RADIUS_KM, haversine
 from .ingest import (IntervalIndex, ParserConfig, TraceBatch, read_chunks,
                      read_chunks_from_path)
@@ -15,20 +14,19 @@ from .matching import OffsetVector, apply_offset, estimate_offset, match_batch
 from .network import (RoadNetwork, RoadSegment, load_network,
                       point_to_segment_distance)
 from .patterns import (SpatioTemporalMatrix, TensorBuilder, clean_speed_matrix,
-                       filter_missing, interpolate_missing, repair_anomalies)
+                       filter_missing)
 from .pipeline import RunConfig, run_pipeline
 from .synth import Scenario, compare, generate
 
 __all__ = [
     "CongestionSeries", "FittingResult", "daily_aggregates",
-    "estimate_free_flow", "fitting_index", "min_max_normalize",
-    "score_matrix", "EARTH_RADIUS_KM", "haversine",
+    "fitting_index", "min_max_normalize", "score_matrix",
+    "EARTH_RADIUS_KM", "haversine",
     "IntervalIndex", "ParserConfig", "TraceBatch", "read_chunks",
     "read_chunks_from_path",
     "OffsetVector", "apply_offset", "estimate_offset", "match_batch",
     "RoadNetwork", "RoadSegment", "load_network", "point_to_segment_distance",
     "SpatioTemporalMatrix", "TensorBuilder",
-    "clean_speed_matrix", "filter_missing", "interpolate_missing",
-    "repair_anomalies", "RunConfig", "run_pipeline", "Scenario", "compare",
-    "generate",
+    "clean_speed_matrix", "filter_missing", "RunConfig", "run_pipeline",
+    "Scenario", "compare", "generate",
 ]

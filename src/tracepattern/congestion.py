@@ -12,14 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedScoreError
+from .errors import ComparisonError
 from .ingest import SLOTS_PER_DAY
-from .patterns import DEFAULT_ANOMALY_KMH, SpatioTemporalMatrix
+from .patterns import DEFAULT_ANOMALY_KMH, SpatioTemporalMatrix, missing
 
 logger = logging.getLogger(__name__)
 
 FREE_FLOW_PERCENTILE = 85.0
 FREE_FLOW_MIN_KMH = 5.0
+_BLOCK = 64  # intervals whose network scores are summed at once
 
 
 @dataclass
@@ -37,55 +38,53 @@ class FittingResult:
     degenerate: bool = False
 
 
-def estimate_free_flow(speed_row, anomaly_kmh: float = DEFAULT_ANOMALY_KMH) -> float:
-    """Free-flow speed estimate for one road: P85 of its cleaned series,
-    clamped to [5, anomaly threshold]. Used only when the network supplies
-    no free-flow value.
-    """
-    row = np.asarray(speed_row, dtype=np.float64)
-    if not np.any(row != 0.0):
-        raise UndefinedScoreError("cannot estimate free flow from an all-zero series")
-    p85 = float(np.percentile(row, FREE_FLOW_PERCENTILE))
-    return float(np.clip(p85, FREE_FLOW_MIN_KMH, anomaly_kmh))
-
-
 def score_matrix(speeds: SpatioTemporalMatrix, network,
                  anomaly_kmh: float = DEFAULT_ANOMALY_KMH) -> CongestionSeries:
-    """Congestion series from a cleaned speed matrix.
+    """Congestion series from a cleaned speed matrix, on the whole grid.
 
-    ``network`` is the RoadNetwork supplying lengths and, where present,
-    free-flow speeds; roads without one get the P85 estimate. Roads whose
-    series is all-zero are excluded (their cells become NaN) and skipped
-    in the network weighting.
+    ``network`` supplies lengths and, where present, free-flow speeds; a
+    road without one gets the P85 of its series, clamped to [5,
+    ``anomaly_kmh``], or is excluded if it has no data. Cells whose speed
+    is not positive, and all cells of an excluded road, score NaN. Holds
+    the result plus one boolean grid or one block of ``_BLOCK`` intervals.
     """
-    free_flow = {}
-    values = np.full_like(speeds.values, np.nan, dtype=np.float64)
-    lengths = np.array([network.segments[rid].length_km for rid in speeds.road_ids])
-    for i, rid in enumerate(speeds.road_ids):
-        row = speeds.values[i]
-        supplied = network.segments[rid].free_flow_kmh
-        if supplied is not None:
-            th = float(min(supplied, anomaly_kmh))
-            free_flow[rid] = (th, "supplied")
-        else:
-            if not np.any(row != 0.0):
-                logger.warning("road %s has no data, excluded from scoring", rid)
-                continue
-            th = estimate_free_flow(row, anomaly_kmh)
-            free_flow[rid] = (th, "estimated")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values[i] = np.where(row > 0.0, np.maximum(th / row - 1.0, 0.0), np.nan)
+    v = speeds.values
+    roads = [network.segments.get(rid) for rid in speeds.road_ids]
+    if None in roads:
+        rid = speeds.road_ids[roads.index(None)]
+        raise ComparisonError(f"road {rid} of the matrix is not in the network")
+    th = np.array([np.nan if r.free_flow_kmh is None else min(r.free_flow_kmh, anomaly_kmh)
+                   for r in roads], dtype=np.float64)
+    estimated = np.isnan(th) & ~missing(v).all(axis=1)
+    scored = estimated | ~np.isnan(th)
+    if not scored.all():
+        logger.warning("%d roads have no data, excluded from scoring", np.count_nonzero(~scored))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if estimated.any():  # sorts a copy of those rows, freed before the result exists
+            p85 = np.percentile(v[estimated], FREE_FLOW_PERCENTILE, axis=1, overwrite_input=True)
+            th[estimated] = np.clip(p85, FREE_FLOW_MIN_KMH, anomaly_kmh)
+        scores = np.full(v.shape, np.nan)
+        np.divide(th[:, None], v, out=scores, where=v > 0.0)
+        scores -= 1.0
+        np.maximum(scores, 0.0, out=scores)
 
-    net_series = np.empty(len(speeds.intervals))
-    for j in range(len(speeds.intervals)):
-        col = values[:, j]
-        ok = ~np.isnan(col)
-        if np.any(ok):
-            net_series[j] = np.sum(lengths[ok] * col[ok]) / np.sum(lengths[ok])
-        else:
-            net_series[j] = np.nan
-    per_road = SpatioTemporalMatrix(list(speeds.road_ids), list(speeds.intervals), values)
-    return CongestionSeries(per_road, net_series, free_flow)
+        # per interval, sum(length * score) / sum(length) over the roads that
+        # score there; a block's products as C-order rows, so that each sum
+        # is pairwise like a 1-D np.sum
+        network_series = np.empty(v.shape[1])
+        keep = ~np.isnan(scores).all(axis=1)
+        lengths = np.array([r.length_km for r in roads])[keep]
+        for j0 in range(0, v.shape[1], _BLOCK):
+            block = scores[keep, j0:j0 + _BLOCK].T
+            products = np.multiply(block, lengths, order="C")
+            network_series[j0:j0 + len(block)] = products.sum(axis=1) / np.sum(lengths)
+            for j in np.flatnonzero(np.isnan(products).any(axis=1)):
+                ok = ~np.isnan(block[j])
+                network_series[j0 + j] = np.sum(products[j][ok]) / np.sum(lengths[ok])
+    free_flow = {rid: (float(t), "estimated" if e else "supplied")
+                 for rid, t, e, s in zip(speeds.road_ids, th, estimated, scored) if s}
+    per_road = SpatioTemporalMatrix(list(speeds.road_ids), list(speeds.intervals), scores)
+    return CongestionSeries(per_road, network_series, free_flow)
 
 
 def fitting_index(day_series) -> FittingResult:

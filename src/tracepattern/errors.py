@@ -37,14 +37,10 @@ class OffsetCapError(TracePatternError):
     """Estimated offset exceeds the plausibility cap."""
 
 
-class UndefinedScoreError(TracePatternError):
-    """Congestion score requested for a non-positive speed."""
-
-
 class ExportError(TracePatternError):
     """Requested export target does not exist in the data, or an exported
     file read back is malformed."""
 
 
 class ComparisonError(TracePatternError):
-    """Matrices under comparison have mismatched axes."""
+    """Inputs that must share an axis do not (matrices, or a matrix and the network)."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime
 import logging
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -217,11 +218,16 @@ def _distinct_per_cell(cell, order):
     return pairs[starts], np.diff(starts, append=pairs.size)
 
 
+def missing(values):
+    """The cells of ``values`` that hold no observation: a zero speed."""
+    return values == 0.0
+
+
 def filter_missing(speeds: SpatioTemporalMatrix,
                    max_missing_fraction: float = DEFAULT_MISSING_FRACTION):
-    """Drop roads whose fraction of zero cells exceeds the threshold.
+    """Drop roads whose fraction of missing cells exceeds the threshold.
 
-    A zero cell means no GPS trace in that interval. Returns
+    A missing cell means no GPS trace in that interval. Returns
     (retained SpeedMatrix, dropped road ids); the interval axis is kept.
     """
     if not 0.0 <= max_missing_fraction <= 1.0:
@@ -229,60 +235,34 @@ def filter_missing(speeds: SpatioTemporalMatrix,
     n_cols = speeds.values.shape[1]
     if n_cols == 0:
         return speeds, []
-    missing = (speeds.values == 0.0).sum(axis=1) / n_cols
-    keep = missing <= max_missing_fraction
-    dropped = [rid for rid, k in zip(speeds.road_ids, keep) if not k]
-    retained = SpatioTemporalMatrix(
-        [rid for rid, k in zip(speeds.road_ids, keep) if k],
-        speeds.intervals,
-        speeds.values[keep],
-    )
+    keep = missing(speeds.values).sum(axis=1) / n_cols <= max_missing_fraction
+    dropped = list(compress(speeds.road_ids, ~keep))
+    retained = SpatioTemporalMatrix(list(compress(speeds.road_ids, keep)),
+                                    speeds.intervals, speeds.values[keep])
     if not retained.road_ids:
         logger.warning("all %d roads dropped by missing-value filter", len(dropped))
     return retained, dropped
 
 
-def interpolate_missing(row):
-    """Fill zero runs in one road's interval series by linear interpolation.
-
-    Leading/trailing zeros take the nearest non-zero value. An all-zero
-    row is returned unchanged (the caller flags it).
-    """
-    row = np.asarray(row, dtype=np.float64)
-    good = np.nonzero(row != 0.0)[0]
-    if good.size == 0 or good.size == row.size:
-        return row.copy()
-    x = np.arange(row.size)
-    return np.interp(x, good, row[good])
-
-
-def repair_anomalies(row, threshold_kmh: float = DEFAULT_ANOMALY_KMH):
-    """Replace over-threshold values by the mean of their nearest
-    non-anomalous temporal neighbors (one per side, single at edges).
-
-    Returns (repaired series, anomaly_count). An all-anomalous row is
-    clamped to the threshold.
-    """
-    row = np.asarray(row, dtype=np.float64)
-    bad = row > threshold_kmh
-    count = int(bad.sum())
-    if count == 0:
-        return row.copy(), 0
-    good = np.nonzero(~bad)[0]
-    out = row.copy()
-    if good.size == 0:
-        logger.warning("entire series anomalous, clamping to %.0f km/h", threshold_kmh)
-        out[:] = threshold_kmh
-        return out, count
-    bad_idx = np.nonzero(bad)[0]
-    pos = np.searchsorted(good, bad_idx)
-    left = np.where(pos > 0, good[np.maximum(pos - 1, 0)], -1)
-    right = np.where(pos < good.size, good[np.minimum(pos, good.size - 1)], -1)
-    left_v = np.where(left >= 0, row[left], 0.0)
-    right_v = np.where(right >= 0, row[right], 0.0)
-    n_sides = (left >= 0).astype(float) + (right >= 0).astype(float)
-    out[bad_idx] = (left_v + right_v) / n_sides
-    return out, count
+def _run_bounds(cells, n_cols):
+    """For each of the ascending flat indices ``cells`` of a grid with
+    ``n_cols`` columns: (lo, hi, lo_in_row, hi_in_row), the flat indices
+    just before and just after its run of consecutive cells, and whether
+    each lies in the cell's own row (-1 and the grid size lie in none)."""
+    edge = np.ones(cells.size + 1, dtype=bool)  # a run starts at i, ends at i - 1
+    np.not_equal(np.diff(cells), 1, out=edge[1:-1])
+    lo = np.where(edge[:-1], cells, -1)
+    np.maximum.accumulate(lo, out=lo)
+    lo -= 1
+    hi = np.where(edge[1:], cells, np.iinfo(cells.dtype).max)
+    del edge
+    np.minimum.accumulate(hi[::-1], out=hi[::-1])
+    hi += 1
+    row_start = cells % n_cols
+    np.subtract(cells, row_start, out=row_start)
+    lo_in_row = lo >= row_start
+    row_start += n_cols
+    return lo, hi, lo_in_row, hi < row_start
 
 
 @dataclass
@@ -291,39 +271,63 @@ class CleaningReport:
 
     speeds: SpatioTemporalMatrix
     dropped_road_ids: list
-    flagged_road_ids: list  # all-zero rows that survived the filter
+    flagged_road_ids: list  # all-missing rows that survived the filter
     anomaly_count: int
     anomaly_rate: float
-    missing_fraction_threshold: float = DEFAULT_MISSING_FRACTION
-    anomaly_threshold_kmh: float = DEFAULT_ANOMALY_KMH
 
 
 def clean_speed_matrix(speeds: SpatioTemporalMatrix,
                        max_missing_fraction: float = DEFAULT_MISSING_FRACTION,
                        anomaly_kmh: float = DEFAULT_ANOMALY_KMH) -> CleaningReport:
-    """Missing-value filter, then interpolation, then anomaly repair."""
+    """Missing-value filter, then interpolation, then anomaly repair, on
+    the whole grid, via the flat indices of the cells they change.
+
+    A gap (missing cell) between two observed cells of its road is
+    interpolated as ``np.interp`` does, one at a road's end takes its one
+    observed neighbour, and a road with no observation is flagged. Each
+    anomaly (above ``anomaly_kmh``) then takes the mean of the nearest
+    other cells on either side; a road with no other cell is clamped to
+    the threshold.
+    """
+    if anomaly_kmh < 0:  # else an empty road would hold anomalies
+        raise ValueError("anomaly_kmh must not be negative")
     retained, dropped = filter_missing(speeds, max_missing_fraction)
     values = retained.values  # a copy made by the filter's row mask
     if retained is speeds:  # no interval, so nothing was filtered
         values = values.copy()
-    flagged = []
-    anomalies = 0
-    for i, rid in enumerate(retained.road_ids):
-        row = values[i]
-        if not np.any(row != 0.0):
-            flagged.append(rid)
-            continue
-        row = interpolate_missing(row)
-        row, n = repair_anomalies(row, anomaly_kmh)
-        anomalies += n
-        values[i] = row
-    total = values.size
-    report = CleaningReport(
-        SpatioTemporalMatrix(retained.road_ids, retained.intervals, values),
-        dropped, flagged, anomalies,
-        anomalies / total if total else 0.0,
-        max_missing_fraction, anomaly_kmh,
-    )
+    n_cols = values.shape[1]
+    flat = values.reshape(-1)
+    flagged = list(compress(retained.road_ids, missing(values).all(axis=1)))
+    gap = np.flatnonzero(missing(values))
+    lo, hi, has_lo, has_hi = _run_bounds(gap, n_cols)
+    with np.errstate(invalid="ignore", over="ignore"):  # as np.interp, which never warns
+        # slope * (x - lo) + f[lo], built up in place: one gap-length temporary at a time
+        flat[gap] = flat.take(hi, mode="clip")
+        np.subtract.at(flat, gap, flat.take(lo, mode="clip"))
+        np.divide.at(flat, gap, np.subtract(hi, lo, dtype=np.float64))
+        np.multiply.at(flat, gap, np.subtract(gap, lo, dtype=np.float64))
+        np.add.at(flat, gap, flat.take(lo, mode="clip"))
+        # np.interp's fallbacks for NaN: slope * (x - hi) + f[hi], then f[lo] == f[hi]
+        i = np.flatnonzero(np.isnan(flat[gap]) & has_lo & has_hi)
+        x, a, b = gap[i], lo[i], hi[i]
+        fill = (flat[b] - flat[a]) / (b - a) * (x - b) + flat[b]
+        flat[x] = np.where(np.isnan(fill) & (flat[a] == flat[b]), flat[a], fill)
+    i = np.flatnonzero(~(has_lo & has_hi))  # at a road's end, or on an empty road
+    flat[gap[i]] = np.where(has_lo[i], flat.take(lo[i], mode="clip"),
+                            np.where(has_hi[i], flat.take(hi[i], mode="clip"), 0.0))
+    del gap, lo, hi, has_lo, has_hi, i
+    bad = np.flatnonzero(flat > anomaly_kmh)
+    lo, hi, has_lo, has_hi = _run_bounds(bad, n_cols)
+    sides = has_lo.astype(np.float64) + has_hi  # none: the road holds nothing else
+    with np.errstate(invalid="ignore", divide="ignore"):
+        flat[bad] = np.where(sides == 0.0, anomaly_kmh,
+                             (np.where(has_lo, flat.take(lo, mode="clip"), 0.0)
+                              + np.where(has_hi, flat.take(hi, mode="clip"), 0.0)) / sides)
+    if not sides.all():
+        logger.warning("%d roads entirely anomalous, clamped to %.0f km/h",
+                       np.count_nonzero(sides == 0.0) // n_cols, anomaly_kmh)
+    rate = bad.size / values.size if values.size else 0.0
     logger.info("cleaning: %d roads dropped, %d anomalies (%.3f%%)",
-                len(dropped), anomalies, 100.0 * report.anomaly_rate)
-    return report
+                len(dropped), bad.size, 100.0 * rate)
+    return CleaningReport(SpatioTemporalMatrix(retained.road_ids, retained.intervals, values),
+                          dropped, flagged, bad.size, rate)

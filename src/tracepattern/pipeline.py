@@ -18,7 +18,7 @@ import numpy as np
 from . import congestion as cg
 from . import export as ex
 from . import matching, network, patterns
-from .errors import ConfigError, ExportError
+from .errors import ComparisonError, ConfigError, ExportError
 from .ingest import (DEFAULT_CHUNK_SIZE, DEFAULT_ERROR_RATE_CEILING,
                      DEFAULT_TZ_OFFSET_S, SECONDS_PER_DAY, SLOTS_PER_DAY, IngestStats,
                      IntervalIndex, ParserConfig, TraceBatch,
@@ -198,6 +198,8 @@ def analyze_and_write(flow, speed_raw, net, config: RunConfig, done: list, estim
     every file written to its SHA-256; otherwise it is None. Returns
     (cleaning, digests).
     """
+    if flow.intervals != speed_raw.intervals:
+        raise ComparisonError("the flow and speed matrices have different interval axes")
     cleaning = patterns.clean_speed_matrix(speed_raw, config.missing_fraction,
                                            config.anomaly_kmh)
     if not estimate:

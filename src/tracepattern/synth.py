@@ -59,7 +59,6 @@ class Scenario:
     ping_period_s: int = 3
     noise_std_deg: float = 0.0
     injected_offset: tuple = (0.0, 0.0)  # (dlat, dlon) added to emitted pings
-    anomaly_rate: float = 0.0
     n_days: int = 1
     start_date: datetime.date = datetime.date(2016, 10, 1)
     base_lat: float = 30.65

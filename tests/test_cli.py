@@ -296,6 +296,34 @@ class TestAnalyze:
         assert result.stderr.startswith(f"error: {bad} {reason}")
         assert result.stderr.count("\n") == 1 and "usecols" not in result.stderr
 
+    def test_interval_axes_differ_exit_1_one_line(self, runner, workspace, tmp_path):
+        with open(os.path.join(workspace["out"], "flow.csv"), newline="") as fh:
+            lines = [line.rstrip("\r\n").rsplit(",", 1)[0] + "\r\n" for line in fh]
+        short = tmp_path / "flow.csv"  # without its last interval
+        short.write_text("".join(lines), newline="")
+        result = runner.invoke(main, [
+            "analyze", "--flow", str(short),
+            "--speed", os.path.join(workspace["out"], "speed_raw.csv"),
+            "--network", workspace["net"], "--out", str(tmp_path / "a")])
+        assert result.exit_code == 1
+        assert result.stderr == ("error: the flow and speed matrices have different "
+                                 "interval axes\n")
+
+    def test_road_not_in_network_exit_1_one_line(self, runner, workspace, tmp_path):
+        scored = ex.read_matrix_csv(os.path.join(workspace["out"], "inrix.csv")).road_ids
+        with open(os.path.join(workspace["out"], "speed_raw.csv"), newline="") as fh:
+            lines = fh.readlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith(f"{scored[0]},"))
+        lines[row] = "999999" + lines[row][len(str(scored[0])):]
+        speed = tmp_path / "speed_raw.csv"
+        speed.write_text("".join(lines), newline="")
+        result = runner.invoke(main, [
+            "analyze", "--flow", os.path.join(workspace["out"], "flow.csv"),
+            "--speed", str(speed), "--network", workspace["net"],
+            "--out", str(tmp_path / "a")])
+        assert result.exit_code == 1
+        assert result.stderr == "error: road 999999 of the matrix is not in the network\n"
+
 
 class TestHeatmap:
     def test_feature_count_and_ratio(self, runner, workspace, tmp_path):
@@ -518,6 +546,16 @@ class TestSynthCommand:
         result = runner.invoke(main, ["synth", "--config", str(cfg),
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
+
+    def test_anomaly_rate_is_not_a_scenario_field(self, runner, tmp_path):
+        # anomalies are injected by synth.inject_anomalies, never by generate
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text("anomaly_rate: 0.01\n")
+        result = runner.invoke(main, ["synth", "--config", str(cfg),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: bad scenario config: ")
+        assert "anomaly_rate" in result.stderr and result.stderr.count("\n") == 1
 
 
 class TestMatrixCsvRoundTrip:

@@ -6,35 +6,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracepattern.congestion import (daily_aggregates, estimate_free_flow,
-                                     fitting_index, flow_day_matrix,
-                                     min_max_normalize, network_day_matrix,
-                                     score_matrix)
-from tracepattern.errors import UndefinedScoreError
+from tracepattern.congestion import (daily_aggregates, fitting_index,
+                                     flow_day_matrix, min_max_normalize,
+                                     network_day_matrix, score_matrix)
+from tracepattern.errors import ComparisonError
 from tracepattern.network import load_network
 from tracepattern.patterns import SpatioTemporalMatrix, full_interval_axis
 
-from conftest import inrix_score, network_inrix
+from conftest import (assert_bits_equal, estimate_free_flow, inrix_score,
+                      network_inrix, odd_grid, score_by_rows,
+                      sparse_anomalous_grid, traced_peak)
 
 DAY = datetime.date(2016, 10, 1)
 
 
+def line_network(n_roads, free_flow=None, lengths=None):
+    """``n_roads`` north-south roads; ``free_flow`` and ``lengths`` (in
+    0.01 degree steps of latitude) map a road index to its value."""
+    free_flow, lengths = free_flow or {}, lengths or {}
+    features = []
+    for i in range(n_roads):
+        props = {"id": i}
+        if i in free_flow:
+            props["free_flow_kmh"] = free_flow[i]
+        lat1 = 30.0 + 0.01 * lengths.get(i, 1.0)
+        features.append({"type": "Feature", "properties": props, "geometry": {
+            "type": "LineString", "coordinates": [[100.0 + 0.01 * i, 30.0], [100.0 + 0.01 * i, lat1]]}})
+    return load_network({"type": "FeatureCollection", "features": features})
+
+
+def estimated_free_flow(row, anomaly_kmh=70.0):
+    """The free flow ``score_matrix`` estimates for a one-road matrix."""
+    axis = full_interval_axis(DAY, DAY)[:len(row)]
+    speeds = SpatioTemporalMatrix([0], axis, np.asarray(row, dtype=float)[None, :])
+    return score_matrix(speeds, line_network(1), anomaly_kmh).free_flow.get(0)
+
+
 class TestEstimateFreeFlow:
+    """The P85 free flow of roads that supply none, against the per-road
+    oracle ``estimate_free_flow``."""
+
     def test_constant_row(self):
+        assert estimated_free_flow(np.full(96, 40.0)) == (40.0, "estimated")
         assert estimate_free_flow(np.full(96, 40.0)) == 40.0
 
     def test_uniform_row_p85(self):
         row = np.linspace(20, 70, 96)  # sort-and-index oracle: 20 + 0.85 * 50
-        assert estimate_free_flow(row) == pytest.approx(62.5, abs=0.5)
+        assert estimated_free_flow(row)[0] == pytest.approx(62.5, abs=0.5)
+        assert estimated_free_flow(row)[0] == estimate_free_flow(row)
 
     def test_clamped_to_threshold(self):
-        assert estimate_free_flow(np.full(96, 200.0), anomaly_kmh=70.0) == 70.0
+        assert estimated_free_flow(np.full(96, 200.0), anomaly_kmh=70.0) == (70.0, "estimated")
 
     def test_clamped_to_floor(self):
-        assert estimate_free_flow(np.full(96, 1.0)) == 5.0
+        assert estimated_free_flow(np.full(96, 1.0)) == (5.0, "estimated")
 
     def test_all_zero_undefined(self):
-        with pytest.raises(UndefinedScoreError):
+        assert estimated_free_flow(np.zeros(96)) is None
+        with pytest.raises(ValueError):
             estimate_free_flow(np.zeros(96))
 
 
@@ -49,7 +78,7 @@ class TestInrixScore:
         assert inrix_score(55, 55) == 0.0
 
     def test_non_positive_speed(self):
-        with pytest.raises(UndefinedScoreError):
+        with pytest.raises(ValueError):
             inrix_score(60, 0)
 
     @given(th=st.floats(10, 70), re1=st.floats(1, 200), re2=st.floats(1, 200))
@@ -85,7 +114,7 @@ class TestNetworkInrix:
         assert network_inrix([1.0, np.nan], [1.0, 99.0]) == 1.0
 
     def test_empty_undefined(self):
-        with pytest.raises(UndefinedScoreError):
+        with pytest.raises(ValueError):
             network_inrix([np.nan], [1.0])
 
 
@@ -222,6 +251,73 @@ class TestScoreMatrix:
                 assert np.isnan(got)
             else:
                 assert got == network_inrix(series.per_road.values[:, j], lengths)
+
+
+def score_rows(rows, net, anomaly_kmh=70.0):
+    """``score_matrix`` of a grid of ``rows``, checked against the
+    road-by-road, interval-by-interval oracle; returns its series."""
+    rows = np.array(rows, dtype=float).reshape(len(rows), -1)
+    axis = full_interval_axis(DAY, DAY + datetime.timedelta(days=3))[:rows.shape[1]]
+    speeds = SpatioTemporalMatrix(list(range(len(rows))), axis, rows)
+    series = score_matrix(speeds, net, anomaly_kmh)
+    values, network, free_flow = score_by_rows(speeds, net, anomaly_kmh)
+    assert_bits_equal(series.per_road.values, values)
+    assert_bits_equal(series.network, network)
+    assert list(series.free_flow) == list(free_flow)
+    assert_bits_equal([v for v, _ in series.free_flow.values()],
+                      [v for v, _ in free_flow.values()])
+    assert [s for _, s in series.free_flow.values()] == [s for _, s in free_flow.values()]
+    return series
+
+
+class TestScoreEqualsRowOracle:
+    """The whole-grid score against ``score_by_rows``, bit for bit."""
+
+    def test_picked(self):
+        net = line_network(3, free_flow={0: 50.0}, lengths={1: 2.0, 2: 0.5})
+        series = score_rows([[25, 0, 0, 80], [40, 0, -3, 20], [0, 0, 0, 0]], net)
+        assert series.free_flow[0] == (50.0, "supplied") and list(series.free_flow) == [0, 1]
+        assert series.free_flow[1][0] == pytest.approx(31.0)  # P85 of -3, 0, 20, 40
+        assert np.isnan(series.network[1])  # no road scores there
+        assert np.isnan(series.per_road.values[2]).all()  # no data, no free flow
+
+    @pytest.mark.parametrize("n_cols", [0, 1])
+    def test_few_intervals(self, n_cols):
+        net = line_network(2, free_flow={0: 50.0})
+        series = score_rows(np.full((2, n_cols), 30.0), net)
+        assert series.network.shape == (n_cols,)
+
+    def test_no_road_scores(self):
+        series = score_rows(np.zeros((2, 5)), line_network(2))
+        assert series.free_flow == {} and np.isnan(series.network).all()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random(self, seed):
+        rng = np.random.default_rng(seed)
+        n_roads = int(rng.integers(1, 300))  # past 128 roads, where np.sum goes pairwise
+        rows = odd_grid(rng, n_roads, int(rng.integers(1, 200)))  # several blocks
+        rows[:, rng.random(rows.shape[1]) < 0.1] = 0.0  # intervals no road scores
+        net = line_network(n_roads,
+                           free_flow={i: float(rng.uniform(20, 90))
+                                      for i in range(n_roads) if rng.random() < 0.5},
+                           lengths={i: float(rng.uniform(0.1, 3.0)) for i in range(n_roads)})
+        score_rows(rows, net)
+
+    def test_road_missing_from_the_network(self):
+        speeds = SpatioTemporalMatrix([0, 7], full_interval_axis(DAY, DAY),
+                                      np.full((2, 96), 30.0))
+        with pytest.raises(ComparisonError, match="road 7 of the matrix is not in the network"):
+            score_matrix(speeds, line_network(2))
+
+
+class TestScoreMemory:
+    def test_traced_peak(self):
+        """The result plus one block of intervals and one boolean grid."""
+        v = sparse_anomalous_grid()
+        axis = full_interval_axis(DAY, DAY + datetime.timedelta(days=13))
+        speeds = SpatioTemporalMatrix(list(range(len(v))), axis, v)
+        net = line_network(len(v), free_flow={i: 55.0 for i in range(0, len(v), 2)})
+        assert traced_peak(score_matrix, speeds, net) <= 1.25 * v.nbytes
 
 
 class TestDailyAggregates:

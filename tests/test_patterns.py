@@ -11,10 +11,11 @@ from tracepattern.ingest import TraceBatch
 from tracepattern.matching import match_batch
 from tracepattern.patterns import (SpatioTemporalMatrix, TensorBuilder,
                                    clean_speed_matrix, filter_missing,
-                                   full_interval_axis, interpolate_missing,
-                                   repair_anomalies)
+                                   full_interval_axis)
 
-from conftest import assign_interval
+from conftest import (assert_bits_equal, assign_interval, clean_by_rows,
+                      interpolate_missing, odd_grid, repair_anomalies,
+                      sparse_anomalous_grid, traced_peak)
 
 DAY = datetime.date(2016, 10, 1)
 LAT, LON = 30.65, 104.06
@@ -375,53 +376,122 @@ class TestFilterMissing:
             assert (i in dropped) == (frac > 0.2)
 
 
+def clean_rows(rows, max_missing_fraction=1.0, anomaly_kmh=70.0):
+    """``clean_speed_matrix`` of a grid of ``rows``, checked against the
+    road-by-road oracle; returns its report."""
+    rows = np.array(rows, dtype=float).reshape(len(rows), -1)
+    axis = full_interval_axis(DAY, DAY + datetime.timedelta(days=3))[:rows.shape[1]]
+    matrix = SpatioTemporalMatrix(list(range(len(rows))), axis, rows)
+    report = clean_speed_matrix(matrix, max_missing_fraction, anomaly_kmh)
+    values, dropped, flagged, anomalies = clean_by_rows(matrix, max_missing_fraction,
+                                                       anomaly_kmh)
+    assert_bits_equal(report.speeds.values, values)
+    assert (report.dropped_road_ids, report.flagged_road_ids, report.anomaly_count) == \
+        (dropped, flagged, anomalies)
+    return report
+
+
+def clean_row(row, anomaly_kmh=70.0):
+    """(cleaned row, anomaly count) of a one-road grid."""
+    report = clean_rows([row], anomaly_kmh=anomaly_kmh)
+    return report.speeds.values[0], report.anomaly_count
+
+
 class TestInterpolateMissing:
     def test_linear_fill(self):
+        np.testing.assert_allclose(clean_row([20, 0, 0, 32])[0], [20, 24, 28, 32])
         np.testing.assert_allclose(interpolate_missing([20, 0, 0, 32]), [20, 24, 28, 32])
 
     def test_edge_extension(self):
-        np.testing.assert_allclose(interpolate_missing([0, 0, 30, 30]), [30, 30, 30, 30])
+        np.testing.assert_allclose(clean_row([0, 0, 30, 30])[0], [30, 30, 30, 30])
 
     def test_no_zeros_unchanged(self):
         row = [25.0, 30.0, 35.0]
-        np.testing.assert_array_equal(interpolate_missing(row), row)
+        np.testing.assert_array_equal(clean_row(row)[0], row)
 
     def test_all_zero_untouched(self):
-        np.testing.assert_array_equal(interpolate_missing([0.0, 0.0]), [0.0, 0.0])
+        np.testing.assert_array_equal(clean_row([0.0, 0.0])[0], [0.0, 0.0])
+        assert clean_rows([[0.0, 0.0]]).flagged_road_ids == [0]
 
     @given(st.lists(st.sampled_from([0.0, 10.0, 20.0, 30.0]), min_size=2, max_size=96))
     @settings(max_examples=50, deadline=None)
     def test_no_zeros_remain(self, row):
-        filled = interpolate_missing(row)
+        filled = clean_row(row)[0]
         if any(v != 0 for v in row):
-            assert np.all(filled != 0.0) or min(v for v in row if v != 0) > 0 and np.all(filled > 0)
+            assert np.all(filled > 0.0)
 
 
 class TestRepairAnomalies:
     def test_neighbor_mean(self):
-        repaired, n = repair_anomalies([40, 200, 44], 70)
+        repaired, n = clean_row([40, 200, 44], 70)
         np.testing.assert_allclose(repaired, [40, 42, 44])
         assert n == 1
+        np.testing.assert_allclose(repair_anomalies([40, 200, 44], 70)[0], [40, 42, 44])
 
     def test_edge_single_neighbor(self):
-        repaired, n = repair_anomalies([200, 40, 44], 70)
+        repaired, n = clean_row([200, 40, 44], 70)
         np.testing.assert_allclose(repaired, [40, 40, 44])
         assert n == 1
 
     def test_no_anomalies(self):
-        repaired, n = repair_anomalies([40, 50, 60], 70)
+        repaired, n = clean_row([40, 50, 60], 70)
         np.testing.assert_allclose(repaired, [40, 50, 60])
         assert n == 0
 
-    def test_all_anomalous_clamped(self):
-        repaired, n = repair_anomalies([100, 200], 70)
+    def test_all_anomalous_clamped(self, caplog):
+        repaired, n = clean_row([100, 200], 70)
         np.testing.assert_allclose(repaired, [70, 70])
         assert n == 2
+        assert "1 roads entirely anomalous" in caplog.text
 
     def test_consecutive_anomalies_no_cascade(self):
-        repaired, n = repair_anomalies([40, 200, 300, 60], 70)
+        repaired, n = clean_row([40, 200, 300, 60], 70)
         np.testing.assert_allclose(repaired, [40, 50, 50, 60])
         assert n == 2
+
+
+class TestCleanEqualsRowOracle:
+    """The whole-grid clean against ``clean_by_rows``, bit for bit."""
+
+    @pytest.mark.parametrize("rows, want", [
+        ([[30, 0, 0], [0, 0, 40]], [[30, 30, 30], [40, 40, 40]]),  # a gap run over a row end
+        ([[0, 20, 0, 32, 0]], [[20, 20, 26, 32, 32]]),  # leading and trailing gaps
+        ([[0, 0, 0], [10, 0, 20], [0, 0, 0]], [[0, 0, 0], [10, 15, 20], [0, 0, 0]]),
+        ([[200, 40, 50, 300], [90, 10, 20, 30]], [[40, 40, 50, 50], [10, 10, 20, 30]]),
+        ([[40, 200, 300], [300, 200, 60]], [[40, 40, 40], [60, 60, 60]]),  # runs over a row end
+        ([[100, 200, 300], [40, 0, 80]], [[70, 70, 70], [40, 60, 60]]),  # all anomalous
+        ([[0], [30], [200]], [[0], [30], [70]]),  # one interval
+    ], ids=["gap-over-row-end", "gap-at-ends", "all-zero-rows", "anomaly-at-ends",
+            "anomaly-runs", "all-anomalous", "one-column"])
+    def test_picked(self, rows, want):
+        np.testing.assert_array_equal(clean_rows(rows).speeds.values, want)
+
+    def test_non_finite_and_negative(self):
+        values = clean_rows([[np.inf, 0, 30], [np.nan, 0, -5], [-np.inf, 0, np.inf],
+                             [0, np.nan, 0]]).speeds.values
+        assert values[0, 0] == 30.0  # inf is an anomaly
+        assert np.isnan(values[1, 1]) and np.isnan(values[3]).all()
+
+    def test_no_interval(self):
+        report = clean_rows(np.zeros((3, 0)))
+        assert report.speeds.values.shape == (3, 0)
+        assert report.flagged_road_ids == [0, 1, 2]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = odd_grid(rng, int(rng.integers(1, 40)), int(rng.integers(1, 300)))
+        clean_rows(rows, float(rng.choice([0.2, 0.5, 1.0])))
+
+
+class TestCleanMemory:
+    def test_traced_peak(self):
+        """The result plus temporaries that scale with the gaps and the
+        anomalies; a grid-sized temporary would break the bound."""
+        v = sparse_anomalous_grid()
+        axis = full_interval_axis(DAY, DAY + datetime.timedelta(days=13))
+        matrix = SpatioTemporalMatrix(list(range(len(v))), axis, v)
+        assert traced_peak(clean_speed_matrix, matrix) <= 1.25 * v.nbytes
 
 
 class TestCleanSpeedMatrix:
