@@ -19,7 +19,7 @@ import yaml
 
 from . import congestion as cg
 from . import export as ex
-from . import matching, network, patterns, pipeline, synth
+from . import matching, network, pipeline, synth
 from .errors import ConfigError, DataQualityError, TracePatternError
 from .ingest import read_chunks_from_path
 
@@ -140,15 +140,9 @@ def offset(traces_path, network_path, sample_size):
 def analyze(flow_path, speed_path, network_path, out_dir, config_file,
             anomaly_kmh, missing_fraction):
     """Congestion and dispersion analysis from saved matrices."""
-    data = _load_config_file(config_file)
-    cfg = pipeline.RunConfig(
-        traces_path=flow_path, network_path=network_path, out_dir=out_dir,
-        anomaly_kmh=(anomaly_kmh if anomaly_kmh is not None
-                     else data.get("anomaly_kmh", patterns.DEFAULT_ANOMALY_KMH)),
-        missing_fraction=(missing_fraction if missing_fraction is not None
-                          else data.get("missing_fraction", patterns.DEFAULT_MISSING_FRACTION)),
-        date_groups=data.get("date_groups", {}),
-    )
+    cfg = _build_run_config(config_file, {
+        "traces_path": flow_path, "network_path": network_path, "out_dir": out_dir,
+        "anomaly_kmh": anomaly_kmh, "missing_fraction": missing_fraction})
     cfg.validate()
     net = network.load_network(network_path)
     flow = ex.read_matrix_csv(flow_path)

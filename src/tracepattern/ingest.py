@@ -284,15 +284,10 @@ def _load_lines(lines, config: ParserConfig):
 _LOADTXT_ROW = re.compile(r" at row (\d+)")
 
 
-def _whole_record(line, config: ParserConfig) -> bool:
-    """True if csv.reader ends a record at the end of ``line``: no quoted
-    field runs on into the next line."""
-    rows = csv.reader([line, ""], delimiter=config.delimiter)
-    try:
-        next(rows, None)
-    except csv.Error:
-        return False
-    return rows.line_num == 1
+def _raising(exc):
+    """An iterator that raises ``exc`` when asked for an item."""
+    raise exc
+    yield
 
 
 def _looks_like_header(fields, config: ParserConfig) -> bool:
@@ -321,88 +316,68 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
     minimum of 1000 rows). A stream that cannot be read or decoded raises
     IngestError.
 
-    Each block of lines is tokenized by np.loadtxt; a line it rejects goes
-    through csv.reader, and so does every line of a block with a line
-    longer than csv's field limit.
-    A first non-blank line holding a ``"`` (a quoted header) goes through
-    csv.reader alone when it is one whole record. Otherwise, from the first
-    line holding a ``"`` on, the rest of the stream goes through
-    csv.reader, since a quoted field may span lines. Either way a row's
+    Each block of lines is read on its own. np.loadtxt tokenizes its lines
+    up to the first one holding a ``"``. One csv.reader then reads the
+    lines np.loadtxt rejects, the block's lines from that ``"`` on, and
+    any lines that a quoted field there carries on into. A block with a
+    line longer than csv's field limit goes to csv.reader whole. A row's
     number is its csv record number.
     """
     if stats is None:
         stats = IngestStats()
     lines = iter(source)
-    records = None  # csv.reader's (row number, fields), from the first '"' on
     chunk: list[TraceBatch] = []
-    first = True
+    first = True  # no record read yet, so the next one may be a header
     row_num = 0  # the last row read
+
+    def csv_rows(block, rejected, q, start):
+        """(field lists, numbers) of the csv records of ``block``'s lines
+        ``rejected`` and of its lines from ``q`` on, read on into ``lines``
+        while a quoted field is open; blank records and a header are skipped."""
+        nonlocal first, row_num
+        reader = csv.reader(itertools.chain((block[i] for i in rejected),
+                                            itertools.islice(block, q, None), lines),
+                            delimiter=config.delimiter)
+        stop = len(rejected) + len(block) - q  # lines of the block
+        rows, kept = [], []
+        for num in itertools.chain((start + i for i in rejected), itertools.count(start + q)):
+            row_num = num - 1  # the last record read in full
+            if reader.line_num >= stop:
+                break
+            fields = next(reader, None)
+            if fields is None:
+                break
+            if fields and not (first and _looks_like_header(fields, config)):
+                rows.append(fields)
+                kept.append(num)
+            first = first and not fields
+        return rows, kept
+
     try:
         while True:
             # a block never crosses a chunk boundary, so the error rate is
             # checked after the same rows as a row-at-a-time reader would
             need = config.chunk_size - sum(map(len, chunk))
-            end = False
-            pairs = records
-            if records is None:
-                size = 1 if first else need  # only the first row can be a header
-                block = []
-                try:
-                    block.extend(itertools.islice(lines, size))
-                finally:
-                    row_num += len(block)
-                start = row_num - len(block) + 1
-                end = len(block) < size
-                quoted = '"' in "".join(block)
-                if quoted and first and _whole_record(block[0], config):
-                    # the first line alone, a quoted header most often: it
-                    # takes csv.reader, and the lines after it np.loadtxt
-                    table, at, rejected = _load_lines([], config)[0], [], [0]
-                else:
-                    if quoted:
-                        q = next(i for i, line in enumerate(block) if '"' in line)
-                        records = enumerate(csv.reader(itertools.chain(block[q:], lines),
-                                                       delimiter=config.delimiter),
-                                            start=start + q)
-                        block, end, row_num = block[:q], False, start + q - 1
-                    table, at, rejected = _load_lines(block, config)
-                first = first and not len(table)
-                batch, failed = _validate(table["driver_id"], table["order_id"],
-                                          table["timestamp"], table["lat"], table["lon"])
-                errors = [(start + at[i], exc) for i, exc in sorted(failed.items())]
-                if rejected:
-                    rows, nums = [], []
-                    for i in rejected:
-                        row_num = start + i - 1  # for a csv.Error on the line
-                        fields = next(csv.reader([block[i]], delimiter=config.delimiter))
-                        if not fields:
-                            continue
-                        if first:
-                            first = False
-                            if _looks_like_header(fields, config):
-                                continue
-                        rows.append(fields)
-                        nums.append(start + i)
-                    row_num = start + len(block) - 1
-                    kept = np.delete(np.asarray(at, dtype=np.int64), list(failed)) + start
-                    batch, errors = _add_rows(batch, errors, kept, rows, nums, config)
-            if pairs is not None:
-                rows, nums = [], []
-                for row_num, fields in pairs:
-                    if not fields:
-                        continue
-                    if first:
-                        first = False
-                        if _looks_like_header(fields, config):
-                            continue
-                    rows.append(fields)
-                    nums.append(row_num)
-                    if len(rows) == need:
-                        break
-                else:
-                    end = end or pairs is records  # csv.reader reached the end of input
-                batch, errors = _parse_rows(rows, config)
-                errors = [(nums[pos], exc) for pos, exc in errors]
+            size = 1 if first else need  # only the first row can be a header
+            start, block = row_num + 1, []
+            try:
+                block.extend(itertools.islice(lines, size))
+            except Exception as exc:  # raised again once the lines read are parsed
+                if not block:
+                    raise
+                lines = _raising(exc)
+            q = len(block)
+            if '"' in "".join(block):
+                q = next(i for i, line in enumerate(block) if '"' in line)
+            table, at, rejected = _load_lines(block[:q], config)
+            first = first and not len(table)
+            batch, failed = _validate(table["driver_id"], table["order_id"],
+                                      table["timestamp"], table["lat"], table["lon"])
+            errors = [(start + at[i], exc) for i, exc in sorted(failed.items())]
+            rows, nums = csv_rows(block, rejected, q, start)
+            if rows:
+                kept = np.delete(np.asarray(at, dtype=np.int64), list(failed)) + start
+                batch, errors = _add_rows(batch, errors, kept, rows, nums, config)
             stats.parsed += len(batch)
             for num, exc in errors:
                 if isinstance(exc, ParseError):
@@ -413,7 +388,7 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
                     stats.samples.append(f"row {num}: {exc}")
             if len(batch):
                 chunk.append(batch)
-            if end:
+            if not block:
                 break
             if len(batch) == need:
                 _check_error_rate(stats, config)

@@ -196,10 +196,14 @@ def analyze_and_write(flow, speed_raw, net, config: RunConfig, done: list, estim
     With ``estimate``, the flow and speed matrices are written too, each
     matrix CSV gets a ``.meta.json`` sidecar, and the second result maps
     every file written to its SHA-256; otherwise it is None. Returns
-    (cleaning, digests).
+    (cleaning, digests). Raises ComparisonError when the two matrices'
+    interval axes differ or a flow road is not in ``net``.
     """
     if flow.intervals != speed_raw.intervals:
         raise ComparisonError("the flow and speed matrices have different interval axes")
+    lacking = next((rid for rid in flow.road_ids if rid not in net.segments), None)
+    if lacking is not None:
+        raise ComparisonError(f"road {lacking} of the flow matrix is not in the network")
     cleaning = patterns.clean_speed_matrix(speed_raw, config.missing_fraction,
                                            config.anomaly_kmh)
     if not estimate:

@@ -324,6 +324,32 @@ class TestAnalyze:
         assert result.exit_code == 1
         assert result.stderr == "error: road 999999 of the matrix is not in the network\n"
 
+    def test_flow_road_not_in_network_exit_1_one_line(self, runner, workspace, tmp_path):
+        with open(os.path.join(workspace["out"], "flow.csv"), newline="") as fh:
+            lines = fh.readlines()
+        road = lines[-1].split(",", 1)[0]
+        lines[-1] = "999999" + lines[-1][len(road):]
+        flow = tmp_path / "flow.csv"
+        flow.write_text("".join(lines), newline="")
+        result = runner.invoke(main, [
+            "analyze", "--flow", str(flow),
+            "--speed", os.path.join(workspace["out"], "speed_raw.csv"),
+            "--network", workspace["net"], "--out", str(tmp_path / "a")])
+        assert result.exit_code == 1
+        assert result.stderr == "error: road 999999 of the flow matrix is not in the network\n"
+
+    def test_unknown_config_key_exit_1_one_line(self, runner, workspace, tmp_path):
+        cfg = tmp_path / "analyze.yaml"
+        cfg.write_text("missing_fraciton: 0.9\n")
+        result = runner.invoke(main, [
+            "analyze", "--flow", os.path.join(workspace["out"], "flow.csv"),
+            "--speed", os.path.join(workspace["out"], "speed_raw.csv"),
+            "--network", workspace["net"], "--out", str(tmp_path / "a"),
+            "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: unknown config keys: ['missing_fraciton']\n"
+        assert not os.path.exists(tmp_path / "a")
+
 
 class TestHeatmap:
     def test_feature_count_and_ratio(self, runner, workspace, tmp_path):

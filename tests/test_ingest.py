@@ -212,7 +212,7 @@ NUMBER_EDGES = [" 12", "1_000", "+5", "1.5", "nan", "inf", "-inf", "1e400", "", 
                 "-7", "x", "253402214399", "253402214400", "99999999999999", str(10 ** 19)]
 fields = {
     "driver_id": st.sampled_from(["d1", "d,2", ""]),
-    "order_id": st.sampled_from(["o1", "o2", 'o"3', ""]),
+    "order_id": st.sampled_from(["o1", "o2", 'o"3', "o\n4", ""]),
     "timestamp": st.sampled_from(["1475280000", "1475283600"] + NUMBER_EDGES)
     | st.integers(-10, 2 ** 70).map(str),
     "lon": st.sampled_from(["104.06", "-180", "180.5"] + NUMBER_EDGES)
@@ -368,12 +368,12 @@ class TestBlockParserEqualsOracle:
         ('"driver_id","order_id","timestamp","lon","lat"\n', 2200),
         ('\n\n"driver_id","order_id","timestamp","lon","lat"\r\n', 2202),
         ('"d""1","o1",1475280000,"104.06",30.65\n', 2200),
-        ('"d1","o\n1",1475280000,104.06,30.65\n', 0),
+        ('"d1","o\n1",1475280000,104.06,30.65\n', 2200),
     ], ids=["quote-all-header", "after-blank-lines", "quoted-first-row",
             "first-record-over-two-lines"])
     def test_quoted_first_line_over_a_plain_body(self, monkeypatch, head, loaded):
-        # a quoted first line that is one whole record takes csv.reader
-        # alone; np.loadtxt still reads the plain lines after it
+        # a quoted first record takes csv.reader alone, also when it runs
+        # over two lines; np.loadtxt still reads the plain lines after it
         lines = valid_lines(2200)
         lines[700] = "d1,o1,x,104.06,30.65\n"
         lines[1500] = "d1,o1,1475280000,104.06\n"
@@ -392,6 +392,30 @@ class TestBlockParserEqualsOracle:
             assert (stats.parse_errors, stats.validation_errors) == (2, 0)
             assert len(loaded_lines) == loaded
 
+    @pytest.mark.parametrize("quoted", ['"d1","o1",1475280000,104.06,30.65\n',
+                                        'd1,"o\n1",1475280000,104.06,30.65\n'],
+                             ids=["one-line", "over-two-lines"])
+    def test_blocks_after_a_quoted_line_are_loaded(self, monkeypatch, quoted):
+        # csv.reader takes the block from the quoted line on; every later
+        # block is np.loadtxt's again
+        lines = valid_lines(5000)
+        lines[2500] = quoted
+        loaded_lines = []
+
+        def load_lines(block, config):
+            loaded_lines.extend(block)
+            return load_lines.real(block, config)
+
+        load_lines.real = ingest._load_lines
+        monkeypatch.setattr(ingest, "_load_lines", load_lines)
+        text = "".join(lines)
+        stats = assert_matches_oracle(text, ParserConfig(chunk_size=1000))
+        assert stats.parsed == 5000 and stats.skipped == 0
+        # blocks of 1 and 999 lines, then of 1000: the quoted line falls in
+        # the block of lines 2000-2999
+        stream = text.splitlines(keepends=True)
+        assert loaded_lines == stream[:2500] + stream[3000:]
+
     def test_line_over_the_field_limit_stops_the_read(self):
         lines = valid_lines(1100)
         lines[600] = "d" * 200_000 + ",o1,1475280000,104.06,30.65\n"
@@ -400,6 +424,27 @@ class TestBlockParserEqualsOracle:
         with pytest.raises(IngestError) as got:
             list(read_chunks(io.StringIO("".join(lines))))
         assert str(got.value) == f"read failure after row 600: {want.value}"
+
+    @pytest.mark.parametrize("cut", [1700, 1602], ids=["between-records", "inside-a-record"])
+    def test_read_failure_names_the_last_record_read(self, cut):
+        # two records over two lines each, in the block that a failing read
+        # cuts short: the rows are counted as csv.reader counts them
+        lines = valid_lines(3000)
+        lines[1500] = lines[1600] = 'd1,"o\n1",1475280000,104.06,30.65\n'
+        stream_lines = "".join(lines).splitlines(keepends=True)
+
+        def stream():
+            yield from stream_lines[:cut]
+            raise OSError("device error")
+
+        records = 0
+        with pytest.raises(OSError):
+            for _ in csv.reader(stream()):
+                records += 1
+        with pytest.raises(IngestError) as got:
+            list(read_chunks(stream(), ParserConfig(chunk_size=1000)))
+        assert str(got.value) == f"read failure after row {records}: device error"
+        assert records == cut - 2
 
     def test_truncated_gzip_names_the_last_row_read(self, tmp_path):
         path = tmp_path / "traces.csv.gz"
