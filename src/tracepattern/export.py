@@ -8,31 +8,27 @@ from __future__ import annotations
 
 import csv
 import datetime
-import gc
 import hashlib
 import io
 import itertools
 import json
-import logging
 import math
 import os
 import shutil
-import tempfile
 import warnings
 
 import numpy as np
 
+from . import parallel
 from .errors import ExportError
 from .ingest import IntervalIndex
 from .patterns import SpatioTemporalMatrix
 
-logger = logging.getLogger(__name__)
-
 
 # Matrix CSV jobs at least this large are split between this process and
-# one forked child when two CPUs are available (see _fork_split). Reading
-# an integer matrix CSV split that way took as long as serially at ~1 MiB
-# and 28% less at 4.7 MiB (2-vCPU Xeon VM).
+# one forked child when two CPUs are available (see parallel.fork_split).
+# Reading an integer matrix CSV split that way took as long as serially at
+# ~1 MiB and 28% less at 4.7 MiB (2-vCPU Xeon VM).
 SPLIT_WRITE_CELLS = 1 << 20
 SPLIT_READ_BYTES = 4 << 20
 _BLOCK = 1 << 20  # bytes per read when joining a child's result
@@ -71,8 +67,8 @@ def write_matrix_csv(matrix: SpatioTemporalMatrix, path, metadata: dict | None =
         with open(path, "ab") as fh:
             shutil.copyfileobj(tmp, fh, _BLOCK)
 
-    if matrix.values.size >= SPLIT_WRITE_CELLS and _two_cpus():
-        _fork_split(lambda: head(n // 2), back, join, lambda: head(n))
+    if matrix.values.size >= SPLIT_WRITE_CELLS and parallel.two_cpus():
+        parallel.fork_split(lambda: head(n // 2), back, join, lambda: head(n))
     else:
         head(n)
     if metadata is not None:
@@ -128,7 +124,7 @@ def read_matrix_csv(path) -> SpatioTemporalMatrix:
                 return body["id"], np.ascontiguousarray(body["v"])
 
             start, stop = len(header.encode("utf-8")), os.fstat(fh.fileno()).st_size
-            if stop - start >= SPLIT_READ_BYTES and _two_cpus():
+            if stop - start >= SPLIT_READ_BYTES and parallel.two_cpus():
                 ids, values = _read_split(path, start, stop, record, serial)
             else:
                 ids, values = serial()
@@ -192,7 +188,7 @@ def _read_split(path, start, stop, record, serial):
             ids[lo:lo + len(rows)], values[lo:lo + len(rows)] = rows["id"], rows["v"]
         return ids, values
 
-    return _fork_split(lambda: _load_lines(path, start, mid, record), back, join, serial)
+    return parallel.fork_split(lambda: _load_lines(path, start, mid, record), back, join, serial)
 
 
 def _load_lines(path, start, stop, record):
@@ -214,48 +210,6 @@ def _load_lines(path, start, stop, record):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return np.loadtxt(lines(), delimiter=",", comments=None, ndmin=1, dtype=record)
-
-
-def _two_cpus():
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2)
-
-
-def _fork_split(front, back, join, serial):
-    """``join(front(), tmp)``, where ``back(tmp)`` runs meanwhile in a forked
-    child and writes its part into ``tmp``, an unlinked temporary file that
-    ``join`` reads from its start. If anything fails, on either side or in
-    ``join``, the result of ``serial()`` instead, so errors are raised by
-    the serial path alone. The child is always reaped before this returns.
-    """
-    status = None
-    try:
-        with tempfile.TemporaryFile() as tmp:
-            pid = os.fork()
-            if pid == 0:  # the child: never return into the caller
-                code = 1
-                try:
-                    gc.disable()  # collecting the parent's garbage could flush its files
-                    back(tmp)
-                    tmp.flush()
-                    code = 0
-                finally:
-                    os._exit(code)
-            try:
-                result = front()
-            finally:
-                try:
-                    status = os.waitpid(pid, 0)[1]
-                except ChildProcessError:  # reaped elsewhere, outcome unknown
-                    pass
-            if status == 0:
-                tmp.seek(0)
-                return join(result, tmp)
-    except Exception as exc:
-        logger.debug("split job failed (%r); serial path", exc)
-    else:
-        logger.debug("split job's child ended with wait status %s; serial path", status)
-    return serial()
 
 
 def export_heatmap(matrix: SpatioTemporalMatrix, network, interval_label: str) -> dict:

@@ -37,7 +37,7 @@ DEFAULT_ERROR_RATE_CEILING = 0.01
 MAX_TIMESTAMP = 253402214400
 
 # Don't trip the error-rate ceiling on a handful of rows.
-_CEILING_MIN_ROWS = 1000
+CEILING_MIN_ROWS = 1000
 
 _EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
 
@@ -178,9 +178,11 @@ def _add_rows(batch, errors, kept, rows, nums, config: ParserConfig):
     whose rows are numbered ``kept``, and its [(number, error)] ``errors``,
     keeping row order in both."""
     more, failed = _parse_rows(rows, config)
-    dropped = [pos for pos, _ in failed]
-    kept = np.concatenate([kept, np.delete(np.asarray(nums, dtype=np.int64), dropped)])
-    batch = TraceBatch.concat([batch, more])[np.argsort(kept, kind="stable")]
+    batch = TraceBatch.concat([batch, more])
+    if kept.size and kept[-1] > nums[0]:  # rows of ``more`` come before some of ``batch``
+        dropped = [pos for pos, _ in failed]
+        kept = np.concatenate([kept, np.delete(np.asarray(nums, dtype=np.int64), dropped)])
+        batch = batch[np.argsort(kept, kind="stable")]
     errors += ((nums[pos], exc) for pos, exc in failed)
     return batch, sorted(errors, key=lambda error: error[0])
 
@@ -300,11 +302,41 @@ def _looks_like_header(fields, config: ParserConfig) -> bool:
         return True
 
 
-def open_trace_file(path):
-    """Open a trace file as a text stream; transparently handles gzip."""
+def open_trace_file(path, start=0, stop=None):
+    """Open a trace file as a text stream; transparently handles gzip.
+
+    ``start`` and ``stop`` limit a plain file to its bytes ``start:stop``
+    (``stop`` None: to its end).
+    """
     if str(path).endswith(".gz"):
         return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", newline="")
-    return open(path, "r", encoding="utf-8", newline="")
+    if start == 0 and stop is None:
+        return open(path, "r", encoding="utf-8", newline="")
+    raw = open(path, "rb", buffering=0)
+    raw.seek(start)
+    if stop is not None:
+        raw = _Head(raw, stop)
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="")
+
+
+class _Head(io.RawIOBase):
+    """The raw file ``raw`` up to its byte ``stop``."""
+
+    def __init__(self, raw, stop):
+        self._raw = raw
+        self._left = max(stop - raw.tell(), 0)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = self._raw.readinto(memoryview(buf)[:self._left])
+        self._left -= n
+        return n
+
+    def close(self):
+        self._raw.close()
+        super().close()
 
 
 def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStats | None = None):
@@ -402,7 +434,7 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
 
 
 def _check_error_rate(stats: IngestStats, config: ParserConfig):
-    if stats.total >= _CEILING_MIN_ROWS:
+    if stats.total >= CEILING_MIN_ROWS:
         rate = stats.skipped / stats.total
         if rate > config.error_rate_ceiling:
             raise DataQualityError(
@@ -412,9 +444,17 @@ def _check_error_rate(stats: IngestStats, config: ParserConfig):
 
 
 def read_chunks_from_path(path, config: ParserConfig = ParserConfig(),
-                          stats: IngestStats | None = None):
-    """read_chunks over a file path, closing the stream when exhausted."""
-    with open_trace_file(path) as stream:
+                          stats: IngestStats | None = None, start=0, stop=None):
+    """read_chunks over a file path, closing the stream when exhausted.
+
+    ``start`` and ``stop`` limit a plain file to its bytes ``start:stop``,
+    which begin at a line start. Past byte 0 the header rule is off: the
+    range is read as if a header line preceded it, so its first line is a
+    row (counted as skipped if malformed), and row numbers count that header.
+    """
+    with open_trace_file(path, start, stop) as stream:
+        if start:
+            stream = itertools.chain([config.delimiter.join(config.columns) + "\n"], stream)
         yield from read_chunks(stream, config, stats)
 
 

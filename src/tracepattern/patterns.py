@@ -115,6 +115,19 @@ class TensorBuilder:
             parts.append(column)
         self.n_points += n
 
+    def add_coded(self, order_ids, order, ts, road, lat, lon):
+        """Append the stored columns of another builder: ``order`` indexes
+        ``order_ids``, that builder's ids in first-seen order, and ``road``
+        indexes the road axis. The ids are coded in that order, so the
+        codes are those ``add`` would give its batches."""
+        columns = self._stored()
+        oidx = self._order_idx
+        codes = np.fromiter((oidx.setdefault(o, len(oidx)) for o in order_ids),
+                            dtype=np.int64, count=len(order_ids))
+        for parts, column in zip(columns, (codes[order], ts, road, lat, lon)):
+            parts.append(column)
+        self.n_points += ts.size
+
     def finalize(self):
         """Build (flow, speed) matrices over the full road x interval grid.
 

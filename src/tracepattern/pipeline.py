@@ -7,19 +7,21 @@ from __future__ import annotations
 
 import csv
 import datetime
+import itertools
 import logging
 import math
 import numbers
 import os
+import stat
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import congestion as cg
 from . import export as ex
-from . import matching, network, patterns
+from . import matching, network, parallel, patterns
 from .errors import ComparisonError, ConfigError, ExportError
-from .ingest import (DEFAULT_CHUNK_SIZE, DEFAULT_ERROR_RATE_CEILING,
+from .ingest import (CEILING_MIN_ROWS, DEFAULT_CHUNK_SIZE, DEFAULT_ERROR_RATE_CEILING,
                      DEFAULT_TZ_OFFSET_S, SECONDS_PER_DAY, SLOTS_PER_DAY, IngestStats,
                      IntervalIndex, ParserConfig, TraceBatch,
                      read_chunks_from_path)
@@ -117,12 +119,18 @@ def resolve_offset(config: RunConfig, net, chunks_iter):
 
 STAGES = ("load_network", "ingest_and_match", "build_tensors", "clean", "analyze", "export")
 
+# A plain trace file of at least this many bytes is parsed and matched on
+# two CPUs when two are available (see ingest_and_match).
+SPLIT_TRACE_BYTES = 8 << 20
+
 
 def run_pipeline(config: RunConfig) -> dict:
     """Execute the full pipeline and write all artifacts to ``out_dir``.
 
     Returns the manifest (also written as ``manifest.json``). A failed run
-    records the stage it failed in as ``failed_stage``.
+    records the stage it failed in as ``failed_stage``. A large plain trace
+    file is parsed and matched on two CPUs (see ``ingest_and_match``); the
+    outputs and the manifest are the same bytes either way.
     """
     config.validate()
     os.makedirs(config.out_dir, exist_ok=True)
@@ -132,29 +140,8 @@ def run_pipeline(config: RunConfig) -> dict:
         net = network.load_network(config.network_path)
         done.append("load_network")
 
-        parser = ParserConfig(chunk_size=config.chunk_size,
-                              error_rate_ceiling=config.error_rate_ceiling)
-        stats = IngestStats()
-        chunks = read_chunks_from_path(config.traces_path, parser, stats)
-        offset, buffered = resolve_offset(config, net, chunks)
-
-        builder = patterns.TensorBuilder(net.ordered_ids(), config.pair_dt_max_s,
-                                         config.tz_offset_s)
-        matched_n = unmatched_n = offset_skipped = 0
-
-        def process(chunk):
-            nonlocal matched_n, unmatched_n, offset_skipped
-            shifted, skipped = matching.apply_offset(chunk, offset)
-            offset_skipped += skipped
-            matched, unmatched = matching.match_batch(shifted, net, config.max_dist_km)
-            matched_n += len(matched)
-            unmatched_n += unmatched
-            builder.add(matched)
-
-        for chunk in buffered:
-            process(chunk)
-        for chunk in chunks:
-            process(chunk)
+        offset, stats, builder, (offset_skipped, matched_n, unmatched_n) = \
+            ingest_and_match(config, net)
         done.append("ingest_and_match")
 
         flow, speed_raw = builder.finalize()
@@ -186,6 +173,125 @@ def run_pipeline(config: RunConfig) -> dict:
         raise
     ex.write_json(manifest, os.path.join(config.out_dir, "manifest.json"))
     return manifest
+
+
+def ingest_and_match(config: RunConfig, net):
+    """Read, correct and match every row of the trace file into a new
+    TensorBuilder. Returns (offset, IngestStats, builder, [offset_skipped,
+    matched, unmatched]).
+
+    When two CPUs are available, a plain (not gzipped) trace file of at
+    least SPLIT_TRACE_BYTES that holds no ``"`` is split at its first line
+    start at or after the middle byte. The offset is resolved from the head
+    of the front half. Then a forked child reads and matches the back half
+    while this process does the front, and the child's rows are added after
+    the front's with their order ids coded in the serial order, so the
+    result is the serial one. The whole file is read again serially, with
+    the offset already resolved, if the back half rejects a row (only the
+    serial path numbers it and checks the error rate after it), if the
+    front half rejects a row before the error rate is first checked, or if
+    anything fails on either side. There is no split if the offset sample
+    does not fit in the front half.
+    """
+    parser = ParserConfig(chunk_size=config.chunk_size,
+                          error_rate_ceiling=config.error_rate_ceiling)
+    mid = _split_byte(config.traces_path)
+    if mid is None:
+        return _ingest_serial(config, net, parser)
+    path = config.traces_path
+    stats = IngestStats()
+    chunks = read_chunks_from_path(path, parser, stats, stop=mid)
+    try:
+        offset, buffered = resolve_offset(config, net, chunks)
+    except Exception as exc:
+        chunks.close()
+        logger.debug("offset from the front half failed (%r); serial path", exc)
+        return _ingest_serial(config, net, parser)
+
+    def front():
+        builder = _new_builder(config, net)
+        counts = _match_into(builder, itertools.chain(buffered, chunks), offset, net, config)
+        if stats.skipped and stats.total < CEILING_MIN_ROWS:
+            raise RuntimeError("rows rejected before the error rate was first checked")
+        return builder, counts
+
+    def back(tmp):
+        back_stats = IngestStats()
+        builder = _new_builder(config, net)
+        counts = _match_into(builder, read_chunks_from_path(path, parser, back_stats, start=mid),
+                             offset, net, config)
+        if back_stats.skipped:
+            raise RuntimeError("the back half rejects rows")
+        np.save(tmp, [back_stats.parsed, *counts])
+        if builder.n_points:
+            # the builder's stored columns, and its order ids in first-seen order
+            for parts in builder._columns:
+                np.save(tmp, np.concatenate(parts))
+            np.save(tmp, np.frombuffer("\n".join(builder._order_idx).encode(), np.uint8))
+
+    def join(front_result, tmp):
+        builder, counts = front_result
+        parsed, *more = np.load(tmp).tolist()
+        if more[1]:
+            columns = [np.load(tmp) for _ in range(5)]
+            ids = np.load(tmp).tobytes().decode().split("\n")
+            builder.add_coded(ids, *columns)
+        stats.parsed += parsed
+        return offset, stats, builder, [a + b for a, b in zip(counts, more)]
+
+    return parallel.fork_split(front, back, join,
+                               lambda: _ingest_serial(config, net, parser, offset))
+
+
+def _split_byte(path):
+    """The first line start at or after the middle byte of ``path``, if it is
+    a plain file of at least SPLIT_TRACE_BYTES holding no ``"`` and two CPUs
+    are available; otherwise None."""
+    if str(path).endswith(".gz") or not parallel.two_cpus():
+        return None
+    info = os.stat(path)  # before opening: opening a FIFO would wait for a writer
+    size = info.st_size
+    if not stat.S_ISREG(info.st_mode) or size < max(SPLIT_TRACE_BYTES, 2):
+        return None
+    with open(path, "rb") as fh:
+        block = bytearray(1 << 20)
+        while n := fh.readinto(block):
+            if block.find(b'"', 0, n) >= 0:
+                return None
+        fh.seek(size // 2 - 1)
+        fh.readline()
+        mid = fh.tell()
+    return mid if mid < size else None
+
+
+def _ingest_serial(config, net, parser, offset=None):
+    """ingest_and_match on one CPU; the offset is resolved unless given."""
+    stats = IngestStats()
+    chunks = read_chunks_from_path(config.traces_path, parser, stats)
+    buffered = []
+    if offset is None:
+        offset, buffered = resolve_offset(config, net, chunks)
+    builder = _new_builder(config, net)
+    counts = _match_into(builder, itertools.chain(buffered, chunks), offset, net, config)
+    return offset, stats, builder, counts
+
+
+def _new_builder(config, net):
+    return patterns.TensorBuilder(net.ordered_ids(), config.pair_dt_max_s, config.tz_offset_s)
+
+
+def _match_into(builder, chunks, offset, net, config):
+    """Correct and match ``chunks`` into ``builder``; returns [offset_skipped,
+    matched, unmatched]."""
+    counts = [0, 0, 0]
+    for chunk in chunks:
+        shifted, skipped = matching.apply_offset(chunk, offset)
+        matched, unmatched = matching.match_batch(shifted, net, config.max_dist_km)
+        builder.add(matched)
+        counts[0] += skipped
+        counts[1] += len(matched)
+        counts[2] += unmatched
+    return counts
 
 
 def analyze_and_write(flow, speed_raw, net, config: RunConfig, done: list, estimate=False):

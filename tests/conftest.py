@@ -1,5 +1,6 @@
 import datetime
 import io
+import os
 import tracemalloc
 from dataclasses import dataclass
 
@@ -198,6 +199,12 @@ def assert_bits_equal(got, want):
     nan = np.isnan(want)
     np.testing.assert_array_equal(np.isnan(got), nan)
     np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def assert_no_child():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def build_tensors(matched_batches, road_ids, pair_dt_max_s=DEFAULT_PAIR_DT_MAX_S):

@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tracepattern import export
+from tracepattern import export, parallel
 from tracepattern.errors import ExportError
 from tracepattern.export import read_matrix_csv, write_matrix_csv
 from tracepattern.ingest import IntervalIndex
 from tracepattern.patterns import SpatioTemporalMatrix
+
+from conftest import assert_no_child
 
 INT64 = np.iinfo(np.int64)
 INT32 = np.iinfo(np.int32)
@@ -216,7 +218,7 @@ def split_jobs(strict=True, cpus=(0, 1)):
     """Split every matrix CSV job, whatever its size, as on a machine with
     the CPUs ``cpus``; yields the mock that counts the forks. With
     ``strict``, a fall back to the serial path fails the test."""
-    real = export._fork_split
+    real = parallel.fork_split
 
     def no_fallback(front, back, join, serial):
         return real(front, back, join, lambda: pytest.fail("fell back to the serial path"))
@@ -227,13 +229,8 @@ def split_jobs(strict=True, cpus=(0, 1)):
         stack.enter_context(mock.patch.object(os, "sched_getaffinity",
                                               return_value=set(cpus)))
         if strict:
-            stack.enter_context(mock.patch.object(export, "_fork_split", no_fallback))
+            stack.enter_context(mock.patch.object(parallel, "fork_split", no_fallback))
         yield stack.enter_context(mock.patch.object(os, "fork", wraps=os.fork))
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def random_matrix(n_roads, n_intervals, integral=False, seed=0):

@@ -198,6 +198,28 @@ class TestReadChunks:
         with open_trace_file(path) as stream, pytest.raises(IngestError):
             read_all(stream)
 
+    def test_byte_ranges(self, tmp_path):
+        """The ranges cut at any line start read the rows of the whole file;
+        the first line of a range past byte 0 is a row, never a header."""
+        text = "driver_id,order_id,timestamp,lon,lat\n" + rows_csv(30)
+        path = tmp_path / "traces.csv"
+        path.write_text(text)
+        whole = as_rows(TraceBatch.concat(list(ingest.read_chunks_from_path(path))))
+        starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"][:-1]
+        for cut in starts[1:]:
+            stats = IngestStats()
+            parts = [ingest.read_chunks_from_path(path, ParserConfig(chunk_size=7), stats, *span)
+                     for span in ((0, cut), (cut, None))]
+            assert as_rows(TraceBatch.concat([c for part in parts for c in part])) == whole
+            assert stats.total == 30
+        bad = "d1,o1,abc,104.0,30.0\n"
+        for text, start, want in ((bad + rows_csv(1), 0, (1, 0)),
+                                  (rows_csv(1) + bad + rows_csv(1), len(rows_csv(1)), (1, 1))):
+            path.write_text(text)
+            stats = IngestStats()
+            list(ingest.read_chunks_from_path(path, ParserConfig(), stats, start))
+            assert (stats.parsed, stats.skipped) == want
+
     @given(chunk_size=st.integers(min_value=1, max_value=50),
            n_rows=st.integers(min_value=0, max_value=120))
     @settings(max_examples=40, deadline=None)

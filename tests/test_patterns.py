@@ -298,6 +298,24 @@ class TestTensorBuilder:
             assert_same_bits(result, results[0])
         assert_matches_oracle(*results[0], rows)
 
+    def test_add_coded_continues_the_first_seen_codes(self, small_net, small_records):
+        """Rows cut in two at any point, the back added as another builder's
+        stored columns, give the bytes of one builder that saw them all."""
+        rows = interleaved(match_batch(small_records, small_net)[0])
+        whole = TensorBuilder(small_net.ordered_ids())
+        whole.add(rows)
+        want = whole.finalize()
+        for cut in (0, 1, len(rows) // 3, len(rows) // 2 + 1, len(rows)):
+            front, back = (TensorBuilder(small_net.ordered_ids()) for _ in range(2))
+            front.add(rows[:cut])
+            for i in range(cut, len(rows), 7):
+                back.add(rows[i:i + 7])
+            if back.n_points:
+                front.add_coded(list(back._order_idx),
+                                *(np.concatenate(parts) for parts in back._columns))
+            assert front.n_points == len(rows)
+            assert_same_bits(front.finalize(), want)
+
     def test_pair_block_edges(self, monkeypatch, small_net, small_records):
         matched_rows, _ = match_batch(small_records, small_net)
         by_block = []
