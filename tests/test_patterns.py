@@ -1,5 +1,6 @@
 import datetime
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -358,6 +359,33 @@ class TestFinalizeMemory:
         assert speed.values.any()
         # the dense grids are small here; the columns dominate
         assert peak < 2.5 * column_bytes + 4 * flow.values.nbytes
+
+    def test_heap_is_trimmed_once_the_parts_are_freed(self, monkeypatch, small_net,
+                                                       small_records):
+        """finalize hands the freed heap back after it drops the chunk parts
+        and before its temporaries; without malloc_trim the result is the same."""
+        rows, _ = match_batch(small_records, small_net)
+
+        def filled():
+            builder = TensorBuilder(small_net.ordered_ids())
+            for i in range(0, len(rows), 7):
+                builder.add(rows[i:i + 7])
+            return builder
+
+        builder = filled()
+        parts = [weakref.ref(p) for column in builder._columns for p in column]
+        alive_at_release = []
+        monkeypatch.setattr(patterns, "_release_freed_heap",
+                            lambda: alive_at_release.append(sum(r() is not None for r in parts)))
+        want = builder.finalize()
+        assert len(parts) > 100 and alive_at_release == [0]
+
+        def no_c_library(name):
+            raise OSError("no C library here")
+
+        monkeypatch.undo()
+        monkeypatch.setattr(patterns.ctypes, "CDLL", no_c_library)
+        assert_same_bits(filled().finalize(), want)
 
 
 class TestFilterMissing:
