@@ -143,9 +143,10 @@ def daily_aggregates(flow: SpatioTemporalMatrix, congestion: CongestionSeries):
         raise ValueError("flow and congestion interval axes differ")
     out = []
     intervals = flow.intervals
+    totals = flow.values.sum(axis=0)  # per interval; integer counts sum exactly in any order
     for day in flow.days():
         cols = [j for j, iv in enumerate(intervals) if iv.day == day]
-        cf = int(flow.values[:, cols].sum())
+        cf = int(totals[cols].sum())
         net = congestion.network[cols]
         defined = ~np.isnan(net)
         partial = len(cols) < SLOTS_PER_DAY or not np.all(defined)

@@ -25,14 +25,6 @@ def haversine(lat1, lon1, lat2, lon2):
     return d
 
 
-def polyline_length_km(vertices):
-    """Haversine sum over consecutive vertices of a (lat, lon) polyline."""
-    v = np.asarray(vertices, dtype=np.float64)
-    if v.shape[0] < 2:
-        return 0.0
-    return float(np.sum(haversine(v[:-1, 0], v[:-1, 1], v[1:, 0], v[1:, 1])))
-
-
 def min_dist_to_subsegments(lat, lon, a_lat, a_lon, b_lat, b_lon):
     """Distances (km) from query points to straight sub-segments.
 

@@ -7,6 +7,7 @@ only and returns exactly what an exhaustive scan would.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -58,13 +59,15 @@ def load_network(path_or_obj) -> RoadNetwork:
     """Load a GeoJSON-style document of LineString features.
 
     Each feature needs a unique integer ``id`` property in the int64 range
-    (duplicate ids are fatal; a float id must be integral);
-    ``free_flow_kmh`` is optional and, if given, a positive finite number.
+    (duplicate ids are fatal, a skipped feature's id included; a float id
+    must be integral); ``free_flow_kmh`` is optional and, if given, a
+    positive finite number. Booleans are neither ids nor numbers.
     Each position is an array of 2 or 3 numbers, [lon, lat] or
     [lon, lat, alt] in degrees, lon in [-180, 180] and lat in [-90, 90];
-    altitude is ignored.
-    Features with fewer than 2 vertices are skipped and counted. A document
-    that is not valid JSON of this shape raises NetworkError.
+    altitude is ignored. A null or missing geometry or coordinates mean no
+    vertices. Features with fewer than 2 vertices or zero length are
+    skipped and counted. A document that is not valid JSON of this shape
+    raises NetworkError.
     """
     if isinstance(path_or_obj, dict):
         doc = path_or_obj
@@ -78,49 +81,50 @@ def load_network(path_or_obj) -> RoadNetwork:
     if not isinstance(features, list):
         raise NetworkError("document has no 'features' array")
 
-    segments: dict[int, RoadSegment] = {}
+    seen = set()
+    ids, polylines, free_flows = [], [], []  # of the features with 2+ vertices
     skipped = 0
     for n, feat in enumerate(features):
         props = feat.get("properties") if isinstance(feat, dict) else None
         if not isinstance(props, dict) or "id" not in props:
             raise NetworkError(f"feature #{n} has no 'properties' object with an 'id'")
         seg_id = _segment_id(props["id"])
-        if seg_id in segments:
+        if seg_id in seen:
             raise NetworkError(f"duplicate segment id {seg_id}")
-        geometry = feat.get("geometry") or {}
-        if not isinstance(geometry, dict):
+        seen.add(seg_id)
+        geometry = feat.get("geometry")
+        if geometry is None:
+            geometry = {}
+        elif not isinstance(geometry, dict):
             raise NetworkError(f"segment {seg_id}: geometry is not an object")
-        coords = geometry.get("coordinates") or []
-        if not isinstance(coords, list):
+        coords = geometry.get("coordinates")
+        if coords is None:
+            coords = []
+        elif not isinstance(coords, list):
             raise NetworkError(f"segment {seg_id}: coordinates are not an array")
         if len(coords) < 2:
             skipped += 1
             logger.warning("segment %d has %d vertices, skipped", seg_id, len(coords))
             continue
         try:
-            polyline = tuple(map(_vertex, coords))
+            polylines.append(tuple(map(_vertex, coords)))
         except ValueError as exc:
             raise NetworkError(f"segment {seg_id}: {exc}") from None
-        length = geo.polyline_length_km(polyline)
-        if length <= 0.0:
-            skipped += 1
-            logger.warning("segment %d has zero length, skipped", seg_id)
-            continue
-        ff = props.get("free_flow_kmh")
-        if ff is not None:
-            try:
-                ff = float(ff)
-            except (TypeError, ValueError):
-                raise NetworkError(f"segment {seg_id}: free_flow_kmh {ff!r} "
-                                   f"is not a number") from None
-            if not 0 < ff < math.inf:
-                raise NetworkError(f"segment {seg_id}: free_flow_kmh must be positive and finite")
-        segments[seg_id] = RoadSegment(seg_id, polyline, length, ff)
+        ids.append(seg_id)
+        free_flows.append(_free_flow(seg_id, props.get("free_flow_kmh")))
 
+    v, n_vert = _flatten(polylines)
+    lengths = _polyline_lengths(v, n_vert)
+    kept = lengths > 0.0
+    for seg_id in itertools.compress(ids, ~kept):
+        logger.warning("segment %d has zero length, skipped", seg_id)
+    skipped += len(ids) - int(np.count_nonzero(kept))
+    segments = {seg_id: RoadSegment(seg_id, polyline, length, ff)
+                for seg_id, polyline, length, ff, keep
+                in zip(ids, polylines, lengths.tolist(), free_flows, kept.tolist()) if keep}
     if segments:
-        lats = [v[0] for s in segments.values() for v in s.polyline]
-        lons = [v[1] for s in segments.values() for v in s.polyline]
-        bbox = (min(lats), min(lons), max(lats), max(lons))
+        v = v[np.repeat(kept, n_vert)]
+        bbox = (*v.min(axis=0).tolist(), *v.max(axis=0).tolist())
     else:
         bbox = (0.0, 0.0, 0.0, 0.0)
     return RoadNetwork(segments, bbox, skipped)
@@ -128,12 +132,29 @@ def load_network(path_or_obj) -> RoadNetwork:
 
 def _segment_id(raw) -> int:
     try:
-        seg_id = int(raw)
+        seg_id = None if isinstance(raw, bool) else int(raw)
     except (TypeError, ValueError, OverflowError):
         seg_id = None
     if seg_id is None or (isinstance(raw, float) and seg_id != raw) or seg_id not in _ID_RANGE:
         raise NetworkError(f"feature id {raw!r} is not an integer in the int64 range")
     return seg_id
+
+
+def _free_flow(seg_id, raw) -> float | None:
+    """The ``free_flow_kmh`` of road ``seg_id``: None or a positive finite float."""
+    if raw is None:
+        return None
+    try:
+        if isinstance(raw, bool):
+            raise TypeError
+        ff = float(raw)
+    except (TypeError, ValueError):
+        raise NetworkError(f"segment {seg_id}: free_flow_kmh {raw!r} is not a number") from None
+    except OverflowError:  # an int beyond the float range
+        ff = math.inf
+    if not 0 < ff < math.inf:
+        raise NetworkError(f"segment {seg_id}: free_flow_kmh must be positive and finite")
+    return ff
 
 
 def _vertex(pos) -> tuple[float, float]:
@@ -145,6 +166,44 @@ def _vertex(pos) -> tuple[float, float]:
     if not (-180 <= pos[0] <= 180 and -90 <= pos[1] <= 90):
         raise ValueError("a position is not a finite lon in [-180, 180] and lat in [-90, 90]")
     return float(pos[1]), float(pos[0])
+
+
+def _flatten(polylines):
+    """(v, n_vert): the vertices of a list of (lat, lon) polylines as one
+    (n, 2) float64 array, polyline after polyline, and each one's vertex count."""
+    n_vert = np.fromiter(map(len, polylines), dtype=np.int64, count=len(polylines))
+    coords = itertools.chain.from_iterable(itertools.chain.from_iterable(polylines))
+    v = np.fromiter(coords, dtype=np.float64, count=2 * int(n_vert.sum()))
+    return v.reshape(-1, 2), n_vert
+
+
+def _subsegments(v, n_vert):
+    """(a, b): the first and last vertex of every straight piece of the
+    flattened polylines, polyline after polyline; each has 2+ vertices."""
+    # vertex k starts a sub-segment unless it ends its polyline
+    starts = np.ones(len(v), dtype=bool)
+    starts[np.cumsum(n_vert) - 1] = False
+    return v[starts], v[np.roll(starts, 1)]
+
+
+def _polyline_lengths(v, n_vert):
+    """The haversine length of each flattened polyline, from one
+    ``geo.haversine`` call over all sub-segments.
+
+    Each polyline's sum is one C-order row of the polylines with its vertex
+    count, so that it is pairwise like ``np.sum`` over that polyline's
+    sub-segments alone; ``np.add.reduceat`` sums in another order.
+    """
+    a, b = _subsegments(v, n_vert)
+    d = geo.haversine(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+    n_sub = n_vert - 1
+    first = np.cumsum(n_sub) - n_sub
+    lengths = np.empty(n_vert.size)
+    # the distinct counts; np.unique would map numpy's sort kernels, 1.4 MB of RSS
+    for n in np.flatnonzero(np.bincount(n_sub)).tolist():
+        rows = np.flatnonzero(n_sub == n)
+        lengths[rows] = d[first[rows, None] + np.arange(n)].sum(axis=1)
+    return lengths
 
 
 def point_to_segment_distance(lat: float, lon: float, seg: RoadSegment) -> float:
@@ -181,16 +240,11 @@ class SpatialIndex:
     """
 
     def __init__(self, net: RoadNetwork):
-        lines = [np.asarray(net.segments[s].polyline, dtype=np.float64)
-                 for s in net.ordered_ids()]
-        n_vert = np.array([len(v) for v in lines], dtype=np.int64)
-        v = np.concatenate(lines) if lines else np.zeros((0, 2))
-        # vertex k starts a sub-segment unless it ends its polyline
-        starts = np.ones(len(v), dtype=bool)
-        starts[np.cumsum(n_vert) - 1] = False
-        a, b = v[starts], v[np.roll(starts, 1)]
+        ids = net.ordered_ids()
+        v, n_vert = _flatten([net.segments[s].polyline for s in ids])
+        a, b = _subsegments(v, n_vert)
         self.a_lat, self.a_lon, self.b_lat, self.b_lon = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
-        self.seg_ids = np.repeat(np.asarray(net.ordered_ids(), dtype=np.int64), n_vert - 1)
+        self.seg_ids = np.repeat(np.asarray(ids, dtype=np.int64), n_vert - 1)
         self.n_sub = len(self.seg_ids)
         self.lat_lo = np.minimum(self.a_lat, self.b_lat)
         self.lat_hi = np.maximum(self.a_lat, self.b_lat)

@@ -310,6 +310,11 @@ def analyze_and_write(flow, speed_raw, net, config: RunConfig, done: list, estim
     lacking = next((rid for rid in flow.road_ids if rid not in net.segments), None)
     if lacking is not None:
         raise ComparisonError(f"road {lacking} of the flow matrix is not in the network")
+    v = flow.values
+    if not (np.min(v, initial=0) >= 0 and np.max(v, initial=0) < np.inf):  # a NaN cell: NaN min
+        i, j = np.argwhere(~((v >= 0) & np.isfinite(v)))[0]
+        raise ComparisonError(f"road {flow.road_ids[i]} of the flow matrix has flow {v[i, j]} "
+                              f"at {flow.intervals[j].label()}, not a finite count >= 0")
     cleaning = patterns.clean_speed_matrix(speed_raw, config.missing_fraction,
                                            config.anomaly_kmh)
     if not estimate:

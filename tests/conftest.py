@@ -1,5 +1,6 @@
 import datetime
 import io
+import math
 import os
 import tracemalloc
 from dataclasses import dataclass
@@ -7,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tracepattern import network
+from tracepattern import geo, network
+from tracepattern.errors import NetworkError
 from tracepattern.ingest import (DEFAULT_TZ_OFFSET_S, IngestStats, IntervalIndex,
                                  ParserConfig, TraceBatch, day_slot, read_chunks)
 from tracepattern.patterns import (DEFAULT_ANOMALY_KMH, DEFAULT_PAIR_DT_MAX_S,
@@ -32,6 +34,73 @@ def batch_from_records(records):
                       np.array([r.timestamp for r in records], dtype=np.int64),
                       np.array([r.lat for r in records], dtype=np.float64),
                       np.array([r.lon for r in records], dtype=np.float64))
+
+
+def polyline_length_km(vertices):
+    """Haversine sum over consecutive vertices of one (lat, lon) polyline:
+    the per-road oracle of the lengths ``network.load_network`` computes."""
+    v = np.asarray(vertices, dtype=np.float64)
+    if v.shape[0] < 2:
+        return 0.0
+    return float(np.sum(geo.haversine(v[:-1, 0], v[:-1, 1], v[1:, 0], v[1:, 1])))
+
+
+def load_network_by_features(doc):
+    """The feature-by-feature oracle of ``network.load_network`` on a parsed
+    document: every check in feature order, one ``polyline_length_km`` per
+    road, and the bbox from Python's min and max."""
+    features = doc.get("features") if isinstance(doc, dict) else None
+    if not isinstance(features, list):
+        raise NetworkError("document has no 'features' array")
+    segments, seen, skipped = {}, set(), 0
+    for n, feat in enumerate(features):
+        props = feat.get("properties") if isinstance(feat, dict) else None
+        if not isinstance(props, dict) or "id" not in props:
+            raise NetworkError(f"feature #{n} has no 'properties' object with an 'id'")
+        seg_id = network._segment_id(props["id"])
+        if seg_id in seen:
+            raise NetworkError(f"duplicate segment id {seg_id}")
+        seen.add(seg_id)
+        geometry = feat.get("geometry")
+        geometry = {} if geometry is None else geometry
+        if not isinstance(geometry, dict):
+            raise NetworkError(f"segment {seg_id}: geometry is not an object")
+        coords = geometry.get("coordinates")
+        coords = [] if coords is None else coords
+        if not isinstance(coords, list):
+            raise NetworkError(f"segment {seg_id}: coordinates are not an array")
+        if len(coords) < 2:
+            skipped += 1
+            continue
+        try:
+            polyline = tuple(map(network._vertex, coords))
+        except ValueError as exc:
+            raise NetworkError(f"segment {seg_id}: {exc}") from None
+        ff = props.get("free_flow_kmh")
+        if ff is not None:
+            try:
+                if isinstance(ff, bool):
+                    raise TypeError
+                ff = float(ff)
+            except (TypeError, ValueError):
+                raise NetworkError(f"segment {seg_id}: free_flow_kmh {ff!r} "
+                                   f"is not a number") from None
+            except OverflowError:
+                ff = math.inf
+            if not 0 < ff < math.inf:
+                raise NetworkError(f"segment {seg_id}: free_flow_kmh must be positive and finite")
+        length = polyline_length_km(polyline)
+        if length <= 0.0:
+            skipped += 1
+            continue
+        segments[seg_id] = network.RoadSegment(seg_id, polyline, length, ff)
+    if segments:
+        lats = [v[0] for s in segments.values() for v in s.polyline]
+        lons = [v[1] for s in segments.values() for v in s.polyline]
+        bbox = (min(lats), min(lons), max(lats), max(lons))
+    else:
+        bbox = (0.0, 0.0, 0.0, 0.0)
+    return network.RoadNetwork(segments, bbox, skipped)
 
 
 def assign_interval(timestamp, tz_offset_s=DEFAULT_TZ_OFFSET_S):

@@ -338,6 +338,24 @@ class TestAnalyze:
         assert result.exit_code == 1
         assert result.stderr == "error: road 999999 of the flow matrix is not in the network\n"
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-1"])
+    def test_flow_cell_not_a_count_exit_1_one_line(self, runner, workspace, tmp_path, cell):
+        with open(os.path.join(workspace["out"], "flow.csv"), newline="") as fh:
+            lines = fh.readlines()
+        label = lines[0].rstrip("\r\n").split(",")[3]
+        cells = lines[2].rstrip("\r\n").split(",")
+        cells[3] = cell
+        lines[2] = ",".join(cells) + "\r\n"
+        flow = tmp_path / "flow.csv"
+        flow.write_text("".join(lines), newline="")
+        result = runner.invoke(main, [
+            "analyze", "--flow", str(flow),
+            "--speed", os.path.join(workspace["out"], "speed_raw.csv"),
+            "--network", workspace["net"], "--out", str(tmp_path / "a")])
+        assert result.exit_code == 1
+        assert result.stderr == (f"error: road {cells[0]} of the flow matrix has flow "
+                                 f"{float(cell)} at {label}, not a finite count >= 0\n")
+
     def test_unknown_config_key_exit_1_one_line(self, runner, workspace, tmp_path):
         cfg = tmp_path / "analyze.yaml"
         cfg.write_text("missing_fraciton: 0.9\n")

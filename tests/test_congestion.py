@@ -354,6 +354,23 @@ class TestDailyAggregates:
             assert agg.dc_mean == pytest.approx(float(np.mean(series.network[cols])),
                                                 rel=1e-12)
 
+    @pytest.mark.parametrize("dtype, n_cols", [(np.int64, 3 * 96), (np.float64, 3 * 96),
+                                               (np.int64, 96 + 37)],
+                             ids=["int64", "integer-float64", "partial-day"])
+    def test_flow_totals_equal_the_per_day_gather(self, dtype, n_cols):
+        net, speeds = toy_network_and_speeds(n_days=3)
+        axis = speeds.intervals[:n_cols]
+        speeds = SpatioTemporalMatrix([0, 1], axis, speeds.values[:, :n_cols])
+        rng = np.random.default_rng(9)
+        values = rng.integers(0, 2**40, (2, n_cols)).astype(dtype)
+        flow = SpatioTemporalMatrix([0, 1], axis, values)
+        aggs = daily_aggregates(flow, score_matrix(speeds, net))
+        assert [a.day for a in aggs] == flow.days()
+        for agg in aggs:
+            cols = [j for j, iv in enumerate(axis) if iv.day == agg.day]
+            assert agg.cf_total == int(flow.values[:, cols].sum())
+            assert agg.partial == (len(cols) < 96)
+
     def test_day_matrices_shapes(self):
         net, speeds = toy_network_and_speeds(n_days=2)
         series = score_matrix(speeds, net)

@@ -14,6 +14,8 @@ from tracepattern.network import (_CELL_DEG, _PAIR_BUDGET, DEFAULT_MAX_DIST_KM,
                                   RoadNetwork, SpatialIndex, load_network,
                                   point_to_segment_distance)
 
+from conftest import load_network_by_features
+
 MERIDIAN_KM_PER_DEG = math.pi / 180.0 * 6378.137  # 111.3194...
 
 
@@ -76,6 +78,19 @@ class TestLoadNetwork:
         with pytest.raises(NetworkError):
             load_network(doc([line(1, [[0, 0], [0, 1]]), line(1, [[1, 0], [1, 1]])]))
 
+    @pytest.mark.parametrize("first", [
+        line(1, [[0, 0]]), line(1, [[0, 1], [0, 1]]), {"properties": {"id": 1}, "geometry": None},
+    ], ids=["one-vertex", "zero-length", "null-geometry"])
+    def test_skipped_feature_id_counts_against_duplicates(self, first):
+        with pytest.raises(NetworkError, match="duplicate segment id 1"):
+            load_network(doc([first, line(1, [[1, 0], [1, 1]])]))
+
+    def test_free_flow_checked_before_the_zero_length_skip(self):
+        with pytest.raises(NetworkError, match="segment 1: free_flow_kmh 'x'"):
+            load_network(doc([line(1, [[0, 1], [0, 1]], free_flow_kmh="x")]))
+        net = load_network(doc([line(1, [[0, 1], [0, 1]], free_flow_kmh=40)]))
+        assert net.segments == {} and net.skipped_features == 1
+
     def test_free_flow_attribute(self):
         net = load_network(doc([line(1, [[0, 0], [0, 1]], free_flow_kmh=55)]))
         assert net.segments[1].free_flow_kmh == 55.0
@@ -127,6 +142,12 @@ class TestLoadNetwork:
         (line(4, ["12", "34"]), "segment 4"),
         (line(4, [[104.0, 30.0, 0.0, 1.0], [104.0, 30.01]]), "segment 4"),
         (line(4, [[104.0, True], [104.0, 30.01]]), "segment 4"),
+        (line(True, [[104.0, 30.0], [104.0, 30.01]]), "feature id True"),
+        (line(4, [[104.0, 30.0], [104.0, 30.01]], free_flow_kmh=True), "free_flow_kmh True"),
+        (line(4, [[104.0, 30.0], [104.0, 30.01]], free_flow_kmh=10**400), "segment 4"),
+        *(({**line(4, []), "geometry": g}, "segment 4: geometry is not an object")
+          for g in (0, "", False, [])),
+        *((line(4, c), "segment 4: coordinates are not an array") for c in (0, "", False, {})),
     ])
     def test_malformed_feature_is_network_error(self, feature, message):
         with pytest.raises(NetworkError, match=message):
@@ -145,9 +166,64 @@ class TestLoadNetwork:
         vertices = {v for seg in net.segments.values() for v in seg.polyline}
         assert vertices <= number_positions(document)
 
+    @given(document=json_documents)
+    @example(document=doc([line(1, [[0, 1], [0, 1]], free_flow_kmh="x")]))
+    @example(document=doc([line(1, [[0, 1], [0, 1]]), line(1, [[0, 1], [0, 2]])]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_feature_oracle(self, document, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "oracle.geojson"
+        path.write_text(json.dumps(document))
+        assert_same_load(str(path), json.loads(path.read_text()))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_polylines_equal_feature_oracle(self, seed):
+        # 2-400 vertices per road, [lon, lat] and [lon, lat, alt] mixed,
+        # some roads of one repeated point
+        rng = np.random.default_rng(seed)
+        feats = []
+        for i in rng.permutation(300).tolist():
+            n = int(rng.integers(2, 401))
+            lon = (rng.uniform(-179, 179) + np.cumsum(rng.uniform(-1e-3, 1e-3, n))).tolist()
+            lat = (rng.uniform(-89, 89) + np.cumsum(rng.uniform(-1e-3, 1e-3, n))).tolist()
+            if rng.random() < 0.05:
+                lon, lat = [lon[0]] * n, [lat[0]] * n
+            alt = rng.uniform(0, 900, n).tolist()
+            coords = [[x, y, z] if rng.random() < 0.5 else [x, y]
+                      for x, y, z in zip(lon, lat, alt)]
+            feats.append(line(i, coords, free_flow_kmh=float(rng.uniform(20, 80))))
+        want = assert_same_load(doc(feats), doc(feats))
+        assert want.skipped_features > 0 and len(want.segments) > 250
+
+    def test_one_haversine_call(self, monkeypatch):
+        calls = []
+        haversine = geo.haversine
+        monkeypatch.setattr(geo, "haversine", lambda *a: calls.append(1) or haversine(*a))
+        coords = [[104.0 + 1e-3 * k, 30.0 + 2e-3 * (k % 3)] for k in range(5)]
+        net = load_network(doc([line(i, coords[:2 + i % 4]) for i in range(1000)]))
+        assert len(net.segments) == 1000 and len(calls) == 1
+
     def test_bbox_covers_vertices(self):
         net = load_network(doc([line(1, [[104.0, 30.0], [104.5, 30.2]])]))
         assert net.bbox == (30.0, 104.0, 30.2, 104.5)
+
+
+def assert_same_load(source, document):
+    """``load_network(source)`` equals ``load_network_by_features(document)``,
+    lengths bit for bit and roads in the same order, or both raise the same
+    NetworkError; returns the network."""
+    try:
+        want = load_network_by_features(document)
+    except NetworkError as exc:
+        with pytest.raises(NetworkError) as got:
+            load_network(source)
+        assert str(got.value) == str(exc)
+        return None
+    got = load_network(source)
+    assert got == want
+    assert list(got.segments) == list(want.segments)
+    assert ([s.length_km.hex() for s in got.segments.values()]
+            == [s.length_km.hex() for s in want.segments.values()])
+    return want
 
 
 class TestPointToSegmentDistance:
