@@ -11,8 +11,7 @@ from .geo import EARTH_RADIUS_KM, haversine
 from .ingest import (IntervalIndex, ParserConfig, TraceBatch, read_chunks,
                      read_chunks_from_path)
 from .matching import OffsetVector, apply_offset, estimate_offset, match_batch
-from .network import (RoadNetwork, RoadSegment, load_network,
-                      point_to_segment_distance)
+from .network import RoadNetwork, RoadSegment, load_network
 from .patterns import (SpatioTemporalMatrix, TensorBuilder, clean_speed_matrix,
                        filter_missing)
 from .pipeline import RunConfig, run_pipeline
@@ -25,7 +24,7 @@ __all__ = [
     "IntervalIndex", "ParserConfig", "TraceBatch", "read_chunks",
     "read_chunks_from_path",
     "OffsetVector", "apply_offset", "estimate_offset", "match_batch",
-    "RoadNetwork", "RoadSegment", "load_network", "point_to_segment_distance",
+    "RoadNetwork", "RoadSegment", "load_network",
     "SpatioTemporalMatrix", "TensorBuilder",
     "clean_speed_matrix", "filter_missing", "RunConfig", "run_pipeline",
     "Scenario", "compare", "generate",

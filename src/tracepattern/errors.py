@@ -37,6 +37,10 @@ class OffsetCapError(TracePatternError):
     """Estimated offset exceeds the plausibility cap."""
 
 
+class TensorKeyError(TracePatternError):
+    """The traces hold more orders than finalize's int64 sort keys can rank."""
+
+
 class ExportError(TracePatternError):
     """Requested export target does not exist in the data, or an exported
     file read back is malformed."""

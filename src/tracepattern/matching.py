@@ -41,9 +41,6 @@ class OffsetVector:
                 f"±{OFFSET_CAP_DEG}° cap; check data/network pairing"
             )
 
-    def negated(self) -> "OffsetVector":
-        return OffsetVector(-self.dlat, -self.dlon)
-
 
 _MIN_GROUP_FRACTION = 0.05
 _ZERO_DISPLACEMENT_DEG = 1e-9

@@ -132,7 +132,7 @@ def load_network(path_or_obj) -> RoadNetwork:
 
 def _segment_id(raw) -> int:
     try:
-        seg_id = None if isinstance(raw, bool) else int(raw)
+        seg_id = None if isinstance(raw, (bool, str)) else int(raw)
     except (TypeError, ValueError, OverflowError):
         seg_id = None
     if seg_id is None or (isinstance(raw, float) and seg_id != raw) or seg_id not in _ID_RANGE:
@@ -204,13 +204,6 @@ def _polyline_lengths(v, n_vert):
         rows = np.flatnonzero(n_sub == n)
         lengths[rows] = d[first[rows, None] + np.arange(n)].sum(axis=1)
     return lengths
-
-
-def point_to_segment_distance(lat: float, lon: float, seg: RoadSegment) -> float:
-    """Minimum distance (km) from a point to a segment's polyline."""
-    v = np.asarray(seg.polyline, dtype=np.float64)
-    d, _ = geo.min_dist_to_subsegments(lat, lon, v[:-1, 0], v[:-1, 1], v[1:, 0], v[1:, 1])
-    return float(np.min(d))
 
 
 def _ranges(starts, counts):

@@ -19,6 +19,7 @@ from itertools import compress
 import numpy as np
 
 from . import geo
+from .errors import TensorKeyError
 from .ingest import (DEFAULT_TZ_OFFSET_S, SLOTS_PER_DAY, IntervalIndex,
                      TraceBatch, day_slot)
 
@@ -70,10 +71,12 @@ class TensorBuilder:
     """Streaming accumulator for the flow and speed matrices.
 
     Batches may arrive in any chunking of the same source order; the
-    result is bit-identical regardless (points are re-sorted per order at
-    finalize, with a stable key, before pair construction). ``finalize``
-    consumes the builder: it frees the stored columns as it goes, and a
-    later ``add`` or ``finalize`` raises ``ValueError``.
+    result is bit-identical regardless (points are re-sorted by one
+    stable (order, timestamp) key at finalize before pair construction).
+    ``finalize`` consumes the builder: it frees the stored columns as it
+    goes, and a later ``add`` or ``finalize`` raises ``ValueError``. It
+    raises ``TensorKeyError`` when the orders times the seconds (or the
+    grid cells) the traces span exceed the int64 range of its sort keys.
     """
 
     def __init__(self, road_ids, pair_dt_max_s: float = DEFAULT_PAIR_DT_MAX_S,
@@ -160,9 +163,13 @@ class TensorBuilder:
         cell += road
         del road
 
-        # speed: mean over consecutive same-order same-road pairs; lexsort
-        # is stable, so equal (order, ts) rows keep their arrival order
-        sort = np.lexsort((ts, order))
+        # speed: mean over consecutive same-order same-road pairs. Rows sort
+        # by one (order, ts) key; the sort is stable, so equal (order, ts)
+        # rows keep their arrival order. Rows that arrive grouped by order
+        # are sorted runs already, which Timsort merges in linear time.
+        t0 = int(ts.min())
+        sort = np.argsort(_packed_key(order, ts, int(ts.max()) - t0 + 1, t0),
+                          kind="stable")
         order = order[sort]
         ts = ts[sort]
         cell = cell[sort]
@@ -194,11 +201,17 @@ class TensorBuilder:
         np.divide(v_sum, v_cnt, out=v_sum, where=v_cnt > 0)
         del v_cnt
 
-        # flow: distinct orders per cell, which does not depend on the row
-        # order; after the speed grids, so the count grid is gone
-        flow = np.zeros(n_cells, dtype=np.int64)
-        cells, counts = _distinct_per_cell(cell, order)
-        flow[cells] = counts
+        # flow: distinct orders per cell. The rows are grouped by order now,
+        # so the (order, cell) key is nearly sorted; the first of each run
+        # of equal keys is one distinct (order, cell). After the speed
+        # grids, so the count grid is gone.
+        key = _packed_key(order, cell, n_cells)
+        del order, cell
+        key.sort(kind="stable")  # Timsort, linear on sorted runs
+        first = np.empty(key.size, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        flow = np.bincount(key[first] % n_cells, minlength=n_cells)
 
         axis = full_interval_axis(datetime.date.fromordinal(day0),
                                   datetime.date.fromordinal(day1))
@@ -233,21 +246,27 @@ def _release_freed_heap():
         pass
 
 
-def _distinct_per_cell(cell, order):
-    """(cells, counts): each occupied cell, ascending, and the number of
-    distinct orders in it. The sort temporaries die on return."""
-    by_cell = np.lexsort((order, cell))
-    order_s = order[by_cell]
-    first = np.ones(order_s.size, dtype=bool)
-    np.not_equal(order_s[1:], order_s[:-1], out=first[1:])
-    del order_s
-    cell_s = cell[by_cell]
-    del by_cell
-    first[1:] |= cell_s[1:] != cell_s[:-1]
-    pairs = cell_s[first]  # one entry per distinct (cell, order), ascending
-    del cell_s, first
-    starts = np.flatnonzero(np.diff(pairs, prepend=-1))
-    return pairs[starts], np.diff(starts, append=pairs.size)
+_KEY_LIMIT = 1 << 63  # int64 keys lie below this
+
+
+def _packed_key(major, minor, n_minor, minor0=0):
+    """``major * n_minor + (minor - minor0)``, one new int64 array built in
+    place. With ``minor - minor0`` in [0, n_minor), its order is that of
+    the (major, minor) pairs.
+
+    Raises TensorKeyError when the largest such key,
+    ``max(major) * n_minor + n_minor - 1``, would not fit in int64.
+    """
+    top = int(major.max()) * n_minor + n_minor - 1
+    if top >= _KEY_LIMIT:
+        raise TensorKeyError(f"{int(major.max()) + 1} orders x {n_minor} values need "
+                             f"sort key {top}, past the largest int64 key "
+                             f"{_KEY_LIMIT - 1}")
+    key = major * (n_minor - 1)  # n_minor is 2**63 at most, with major all 0
+    key += major
+    key -= minor0  # may wrap past int64 and back: the final key fits
+    key += minor
+    return key
 
 
 def missing(values):

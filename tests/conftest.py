@@ -10,10 +10,12 @@ import pytest
 
 from tracepattern import geo, network
 from tracepattern.errors import NetworkError
-from tracepattern.ingest import (DEFAULT_TZ_OFFSET_S, IngestStats, IntervalIndex,
-                                 ParserConfig, TraceBatch, day_slot, read_chunks)
+from tracepattern.ingest import (DEFAULT_TZ_OFFSET_S, SLOTS_PER_DAY, IngestStats,
+                                 IntervalIndex, ParserConfig, TraceBatch, day_slot,
+                                 read_chunks)
+from tracepattern.matching import OffsetVector
 from tracepattern.patterns import (DEFAULT_ANOMALY_KMH, DEFAULT_PAIR_DT_MAX_S,
-                                   TensorBuilder, filter_missing)
+                                   TensorBuilder, filter_missing, full_interval_axis)
 from tracepattern.synth import Scenario, generate, uniform_profile
 
 
@@ -101,6 +103,19 @@ def load_network_by_features(doc):
     else:
         bbox = (0.0, 0.0, 0.0, 0.0)
     return network.RoadNetwork(segments, bbox, skipped)
+
+
+def point_to_segment_distance(lat, lon, seg):
+    """Minimum distance (km) from a point to a segment's polyline: the
+    one-road oracle of ``SpatialIndex.nearest_batch``."""
+    v = np.asarray(seg.polyline, dtype=np.float64)
+    d, _ = geo.min_dist_to_subsegments(lat, lon, v[:-1, 0], v[:-1, 1], v[1:, 0], v[1:, 1])
+    return float(np.min(d))
+
+
+def negated(offset):
+    """The OffsetVector that undoes ``offset``."""
+    return OffsetVector(-offset.dlat, -offset.dlon)
 
 
 def assign_interval(timestamp, tz_offset_s=DEFAULT_TZ_OFFSET_S):
@@ -283,6 +298,57 @@ def build_tensors(matched_batches, road_ids, pair_dt_max_s=DEFAULT_PAIR_DT_MAX_S
     for batch in matched_batches:
         builder.add(batch)
     return builder.finalize()
+
+
+def finalize_by_lexsort(matched, road_ids, pair_dt_max_s=DEFAULT_PAIR_DT_MAX_S,
+                        tz_offset_s=DEFAULT_TZ_OFFSET_S):
+    """(flow, speed, interval axis) of one matched TraceBatch by two
+    lexsorts: the oracle of ``TensorBuilder.finalize``'s packed-key sorts.
+
+    Order ids are coded first-seen. The rows are lexsorted by (order, ts),
+    which is stable, and each pair of consecutive rows of one order and
+    one road, 0 < dt <= ``pair_dt_max_s``, adds its speed to the earlier
+    row's cell in row order. Flow lexsorts the rows by (cell, order) and
+    counts the distinct orders of each cell.
+    """
+    codes = {}
+    order = np.array([codes.setdefault(o, len(codes)) for o in matched.order_id],
+                     dtype=np.int64)
+    ts = matched.timestamp
+    road_axis = np.asarray(sorted(road_ids), dtype=np.int64)
+    day, slot = day_slot(ts, tz_offset_s)
+    day0, day1 = int(day.min()), int(day.max())
+    n_cols = (day1 - day0 + 1) * SLOTS_PER_DAY
+    n_cells = road_axis.size * n_cols
+    road = np.searchsorted(road_axis, matched.road_id)
+    cell = road * n_cols + (day - day0) * SLOTS_PER_DAY + slot
+
+    by_order = np.lexsort((ts, order))
+    o, t, c = order[by_order], ts[by_order], cell[by_order]
+    lat, lon = matched.lat[by_order], matched.lon[by_order]
+    dt = t[1:] - t[:-1]
+    a = np.flatnonzero((o[1:] == o[:-1]) & (dt > 0) & (dt <= pair_dt_max_s)
+                       & (c[1:] // n_cols == c[:-1] // n_cols))
+    b = a + 1
+    speed = np.zeros(n_cells)
+    np.add.at(speed, c[a], geo.haversine(lat[a], lon[a], lat[b], lon[b])
+              / ((t[b] - t[a]) / 3600.0))
+    v_cnt = np.bincount(c[a], minlength=n_cells)
+    np.divide(speed, v_cnt, out=speed, where=v_cnt > 0)
+
+    by_cell = np.lexsort((order, cell))
+    o, c = order[by_cell], cell[by_cell]
+    first = np.ones(o.size, dtype=bool)
+    first[1:] = (o[1:] != o[:-1]) | (c[1:] != c[:-1])
+    pairs = c[first]  # one entry per distinct (cell, order), ascending
+    starts = np.flatnonzero(np.diff(pairs, prepend=-1))
+    flow = np.zeros(n_cells, dtype=np.int64)
+    flow[pairs[starts]] = np.diff(starts, append=pairs.size)
+
+    axis = full_interval_axis(datetime.date.fromordinal(day0),
+                              datetime.date.fromordinal(day1))
+    shape = (road_axis.size, n_cols)
+    return flow.reshape(shape), speed.reshape(shape), axis
 
 
 @pytest.fixture(scope="session")

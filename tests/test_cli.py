@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from tracepattern import export as ex
+from tracepattern import patterns
 from tracepattern.cli import _build_run_config, main
 from tracepattern.errors import ConfigError
 from tracepattern.synth import (Scenario, generate, uniform_profile,
@@ -90,6 +91,19 @@ class TestEstimate:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: read failure")
         assert result.stderr.count("\n") == 1
+
+    def test_sort_key_past_its_bound_exit_1_one_line(self, runner, workspace, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(patterns, "_KEY_LIMIT", 1000)  # no real run gets near 2**63
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "estimate", "--traces", workspace["traces"], "--network", workspace["net"],
+            "--out", str(out), "--offset", "0", "0"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "past the largest int64 key 999\n" in result.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "build_tensors"
 
     def test_timestamp_past_year_9999_is_a_skipped_row(self, runner, workspace, tmp_path):
         lines = workspace["gen"].trace_csv.splitlines()

@@ -9,10 +9,11 @@ from tracepattern.errors import OffsetCapError, OffsetEstimationError
 from tracepattern.ingest import TraceBatch, day_slot
 from tracepattern.matching import (OffsetVector, apply_offset, estimate_offset,
                                    match_batch)
-from tracepattern.network import load_network, point_to_segment_distance
+from tracepattern.network import load_network
 from tracepattern.synth import Scenario, generate, uniform_profile
 
-from conftest import TraceRecord, batch_from_records, parse_all
+from conftest import (TraceRecord, batch_from_records, negated, parse_all,
+                      point_to_segment_distance)
 
 
 def batch(*points, ts=1475280000, order="o1"):
@@ -28,7 +29,7 @@ class TestOffsetVector:
 
     def test_within_cap(self):
         v = OffsetVector(0.002, -0.002)
-        assert v.negated() == OffsetVector(-0.002, 0.002)
+        assert negated(v) == OffsetVector(-0.002, 0.002)
 
 
 class TestApplyOffset:
@@ -55,7 +56,7 @@ class TestApplyOffset:
         b = batch((30.65, 104.06), (30.7, 104.1))
         off = OffsetVector(dlat, dlon)
         fwd, _ = apply_offset(b, off)
-        back, _ = apply_offset(fwd, off.negated())
+        back, _ = apply_offset(fwd, negated(off))
         np.testing.assert_allclose(back.lat, b.lat, rtol=0, atol=1e-12)
         np.testing.assert_allclose(back.lon, b.lon, rtol=0, atol=1e-12)
 

@@ -11,10 +11,9 @@ from tracepattern import geo, network
 from tracepattern.errors import NetworkError
 from tracepattern.matching import _OFFSET_GATE_KM
 from tracepattern.network import (_CELL_DEG, _PAIR_BUDGET, DEFAULT_MAX_DIST_KM,
-                                  RoadNetwork, SpatialIndex, load_network,
-                                  point_to_segment_distance)
+                                  RoadNetwork, SpatialIndex, load_network)
 
-from conftest import load_network_by_features
+from conftest import load_network_by_features, point_to_segment_distance
 
 MERIDIAN_KM_PER_DEG = math.pi / 180.0 * 6378.137  # 111.3194...
 
@@ -148,6 +147,9 @@ class TestLoadNetwork:
         *(({**line(4, []), "geometry": g}, "segment 4: geometry is not an object")
           for g in (0, "", False, [])),
         *((line(4, c), "segment 4: coordinates are not an array") for c in (0, "", False, {})),
+        # a string is no id, not even one that int() parses
+        *((line(raw, [[104.0, 30.0], [104.0, 30.01]]), f"^feature id {raw!r} is not an integer")
+          for raw in ("7", " 8 ", "9_0", "\u0663")),
     ])
     def test_malformed_feature_is_network_error(self, feature, message):
         with pytest.raises(NetworkError, match=message):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracepattern import geo, patterns
+from tracepattern.errors import TensorKeyError
 from tracepattern.ingest import TraceBatch
 from tracepattern.matching import match_batch
 from tracepattern.patterns import (SpatioTemporalMatrix, TensorBuilder,
@@ -15,8 +16,8 @@ from tracepattern.patterns import (SpatioTemporalMatrix, TensorBuilder,
                                    full_interval_axis)
 
 from conftest import (assert_bits_equal, assign_interval, clean_by_rows,
-                      interpolate_missing, odd_grid, repair_anomalies,
-                      sparse_anomalous_grid, traced_peak)
+                      finalize_by_lexsort, interpolate_missing, odd_grid,
+                      repair_anomalies, sparse_anomalous_grid, traced_peak)
 
 DAY = datetime.date(2016, 10, 1)
 LAT, LON = 30.65, 104.06
@@ -327,6 +328,112 @@ class TestTensorBuilder:
             by_block.append(builder.finalize())
         assert np.count_nonzero(by_block[0][1].values) > 3
         assert_same_bits(by_block[1], by_block[0])
+
+
+ROADS = (1, 2, 5)
+MIDNIGHT = 1475308800  # 2016-10-02 00:00 at UTC+8
+steps = st.sampled_from([0, 0, 1, 4, 10, 11, 900])  # seconds to the next ping
+walks = st.lists(st.tuples(steps, st.sampled_from(ROADS)), min_size=1, max_size=10)
+
+
+@st.composite
+def order_streams(draw):
+    """Matched rows of a few orders as one stream, either shuffled or
+    interleaved in runs that keep each order's own row order. A step of
+    0 s repeats a timestamp, often on another road; there is always a
+    single-row order and one order that spans days, whose first two rows
+    share a timestamp on two roads."""
+    rnd = draw(st.randoms(use_true_random=False))
+    span_days = [(0, 1), (0, 2), (3, 2), *draw(walks),
+                 (draw(st.sampled_from([86_400, 2 * 86_400])), 5), *draw(walks)]
+    plans = [(MIDNIGHT - draw(st.integers(0, 60)), span_days),
+             (MIDNIGHT - draw(st.integers(0, 7200)), [(0, draw(st.sampled_from(ROADS)))])]
+    plans += [(MIDNIGHT - draw(st.integers(0, 7200)), w)
+              for w in draw(st.lists(walks, max_size=4))]
+    queues = []
+    for k, (ts, walk) in enumerate(plans):
+        rows = []
+        for step, road in walk:
+            ts += step
+            rows.append((f"o{k}", ts, road, 30.65 + rnd.random() * 0.01,
+                         104.06 + rnd.random() * 0.01))
+        queues.append(rows)
+    if draw(st.booleans()):
+        stream = [row for rows in queues for row in rows]
+        rnd.shuffle(stream)
+    else:
+        stream = []
+        while queues:
+            rows = queues[rnd.randrange(len(queues))]
+            run = rnd.randint(1, 3)
+            stream += rows[:run]
+            del rows[:run]
+            queues = [q for q in queues if q]
+    order, ts, road, lat, lon = zip(*stream)
+    return TraceBatch(np.array(order, dtype=object), np.array(ts, dtype=np.int64),
+                      np.array(lat), np.array(lon), np.array(road, dtype=np.int64))
+
+
+class TestFinalizeEqualsLexsortOracle:
+    """finalize's packed-key sorts give the bits of the two lexsorts."""
+
+    @given(rows=order_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_streams(self, rows):
+        want_flow, want_speed, want_axis = finalize_by_lexsort(rows, ROADS)
+        assert len(want_axis) >= 2 * 96
+        for chunk in (1, 3, len(rows)):
+            builder = TensorBuilder(ROADS)
+            for i in range(0, len(rows), chunk):
+                builder.add(rows[i:i + chunk])
+            flow, speed = builder.finalize()
+            assert flow.intervals == want_axis
+            assert flow.values.dtype == np.int64
+            np.testing.assert_array_equal(flow.values, want_flow)
+            np.testing.assert_array_equal(speed.values.view(np.int64),
+                                          want_speed.view(np.int64))
+
+    def test_on_synthetic(self, small_net, small_records):
+        rows = interleaved(match_batch(small_records, small_net)[0], seed=4)
+        want_flow, want_speed, _ = finalize_by_lexsort(rows, small_net.ordered_ids())
+        builder = TensorBuilder(small_net.ordered_ids())
+        builder.add(rows)
+        flow, speed = builder.finalize()
+        assert np.count_nonzero(want_speed) > 100
+        np.testing.assert_array_equal(flow.values, want_flow)
+        np.testing.assert_array_equal(speed.values.view(np.int64), want_speed.view(np.int64))
+
+
+class TestPackedKey:
+    """Both sort keys of finalize come from one helper with one bound."""
+
+    @pytest.mark.parametrize("top, n_minor, minor0", [
+        (2**62 - 1, 2, 0), (2**31 - 1, 2**32, 0), (2**63 - 1, 1, 0),
+        (2**62 - 1, 2, -5),  # wraps past int64 while it is built
+        (2**31 - 1, 2**32, 1475251200), (0, 2**63, -2**62),
+    ])
+    def test_largest_key_at_the_bound(self, top, n_minor, minor0):
+        key = patterns._packed_key(np.array([0, top]),
+                                   np.array([minor0, minor0 + n_minor - 1]), n_minor, minor0)
+        assert key.dtype == np.int64 and key.tolist() == [0, 2**63 - 1]
+
+    @pytest.mark.parametrize("top, n_minor", [
+        (3074457345618258602, 3),  # largest key exactly 2**63
+        (2**62, 2), (2**31, 2**32), (0, 2**63 + 1),
+    ])
+    def test_one_past_the_bound_raises(self, top, n_minor):
+        with pytest.raises(TensorKeyError) as err:
+            patterns._packed_key(np.array([0, top]), np.array([0, 1]), n_minor)
+        assert str(err.value) == (f"{top + 1} orders x {n_minor} values need sort key "
+                                  f"{top * n_minor + n_minor - 1}, past the largest "
+                                  f"int64 key {2**63 - 1}")
+
+    def test_finalize_raises_past_the_bound(self, monkeypatch):
+        builder = TensorBuilder(ROADS)
+        builder.add(matched([mp(1, 1000, LAT, LON), mp(1, 1005, LAT, LON, order="o2")]))
+        monkeypatch.setattr(patterns, "_KEY_LIMIT", 11)  # orders 0, 1 x 6 s: key 11
+        with pytest.raises(TensorKeyError, match="2 orders x 6 values need sort key 11"):
+            builder.finalize()
 
 
 class TestFinalizeMemory:
