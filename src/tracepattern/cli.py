@@ -8,7 +8,6 @@ analyze (from saved matrices), heatmap, timeseries, synth. Exit codes:
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import os
 import sys
@@ -34,10 +33,7 @@ def _fatal_guard(fn):
         except DataQualityError as exc:
             click.echo(f"data-quality abort: {exc}", err=True)
             sys.exit(2)
-        except (ConfigError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        except TracePatternError as exc:
+        except (TracePatternError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
     return wrapper
@@ -161,9 +157,7 @@ def heatmap(matrix_path, network_path, interval, out_path):
     matrix = ex.read_matrix_csv(matrix_path)
     net = network.load_network(network_path)
     doc = ex.export_heatmap(matrix, net, interval)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    ex.write_json(doc, out_path)
     click.echo(f"wrote {len(doc['features'])} features to {out_path}")
 
 

@@ -72,9 +72,7 @@ def write_matrix_csv(matrix: SpatioTemporalMatrix, path, metadata: dict | None =
     else:
         head(n)
     if metadata is not None:
-        with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
-            json.dump(metadata, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+        write_json(metadata, f"{path}.meta.json")
 
 
 def _write_rows(fh, matrix, lo, hi):
@@ -96,9 +94,10 @@ def read_matrix_csv(path) -> SpatioTemporalMatrix:
 
     Road ids are int64 values returned as Python ints; the cells come back
     as one C-contiguous float64 array, for integer matrices too. A file
-    that is empty or not UTF-8, a header label that is not an interval, a
-    road id outside int64, a cell that is not a number or a row of the
-    wrong length raises ExportError.
+    that is empty or not UTF-8, a header label that is not an interval or
+    not after the label before it, a road id outside int64 or on two rows,
+    a cell that is not a number or a row of the wrong length raises
+    ExportError.
 
     A body of at least SPLIT_READ_BYTES is read on two CPUs: a forked child
     loads the lines from the first line start at or after the middle byte
@@ -115,6 +114,10 @@ def read_matrix_csv(path) -> SpatioTemporalMatrix:
                              for lbl in header.rstrip("\r\n").split(",")[1:]]
             except ValueError as exc:
                 raise ExportError(f"{path} header: {exc}") from None
+            for a, b in zip(intervals, intervals[1:]):
+                if b <= a:
+                    raise ExportError(f"{path} header: {b.label()!r} does not come after "
+                                      f"{a.label()!r}")
             record = np.dtype([("id", np.int64), ("v", np.float64, (len(intervals),))])
 
             def serial():
@@ -132,6 +135,9 @@ def read_matrix_csv(path) -> SpatioTemporalMatrix:
             raise ExportError(f"{path} is not UTF-8 text: {exc}") from None
         except ValueError as exc:
             raise ExportError(_first_bad_line(path, record) or f"{path}: {exc}") from None
+    uniq, count = np.unique(ids, return_counts=True)
+    if uniq.size < ids.size:
+        raise ExportError(f"{path}: road {uniq[np.argmax(count > 1)]} is on two rows")
     return SpatioTemporalMatrix(ids.tolist(), intervals, values)
 
 
@@ -269,9 +275,9 @@ _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
-def render_svg(day_matrix, days, title, y_label,
-               width=900, height=420, margin=60) -> str:
-    """Minimal deterministic SVG line plot, one polyline per day."""
+def render_svg(day_matrix, days, title, y_label) -> str:
+    """Minimal deterministic SVG line plot, 900 x 420 px, one polyline per day."""
+    width, height, margin = 900, 420, 60
     day_matrix = np.asarray(day_matrix, dtype=np.float64)
     n_days, n_slots = day_matrix.shape
     finite = day_matrix[np.isfinite(day_matrix)]
@@ -330,9 +336,12 @@ def sha256_file(path) -> str:
 
 
 def write_json(obj, path):
+    """Write ``obj`` as strict JSON: indented, keys sorted, dates in ISO
+    form, numpy values as Python ones. NaN or an infinity raises ValueError
+    before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _json_default(obj):

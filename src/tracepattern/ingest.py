@@ -306,9 +306,12 @@ def open_trace_file(path, start=0, stop=None):
     """Open a trace file as a text stream; transparently handles gzip.
 
     ``start`` and ``stop`` limit a plain file to its bytes ``start:stop``
-    (``stop`` None: to its end).
+    (``stop`` None: to its end); a byte range of a gzipped file raises
+    ValueError.
     """
     if str(path).endswith(".gz"):
+        if start != 0 or stop is not None:
+            raise ValueError(f"{path}: a gzipped trace file has no byte ranges")
         return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", newline="")
     if start == 0 and stop is None:
         return open(path, "r", encoding="utf-8", newline="")
@@ -448,9 +451,10 @@ def read_chunks_from_path(path, config: ParserConfig = ParserConfig(),
     """read_chunks over a file path, closing the stream when exhausted.
 
     ``start`` and ``stop`` limit a plain file to its bytes ``start:stop``,
-    which begin at a line start. Past byte 0 the header rule is off: the
-    range is read as if a header line preceded it, so its first line is a
-    row (counted as skipped if malformed), and row numbers count that header.
+    which begin at a line start; a gzipped file has no byte ranges
+    (ValueError). Past byte 0 the header rule is off: the range is read as
+    if a header line preceded it, so its first line is a row (counted as
+    skipped if malformed), and row numbers count that header.
     """
     with open_trace_file(path, start, stop) as stream:
         if start:

@@ -41,7 +41,6 @@ class RoadSegment:
 @dataclass
 class RoadNetwork:
     segments: dict  # id -> RoadSegment
-    bbox: tuple  # (min_lat, min_lon, max_lat, max_lon)
     skipped_features: int = 0
     _index: "SpatialIndex" = field(default=None, repr=False, compare=False)
 
@@ -113,8 +112,7 @@ def load_network(path_or_obj) -> RoadNetwork:
         ids.append(seg_id)
         free_flows.append(_free_flow(seg_id, props.get("free_flow_kmh")))
 
-    v, n_vert = _flatten(polylines)
-    lengths = _polyline_lengths(v, n_vert)
+    lengths = _polyline_lengths(*_flatten(polylines))
     kept = lengths > 0.0
     for seg_id in itertools.compress(ids, ~kept):
         logger.warning("segment %d has zero length, skipped", seg_id)
@@ -122,12 +120,7 @@ def load_network(path_or_obj) -> RoadNetwork:
     segments = {seg_id: RoadSegment(seg_id, polyline, length, ff)
                 for seg_id, polyline, length, ff, keep
                 in zip(ids, polylines, lengths.tolist(), free_flows, kept.tolist()) if keep}
-    if segments:
-        v = v[np.repeat(kept, n_vert)]
-        bbox = (*v.min(axis=0).tolist(), *v.max(axis=0).tolist())
-    else:
-        bbox = (0.0, 0.0, 0.0, 0.0)
-    return RoadNetwork(segments, bbox, skipped)
+    return RoadNetwork(segments, skipped)
 
 
 def _segment_id(raw) -> int:

@@ -98,32 +98,28 @@ class TensorBuilder:
 
     def add(self, matched: TraceBatch):
         """Append a batch whose rows ``match_batch`` labeled with road ids."""
-        columns = self._stored()
+        self._stored()
         n = len(matched)
         if n == 0:
             return
-        if matched.road_id is None or not np.isin(matched.road_id, self._road_axis).all():
+        axis = self._road_axis
+        road = None if matched.road_id is None else np.searchsorted(axis, matched.road_id)
+        if road is None or road.max() >= axis.size or (axis[road] != matched.road_id).any():
             raise ValueError("every row needs a road id from the builder's road axis")
-        # int codes in first-seen order, so finalize sums pair speeds in
-        # the same order under any chunking; rows arrive grouped by order,
-        # so only the first row of each run of equal ids is looked up
+        # rows arrive grouped by order, so only the first row of each run of
+        # equal ids is coded
         ids = matched.order_id
         run = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-        oidx = self._order_idx
-        codes = np.fromiter((oidx.setdefault(o, len(oidx)) for o in ids[run]),
-                            dtype=np.int64, count=run.size)
-        order = np.repeat(codes, np.diff(run, append=n))
-        road = np.searchsorted(self._road_axis, matched.road_id)
-        for parts, column in zip(columns, (order, matched.timestamp, road,
-                                           matched.lat, matched.lon)):
-            parts.append(column)
-        self.n_points += n
+        self.add_coded(ids[run], np.repeat(np.arange(run.size), np.diff(run, append=n)),
+                       matched.timestamp, road, matched.lat, matched.lon)
 
     def add_coded(self, order_ids, order, ts, road, lat, lon):
-        """Append the stored columns of another builder: ``order`` indexes
-        ``order_ids``, that builder's ids in first-seen order, and ``road``
-        indexes the road axis. The ids are coded in that order, so the
-        codes are those ``add`` would give its batches."""
+        """Append stored columns: ``order`` indexes ``order_ids`` and ``road``
+        the road axis. Each id of ``order_ids`` in turn that is new to the
+        builder takes the next int code, so codes follow first-seen order
+        and finalize sums pair speeds in the same order under any chunking.
+        ``add`` codes its batches here, and so does the join of another
+        builder's columns with its ids in first-seen order."""
         columns = self._stored()
         oidx = self._order_idx
         codes = np.fromiter((oidx.setdefault(o, len(oidx)) for o in order_ids),

@@ -49,8 +49,8 @@ def polyline_length_km(vertices):
 
 def load_network_by_features(doc):
     """The feature-by-feature oracle of ``network.load_network`` on a parsed
-    document: every check in feature order, one ``polyline_length_km`` per
-    road, and the bbox from Python's min and max."""
+    document: every check in feature order and one ``polyline_length_km``
+    per road."""
     features = doc.get("features") if isinstance(doc, dict) else None
     if not isinstance(features, list):
         raise NetworkError("document has no 'features' array")
@@ -96,13 +96,7 @@ def load_network_by_features(doc):
             skipped += 1
             continue
         segments[seg_id] = network.RoadSegment(seg_id, polyline, length, ff)
-    if segments:
-        lats = [v[0] for s in segments.values() for v in s.polyline]
-        lons = [v[1] for s in segments.values() for v in s.polyline]
-        bbox = (min(lats), min(lons), max(lats), max(lons))
-    else:
-        bbox = (0.0, 0.0, 0.0, 0.0)
-    return network.RoadNetwork(segments, bbox, skipped)
+    return network.RoadNetwork(segments, skipped)
 
 
 def point_to_segment_distance(lat, lon, seg):

@@ -209,6 +209,35 @@ class TestEstimate:
         assert runner.invoke(main, ["estimate", "--config", str(cfg)]).exit_code == 1
 
 
+def _strict_json(path):
+    """The JSON document at ``path``, parsed with NaN and Infinity refused."""
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=no_constant)
+
+
+def test_every_json_output_is_strict(runner, workspace, tmp_path):
+    """estimate's JSON files, sidecars included, and heatmap layers, one of
+    a matrix with NaN and infinite cells, parse as strict JSON."""
+    written = [os.path.join(workspace["out"], name)
+               for name in sorted(os.listdir(workspace["out"])) if name.endswith(".json")]
+    assert len(written) == 6  # fitting, manifest and four matrix sidecars
+    inrix = ex.read_matrix_csv(os.path.join(workspace["out"], "inrix.csv"))
+    inrix.values[:3, 40] = [np.nan, np.inf, -np.inf]
+    ex.write_matrix_csv(inrix, tmp_path / "odd.csv")
+    for matrix in (os.path.join(workspace["out"], "flow.csv"), str(tmp_path / "odd.csv")):
+        out_path = str(tmp_path / (os.path.basename(matrix) + ".geojson"))
+        result = runner.invoke(main, [
+            "heatmap", "--matrix", matrix, "--network", workspace["net"],
+            "--interval", inrix.intervals[40].label(), "--out", out_path])
+        assert result.exit_code == 0, result.output
+        written.append(out_path)
+    for path in written:
+        _strict_json(path)
+
+
 class TestOffset:
     def test_prints_near_zero_for_clean_traces(self, runner, workspace):
         result = runner.invoke(main, ["offset", "--traces", workspace["traces"],
@@ -433,15 +462,17 @@ class TestHeatmap:
             "heatmap", "--matrix", str(path), "--network", workspace["net"],
             "--interval", "2016-10-01T00:15", "--out", str(out_path)])
         assert result.exit_code == 0, result.output
-
-        def no_constant(name):
-            raise ValueError(f"{name} is not JSON")
-
-        doc = json.loads(out_path.read_text(), parse_constant=no_constant)
+        doc = _strict_json(out_path)
         assert doc["properties"]["max_value"] == 4.0
         props = {f["properties"]["road_id"]: f["properties"] for f in doc["features"]}
         assert props[a] == {"road_id": a, "value": None, "ratio": None}
         assert props[b] == {"road_id": b, "value": 2.0, "ratio": 0.5}
+
+
+def _header(rows, *cols):
+    """The header of ``rows`` with the labels of its interval columns ``cols``."""
+    labels = rows[0].split(",")[1:]
+    return ",".join(["road_id", *(labels[c] for c in cols), *labels[len(cols):]])
 
 
 def _with_id(rows, rid):
@@ -458,7 +489,11 @@ class TestMalformedMatrix:
         lambda rows: _with_id(rows, 2**63),
         lambda rows: _with_id(rows, "1.5"),
         lambda rows: _with_id(rows, "\udcff"),
-    ], ids=["cell_x", "short_row", "bad_label", "id_past_int64", "float_id", "not_utf8"])
+        lambda rows: [_header(rows, 0, 2, 1)] + rows[1:],
+        lambda rows: [_header(rows, 0, 1, 1)] + rows[1:],
+        lambda rows: rows[:2] + rows[1:],
+    ], ids=["cell_x", "short_row", "bad_label", "id_past_int64", "float_id", "not_utf8",
+            "labels_swapped", "label_repeated", "road_repeated"])
     @pytest.mark.parametrize("command", ["heatmap", "analyze"])
     def test_exit_1_one_line(self, runner, workspace, tmp_path, edit, command):
         flow = os.path.join(workspace["out"], "flow.csv")

@@ -197,6 +197,44 @@ def test_non_utf8_file_is_export_error(tmp_path):
         read_matrix_csv(path)
 
 
+def with_header(lines, *cols):
+    """``lines`` of a matrix CSV with the labels of its interval columns ``cols``."""
+    labels = lines[0].rstrip(b"\r\n").split(b",")[1:]
+    return [b",".join([b"road_id", *(labels[c] for c in cols), *labels[len(cols):]])
+            + b"\r\n", *lines[1:]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: with_header(lines, 0, 2, 1),
+     r"header: '2016-10-01T00:15' does not come after '2016-10-01T00:30'"),
+    (lambda lines: with_header(lines, 0, 1, 1),
+     r"header: '2016-10-01T00:15' does not come after '2016-10-01T00:15'"),
+    (lambda lines: lines[:2] + lines[1:], "road 100 is on two rows"),        # front half
+    (lambda lines: lines + lines[-1:], "road 139 is on two rows"),           # back half
+    (lambda lines: lines[:-1] + lines[1:2] + lines[-1:], "road 100 is on two rows"),  # both
+], ids=["labels_swapped", "label_repeated", "road_twice_front", "road_twice_back",
+        "road_in_both_halves"])
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_axis_out_of_order_or_repeated_is_export_error(edit, message, split, tmp_path):
+    path = tmp_path / "bad.csv"
+    write_matrix_csv(random_matrix(40, 100), path)
+    path.write_bytes(b"".join(edit(path.read_bytes().splitlines(keepends=True))))
+    with contextlib.ExitStack() as stack:
+        if split:
+            stack.enter_context(split_jobs())
+        with pytest.raises(ExportError, match=message) as err:
+            read_matrix_csv(path)
+    assert str(err.value).startswith(str(path)) and "\n" not in str(err.value)
+
+
+def test_write_json_refuses_nan(tmp_path):
+    with pytest.raises(ValueError):
+        export.write_json({"f2": float("nan")}, tmp_path / "x.json")
+    with pytest.raises(ValueError):
+        export.write_json([np.float64(np.inf)], tmp_path / "y.json")
+    assert os.listdir(tmp_path) == []
+
+
 def test_writer_memory_stays_below_matrix_size(tmp_path):
     rng = np.random.default_rng(0)
     dense = rng.random((500, 1344)) * 100.0

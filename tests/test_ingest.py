@@ -220,6 +220,19 @@ class TestReadChunks:
             list(ingest.read_chunks_from_path(path, ParserConfig(), stats, start))
             assert (stats.parsed, stats.skipped) == want
 
+    @pytest.mark.parametrize("span", [(5, None), (0, 40), (5, 40)])
+    def test_gzip_has_no_byte_ranges(self, span, tmp_path):
+        path = tmp_path / "traces.csv.gz"
+        path.write_bytes(gzip.compress(("driver_id,order_id,timestamp,lon,lat\n"
+                                        + rows_csv(30)).encode()))
+        with pytest.raises(ValueError, match="gzipped trace file has no byte ranges"):
+            open_trace_file(path, *span)
+        stats = IngestStats()
+        with pytest.raises(ValueError, match="gzipped trace file has no byte ranges"):
+            list(ingest.read_chunks_from_path(path, ParserConfig(), stats, *span))
+        assert stats.total == 0
+        assert len(TraceBatch.concat(list(ingest.read_chunks_from_path(path)))) == 30
+
     @given(chunk_size=st.integers(min_value=1, max_value=50),
            n_rows=st.integers(min_value=0, max_value=120))
     @settings(max_examples=40, deadline=None)

@@ -204,10 +204,6 @@ class TestLoadNetwork:
         net = load_network(doc([line(i, coords[:2 + i % 4]) for i in range(1000)]))
         assert len(net.segments) == 1000 and len(calls) == 1
 
-    def test_bbox_covers_vertices(self):
-        net = load_network(doc([line(1, [[104.0, 30.0], [104.5, 30.2]])]))
-        assert net.bbox == (30.0, 104.0, 30.2, 104.5)
-
 
 def assert_same_load(source, document):
     """``load_network(source)`` equals ``load_network_by_features(document)``,
@@ -324,7 +320,7 @@ class TestNearestSegment:
         assert hit[0] == 3
 
     def test_empty_network(self):
-        net = RoadNetwork({}, (0, 0, 0, 0))
+        net = RoadNetwork({})
         assert nearest(net, 30.0, 104.0) is None
         assert nearest(net, 30.0, 104.0, _OFFSET_GATE_KM) is None
 

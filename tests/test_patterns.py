@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import tracemalloc
 import weakref
@@ -249,6 +250,22 @@ class TestTensorBuilder:
             builder.finalize()
         with pytest.raises(ValueError, match="TensorBuilder already finalized"):
             builder.add(matched([mp(2, 2000, LAT, LON)]))
+
+    @pytest.mark.parametrize("road_ids, roads", [
+        ((1, 2, 5), None),    # no road id column
+        ((1, 2, 5), [1, 3]),  # between two axis ids
+        ((1, 2, 5), [2, 0]),  # below the axis
+        ((1, 2, 5), [1, 9]),  # past the axis end
+        ((), [1, 1]),         # an empty axis
+    ], ids=["no_road_ids", "between", "below", "past_end", "empty_axis"])
+    def test_add_rejects_a_road_off_the_axis(self, road_ids, roads):
+        builder = TensorBuilder(road_ids)
+        batch = dataclasses.replace(
+            matched([mp(1, 1000, LAT, LON), mp(1, 1005, LAT, LON)]),
+            road_id=None if roads is None else np.array(roads, dtype=np.int64))
+        with pytest.raises(ValueError, match="a road id from the builder's road axis"):
+            builder.add(batch)
+        assert builder.n_points == 0 and not builder._order_idx
 
     def test_chunk_invariance_on_synthetic(self, small_generated, small_net,
                                            small_records):
