@@ -47,4 +47,5 @@ class ExportError(TracePatternError):
 
 
 class ComparisonError(TracePatternError):
-    """Inputs that must share an axis do not (matrices, or a matrix and the network)."""
+    """Inputs that must share an axis do not (matrices, or a matrix and the
+    network), or hold values the analysis cannot use."""

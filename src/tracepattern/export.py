@@ -32,6 +32,7 @@ from .patterns import SpatioTemporalMatrix
 SPLIT_WRITE_CELLS = 1 << 20
 SPLIT_READ_BYTES = 4 << 20
 _BLOCK = 1 << 20  # bytes per read when joining a child's result
+_ROW_BLOCK = 1 << 15  # cells of the rows _write_rows handles at once
 
 
 def write_matrix_csv(matrix: SpatioTemporalMatrix, path, metadata: dict | None = None):
@@ -40,11 +41,12 @@ def write_matrix_csv(matrix: SpatioTemporalMatrix, path, metadata: dict | None =
     The header is ``road_id`` and the interval labels; each row is a road id
     and its cells, integers for an integer matrix and the shortest
     round-trip ``repr`` of each float otherwise. Lines end in ``\\r\\n``.
-    Rows are formatted one at a time, so no Python copy of the whole matrix
-    is made. Only the nonzero cells are formatted: each row starts as the
-    zero text (``0`` or ``0.0``) and the others are written into their
-    columns. A cell counts as zero only if all its bits are, so ``-0.0``
-    and NaN are formatted like any other value.
+    Rows are formatted a block at a time, so no Python copy of the whole
+    matrix is made. A row with fewer than half its cells nonzero is the
+    all-zero row text with only its nonzero cells formatted and spliced
+    in; any other row has every cell formatted. A cell counts as zero
+    only if all its bits are, so ``-0.0`` and NaN are formatted like any
+    other value.
 
     A matrix of at least SPLIT_WRITE_CELLS cells is written on two CPUs: a
     forked child formats the back half of the rows into a temporary file,
@@ -76,17 +78,44 @@ def write_matrix_csv(matrix: SpatioTemporalMatrix, path, metadata: dict | None =
 
 
 def _write_rows(fh, matrix, lo, hi):
-    """Write rows ``lo:hi`` of ``matrix`` to the text file ``fh``."""
+    """Write rows ``lo:hi`` of ``matrix`` to the text file ``fh``.
+
+    Every cell whose bits are all zero formats to the same text, ``zero``,
+    so ``zeros`` is the text of an all-zero row and cell ``j`` of it
+    starts at ``j * step``. A row with ``2 * k < n`` of its ``n`` cells
+    nonzero is ``zeros`` with the texts of those ``k`` cells spliced in at
+    their offsets; any other row is all its cells formatted and joined. The
+    nonzero cells of a block's sparse rows are found and formatted at
+    once, so such a row costs no numpy call of its own.
+    """
     values = matrix.values
+    n = values.shape[1]
     fmt = str if np.issubdtype(values.dtype, np.integer) else float.__repr__
     zero = fmt(values.dtype.type(0).item())
+    zeros = ",".join([zero] * n)
+    step = len(zero) + 1
     bits = values.view(f"u{values.dtype.itemsize}")
-    for rid, row, row_bits in zip(matrix.road_ids[lo:hi], values[lo:hi], bits[lo:hi]):
-        cells = [zero] * row.size
-        nonzero = np.flatnonzero(row_bits)
-        for col, text in zip(nonzero.tolist(), map(fmt, row[nonzero].tolist())):
-            cells[col] = text
-        fh.write(",".join([str(rid), *cells]) + "\r\n")
+    rows = max(1, _ROW_BLOCK // max(n, 1))
+    for b in range(lo, hi, rows):
+        e = min(b + rows, hi)
+        nonzero = bits[b:e] != 0
+        counts = np.count_nonzero(nonzero, axis=1)
+        sparse = 2 * counts < n
+        nonzero[~sparse] = False
+        flat = np.flatnonzero(nonzero)
+        cells = zip((flat % n * step).tolist(), map(fmt, np.take(values[b:e], flat).tolist()))
+        for row, rid, k, spliced in zip(range(b, e), matrix.road_ids[b:e], counts.tolist(),
+                                        sparse.tolist()):
+            if not spliced:
+                fh.write(",".join([str(rid), *map(fmt, values[row].tolist())]) + "\r\n")
+                continue
+            parts = [str(rid), ","]
+            pos = 0
+            for off, text in itertools.islice(cells, k):
+                parts += (zeros[pos:off], text)
+                pos = off + len(zero)
+            parts += (zeros[pos:], "\r\n")
+            fh.write("".join(parts))
 
 
 def read_matrix_csv(path) -> SpatioTemporalMatrix:

@@ -143,7 +143,6 @@ class TensorBuilder:
                                          np.zeros((n_rows, 0), dtype=np.int64)),
                     SpatioTemporalMatrix(self.road_ids, axis, np.zeros((n_rows, 0))))
         order, ts, road, lat, lon = (_take_concat(parts) for parts in columns)
-        _release_freed_heap()
 
         day, slot = day_slot(ts, self.tz_offset_s)
         day0 = int(day.min())
@@ -219,9 +218,11 @@ _PAIR_BLOCK = 1 << 17  # pairs whose speeds are evaluated at once in finalize
 
 
 def _take_concat(parts):
-    """One array of the chunk parts, emptying ``parts`` so they can be freed."""
+    """One array of the chunk parts, emptying ``parts`` so they can be freed,
+    and then handing the freed heap back."""
     whole = np.concatenate(parts)
     parts.clear()
+    _release_freed_heap()
     return whole
 
 
@@ -229,12 +230,13 @@ def _release_freed_heap():
     """Hand the pages of freed malloc blocks back to the OS (glibc's
     ``malloc_trim``; elsewhere nothing happens).
 
-    The chunk parts that finalize has just concatenated and freed are most
-    of the builder's bytes, in blocks between small live objects on the
-    heap. glibc keeps such pages resident, and whether the column-sized
-    temporaries that follow reuse them depends on the process's allocation
-    history (the string hash seed is enough to change it), so without this
-    the peak RSS of one input moved by up to 12 MB from run to run.
+    The chunk parts of a column that finalize has just concatenated and
+    freed are a fifth of the builder's bytes, in blocks between small live
+    objects on the heap. glibc keeps such pages resident, and whether the
+    next column's join and the temporaries after the joins reuse them
+    depends on the process's allocation history (the string hash seed is
+    enough to change it), so without this the peak RSS of one input moved
+    by up to 12 MB from run to run.
     """
     try:
         ctypes.CDLL(None).malloc_trim(0)

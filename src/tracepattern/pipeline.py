@@ -303,7 +303,8 @@ def analyze_and_write(flow, speed_raw, net, config: RunConfig, done: list, estim
     matrix CSV gets a ``.meta.json`` sidecar, and the second result maps
     every file written to its SHA-256; otherwise it is None. Returns
     (cleaning, digests). Raises ComparisonError when the two matrices'
-    interval axes differ or a flow road is not in ``net``.
+    interval axes differ, a flow road is not in ``net``, a flow cell is
+    not a finite count >= 0 or a fitting index is not finite.
     """
     if flow.intervals != speed_raw.intervals:
         raise ComparisonError("the flow and speed matrices have different interval axes")
@@ -353,7 +354,9 @@ def analyze_and_write(flow, speed_raw, net, config: RunConfig, done: list, estim
 
 def analyze(flow, cleaned_speeds, net, config: RunConfig) -> dict:
     """Congestion scores, daily aggregates, and per-scenario fitting
-    indices (raw and after per-day min-max normalization)."""
+    indices (raw and after per-day min-max normalization). Raises
+    ComparisonError when a fitting index is not finite, as when a series
+    is too large to square in float64."""
     scores = cg.score_matrix(cleaned_speeds, net, config.anomaly_kmh)
     daily = cg.daily_aggregates(flow, scores)
     fitting = {}
@@ -371,9 +374,13 @@ def analyze(flow, cleaned_speeds, net, config: RunConfig) -> dict:
         for label, mat in (("dc", dc[rows]), ("cf", cf[rows])):
             if np.isnan(mat).any():
                 continue
-            fit = cg.fitting_index(mat)
-            norm = np.stack([cg.min_max_normalize(r)[0] for r in mat])
-            fit_n = cg.fitting_index(norm)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                fit = cg.fitting_index(mat)
+                norm = np.stack([cg.min_max_normalize(r)[0] for r in mat])
+                fit_n = cg.fitting_index(norm)
+            if not (math.isfinite(fit.value) and math.isfinite(fit_n.value)):
+                raise ComparisonError(f"f2 of the {label} series of date group {group!r} "
+                                      "is not finite: its squares overflow float64")
             entry[label] = {"f2": fit.value, "degenerate": fit.degenerate,
                             "f2_normalized": fit_n.value,
                             "degenerate_normalized": fit_n.degenerate}

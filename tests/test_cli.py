@@ -1,6 +1,7 @@
 import gzip
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,26 @@ class TestEstimate:
         assert "past the largest int64 key 999\n" in result.stderr
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failed_stage"] == "build_tensors"
+
+    def test_f2_overflow_exit_1_one_line(self, runner, workspace, tmp_path, monkeypatch):
+        finalize = patterns.TensorBuilder.finalize
+
+        def huge_flow(builder):
+            flow, speed = finalize(builder)
+            return patterns.SpatioTemporalMatrix(flow.road_ids, flow.intervals,
+                                                 flow.values * 1e200), speed
+
+        monkeypatch.setattr(patterns.TensorBuilder, "finalize", huge_flow)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "estimate", "--traces", workspace["traces"], "--network", workspace["net"],
+            "--out", str(out), "--offset", "0", "0"])
+        assert result.exit_code == 1
+        assert result.stderr == ("error: f2 of the cf series of date group 'weekend' is not "
+                                 "finite: its squares overflow float64\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "analyze"
+        assert sorted(os.listdir(out)) == ["manifest.json"]
 
     def test_timestamp_past_year_9999_is_a_skipped_row(self, runner, workspace, tmp_path):
         lines = workspace["gen"].trace_csv.splitlines()
@@ -398,6 +419,24 @@ class TestAnalyze:
         assert result.exit_code == 1
         assert result.stderr == (f"error: road {cells[0]} of the flow matrix has flow "
                                  f"{float(cell)} at {label}, not a finite count >= 0\n")
+
+    def test_f2_overflow_exit_1_one_line(self, runner, workspace, tmp_path):
+        """Flow counts times 1e200 are finite, but their squared deviations
+        overflow, so f2 would be inf / inf = NaN."""
+        flow = ex.read_matrix_csv(os.path.join(workspace["out"], "flow.csv"))
+        flow.values *= 1e200
+        ex.write_matrix_csv(flow, tmp_path / "flow.csv")
+        out = tmp_path / "a"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning on stderr either
+            result = runner.invoke(main, [
+                "analyze", "--flow", str(tmp_path / "flow.csv"),
+                "--speed", os.path.join(workspace["out"], "speed_raw.csv"),
+                "--network", workspace["net"], "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == ("error: f2 of the cf series of date group 'weekend' is not "
+                                 "finite: its squares overflow float64\n")
+        assert not (out / "fitting.json").exists()
 
     def test_unknown_config_key_exit_1_one_line(self, runner, workspace, tmp_path):
         cfg = tmp_path / "analyze.yaml"

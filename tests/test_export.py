@@ -104,6 +104,30 @@ def sparse_matrices(draw):
                                 values)
 
 
+NONZERO_INTS = [v for v in SPARSE_INTS if v]
+NONZERO_FLOATS = [v for v in SPARSE_FLOATS + EDGE_FLOATS if np.float64(v).view(np.uint64)]
+
+
+@st.composite
+def switch_matrices(draw):
+    """Rows around the writer's half-density switch: each row of width ``n``
+    has 0, n//2 - 1, n//2, (n + 1)//2 or n cells whose bits are not zero, so
+    a row is spliced into the zero-row text when 2 * count < n and joined
+    whole otherwise."""
+    n = draw(st.integers(0, 13))
+    n_roads = draw(st.integers(1, 6))
+    road_ids = draw(st.lists(ints, min_size=n_roads, max_size=n_roads, unique=True))
+    integral = draw(st.booleans())
+    dtype, nonzero = (np.int64, NONZERO_INTS) if integral else (np.float64, NONZERO_FLOATS)
+    counts = sorted({c for c in (0, n // 2 - 1, n // 2, (n + 1) // 2, n) if c >= 0})
+    values = np.zeros((n_roads, n), dtype)
+    for row in values:
+        k = draw(st.sampled_from(counts))
+        cols = draw(st.permutations(range(n)))[:k]
+        row[cols] = draw(st.lists(st.sampled_from(nonzero), min_size=k, max_size=k))
+    return SpatioTemporalMatrix(road_ids, axis(draw(st.integers(0, 400)), n), values)
+
+
 EDGE_MATRICES = {
     "float_edges": SpatioTemporalMatrix([1, 2], axis(0, 6),
                                         np.array(EDGE_FLOATS).reshape(2, 6)),
@@ -156,6 +180,22 @@ class TestEqualsOracle:
     def test_writer_bytes(self, matrix, tmp_path_factory):
         ours, ref, _ = write_both(matrix, tmp_path_factory.mktemp("w"))
         assert ours == ref
+
+    @given(matrix=switch_matrices(), block=st.sampled_from([1, 7, export._ROW_BLOCK]),
+           split=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_writer_bytes_at_the_half_density_switch(self, matrix, block, split,
+                                                     tmp_path_factory):
+        """Spliced and joined rows, in blocks of one row or more, on one or
+        two CPUs, give the reference bytes."""
+        d = tmp_path_factory.mktemp("h")
+        oracle_write(matrix, d / "oracle.csv")
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(export, "_ROW_BLOCK", block))
+            fork = stack.enter_context(split_jobs()) if split else None
+            write_matrix_csv(matrix, d / "ours.csv")
+        assert fork is None or fork.call_count == 1
+        assert (d / "ours.csv").read_bytes() == (d / "oracle.csv").read_bytes()
 
     @given(matrix=matrices())
     @settings(max_examples=200, deadline=None)

@@ -486,8 +486,9 @@ class TestFinalizeMemory:
 
     def test_heap_is_trimmed_once_the_parts_are_freed(self, monkeypatch, small_net,
                                                        small_records):
-        """finalize hands the freed heap back after it drops the chunk parts
-        and before its temporaries; without malloc_trim the result is the same."""
+        """finalize hands the freed heap back after each column's join, once
+        all of that column's chunk parts are dropped and before the next
+        column's; without malloc_trim the result is the same."""
         rows, _ = match_batch(small_records, small_net)
 
         def filled():
@@ -497,12 +498,14 @@ class TestFinalizeMemory:
             return builder
 
         builder = filled()
-        parts = [weakref.ref(p) for column in builder._columns for p in column]
-        alive_at_release = []
-        monkeypatch.setattr(patterns, "_release_freed_heap",
-                            lambda: alive_at_release.append(sum(r() is not None for r in parts)))
+        parts = [[weakref.ref(p) for p in column] for column in builder._columns]
+        alive_at_release = []  # per column, the parts alive at each trim
+        monkeypatch.setattr(patterns, "_release_freed_heap", lambda: alive_at_release.append(
+            [sum(r() is not None for r in column) for column in parts]))
         want = builder.finalize()
-        assert len(parts) > 100 and alive_at_release == [0]
+        sizes = [len(column) for column in parts]
+        assert len(sizes) == 5 and min(sizes) > 20
+        assert alive_at_release == [[0] * (i + 1) + sizes[i + 1:] for i in range(5)]
 
         def no_c_library(name):
             raise OSError("no C library here")
