@@ -14,7 +14,6 @@ import sys
 
 import click
 import numpy as np
-import yaml
 
 from . import congestion as cg
 from . import export as ex
@@ -42,6 +41,8 @@ def _fatal_guard(fn):
 def _load_config_file(path):
     if path is None:
         return {}
+    import yaml  # only a config file needs it; it costs startup time
+
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):

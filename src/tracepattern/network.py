@@ -81,38 +81,43 @@ def load_network(path_or_obj) -> RoadNetwork:
         raise NetworkError("document has no 'features' array")
 
     seen = set()
-    ids, polylines, free_flows = [], [], []  # of the features with 2+ vertices
+    ids, positions, free_flows = [], [], []  # of the features with 2+ vertices
     skipped = 0
-    for n, feat in enumerate(features):
-        props = feat.get("properties") if isinstance(feat, dict) else None
-        if not isinstance(props, dict) or "id" not in props:
-            raise NetworkError(f"feature #{n} has no 'properties' object with an 'id'")
-        seg_id = _segment_id(props["id"])
-        if seg_id in seen:
-            raise NetworkError(f"duplicate segment id {seg_id}")
-        seen.add(seg_id)
-        geometry = feat.get("geometry")
-        if geometry is None:
-            geometry = {}
-        elif not isinstance(geometry, dict):
-            raise NetworkError(f"segment {seg_id}: geometry is not an object")
-        coords = geometry.get("coordinates")
-        if coords is None:
-            coords = []
-        elif not isinstance(coords, list):
-            raise NetworkError(f"segment {seg_id}: coordinates are not an array")
-        if len(coords) < 2:
-            skipped += 1
-            logger.warning("segment %d has %d vertices, skipped", seg_id, len(coords))
-            continue
-        try:
-            polylines.append(tuple(map(_vertex, coords)))
-        except ValueError as exc:
-            raise NetworkError(f"segment {seg_id}: {exc}") from None
-        ids.append(seg_id)
-        free_flows.append(_free_flow(seg_id, props.get("free_flow_kmh")))
+    try:
+        for n, feat in enumerate(features):
+            props = feat.get("properties") if isinstance(feat, dict) else None
+            if not isinstance(props, dict) or "id" not in props:
+                raise NetworkError(f"feature #{n} has no 'properties' object with an 'id'")
+            seg_id = _segment_id(props["id"])
+            if seg_id in seen:
+                raise NetworkError(f"duplicate segment id {seg_id}")
+            seen.add(seg_id)
+            geometry = feat.get("geometry")
+            if geometry is None:
+                geometry = {}
+            elif not isinstance(geometry, dict):
+                raise NetworkError(f"segment {seg_id}: geometry is not an object")
+            coords = geometry.get("coordinates")
+            if coords is None:
+                coords = []
+            elif not isinstance(coords, list):
+                raise NetworkError(f"segment {seg_id}: coordinates are not an array")
+            if len(coords) < 2:
+                skipped += 1
+                logger.warning("segment %d has %d vertices, skipped", seg_id, len(coords))
+                continue
+            ids.append(seg_id)
+            positions.append(coords)  # checked by _vertices
+            free_flows.append(_free_flow(seg_id, props.get("free_flow_kmh")))
+    except NetworkError:
+        _vertices(ids, positions)  # a bad position in an earlier feature comes first
+        raise
+    v, n_vert = _vertices(ids, positions)
+    ends = np.cumsum(n_vert).tolist()
+    vertices = list(map(tuple, v.tolist()))
+    polylines = [tuple(vertices[end - n:end]) for end, n in zip(ends, n_vert.tolist())]
 
-    lengths = _polyline_lengths(*_flatten(polylines))
+    lengths = _polyline_lengths(v, n_vert)
     kept = lengths > 0.0
     for seg_id in itertools.compress(ids, ~kept):
         logger.warning("segment %d has zero length, skipped", seg_id)
@@ -159,6 +164,40 @@ def _vertex(pos) -> tuple[float, float]:
     if not (-180 <= pos[0] <= 180 and -90 <= pos[1] <= 90):
         raise ValueError("a position is not a finite lon in [-180, 180] and lat in [-90, 90]")
     return float(pos[1]), float(pos[0])
+
+
+def _vertices(ids, positions):
+    """(v, n_vert): the (lat, lon) vertices of the roads ``ids``, whose
+    positions are ``positions``, as one (n, 2) float64 array, road after
+    road, and each road's vertex count. NetworkError naming the first road
+    with a position that ``_vertex`` rejects.
+
+    The positions are checked as one array when all of them are lists or
+    tuples of ints and floats of one length; anything else, and any
+    failure, goes through ``_vertex`` position by position.
+    """
+    n_vert = np.fromiter(map(len, positions), dtype=np.int64, count=len(positions))
+    flat = list(itertools.chain.from_iterable(positions))
+    widths = set(map(len, flat)) if set(map(type, flat)) <= {list, tuple} else None
+    if (widths in ({2}, {3})
+            and set(map(type, itertools.chain.from_iterable(flat))) <= {int, float}):
+        width = widths.pop()
+        try:
+            lon_lat = np.fromiter(itertools.chain.from_iterable(flat), dtype=np.float64,
+                                  count=width * len(flat)).reshape(-1, width)[:, :2]
+        except OverflowError:  # an int beyond the float range
+            pass
+        else:
+            lon, lat = lon_lat.T
+            if ((lon >= -180.0) & (lon <= 180.0) & (lat >= -90.0) & (lat <= 90.0)).all():
+                return lon_lat[:, ::-1].copy(), n_vert
+    polylines = []
+    for seg_id, coords in zip(ids, positions):
+        try:
+            polylines.append(tuple(map(_vertex, coords)))
+        except ValueError as exc:
+            raise NetworkError(f"segment {seg_id}: {exc}") from None
+    return _flatten(polylines)
 
 
 def _flatten(polylines):

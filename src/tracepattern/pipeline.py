@@ -5,14 +5,17 @@ digests; reruns on identical inputs are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
+import gzip
 import itertools
 import logging
 import math
 import numbers
 import os
 import stat
+import tempfile
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -119,8 +122,8 @@ def resolve_offset(config: RunConfig, net, chunks_iter):
 
 STAGES = ("load_network", "ingest_and_match", "build_tensors", "clean", "analyze", "export")
 
-# A plain trace file of at least this many bytes is parsed and matched on
-# two CPUs when two are available (see ingest_and_match).
+# A trace file of at least this many bytes, inflated, is parsed and matched
+# on two CPUs when two are available (see ingest_and_match).
 SPLIT_TRACE_BYTES = 8 << 20
 
 
@@ -128,7 +131,7 @@ def run_pipeline(config: RunConfig) -> dict:
     """Execute the full pipeline and write all artifacts to ``out_dir``.
 
     Returns the manifest (also written as ``manifest.json``). A failed run
-    records the stage it failed in as ``failed_stage``. A large plain trace
+    records the stage it failed in as ``failed_stage``. A large trace
     file is parsed and matched on two CPUs (see ``ingest_and_match``); the
     outputs and the manifest are the same bytes either way.
     """
@@ -180,32 +183,44 @@ def ingest_and_match(config: RunConfig, net):
     TensorBuilder. Returns (offset, IngestStats, builder, [offset_skipped,
     matched, unmatched]).
 
-    When two CPUs are available, a plain (not gzipped) trace file of at
-    least SPLIT_TRACE_BYTES that holds no ``"`` is split at its first line
-    start at or after the middle byte. The offset is resolved from the head
-    of the front half. Then a forked child reads and matches the back half
+    When two CPUs are available, a trace file of at least SPLIT_TRACE_BYTES
+    that holds no ``"`` is split at its first line start at or after the
+    middle byte. A gzipped file is sized by its trailer and first inflated
+    into a temporary plain copy under TMPDIR, which is split instead and
+    deleted before this returns. The offset is resolved from the head of
+    the front half. Then a forked child reads and matches the back half
     while this process does the front, and the child's rows are added after
     the front's with their order ids coded in the serial order, so the
-    result is the serial one. The whole file is read again serially, with
-    the offset already resolved, if the back half rejects a row (only the
-    serial path numbers it and checks the error rate after it), if the
-    front half rejects a row before the error rate is first checked, or if
-    anything fails on either side. There is no split if the offset sample
-    does not fit in the front half.
+    result is the serial one. The trace file itself is read again
+    serially, with the offset already resolved, if the back half rejects a
+    row (only the serial path numbers it and checks the error rate after
+    it), if the front half rejects a row before the error rate is first
+    checked, or if anything fails on either side. There is no split if the
+    offset sample does not fit in the front half or the copy fails. One
+    debug line says which path ran.
     """
     parser = ParserConfig(chunk_size=config.chunk_size,
                           error_rate_ceiling=config.error_rate_ceiling)
-    mid = _split_byte(config.traces_path)
-    if mid is None:
-        return _ingest_serial(config, net, parser)
-    path = config.traces_path
+    with contextlib.ExitStack() as stack:  # deletes a plain copy before a serial read
+        try:
+            path, mid = _split_source(config.traces_path, stack)
+        except _NoSplit as why:
+            logger.debug("ingest on one CPU: %s", why)
+        else:
+            return _ingest_split(config, net, parser, path, mid)
+    return _ingest_serial(config, net, parser)
+
+
+def _ingest_split(config, net, parser, path, mid):
+    """ingest_and_match with ``path``, a plain copy of the trace file or the
+    file itself, split at its byte ``mid``."""
     stats = IngestStats()
     chunks = read_chunks_from_path(path, parser, stats, stop=mid)
     try:
         offset, buffered = resolve_offset(config, net, chunks)
     except Exception as exc:
         chunks.close()
-        logger.debug("offset from the front half failed (%r); serial path", exc)
+        logger.debug("ingest on one CPU: the offset from the front half failed (%r)", exc)
         return _ingest_serial(config, net, parser)
 
     def front():
@@ -237,31 +252,88 @@ def ingest_and_match(config: RunConfig, net):
             ids = np.load(tmp).tobytes().decode().split("\n")
             builder.add_coded(ids, *columns)
         stats.parsed += parsed
+        copy = "" if path == config.traces_path else " of a plain copy of the gzip file"
+        logger.debug("ingest split at byte %d of %d%s", mid, os.path.getsize(path), copy)
         return offset, stats, builder, [a + b for a, b in zip(counts, more)]
 
-    return parallel.fork_split(front, back, join,
-                               lambda: _ingest_serial(config, net, parser, offset))
+    def serial():
+        logger.debug("ingest on one CPU: the split failed")
+        return _ingest_serial(config, net, parser, offset)
+
+    return parallel.fork_split(front, back, join, serial)
+
+
+class _NoSplit(Exception):
+    """Why a trace file is read on one CPU."""
+
+
+def _split_source(path, stack):
+    """(plain file, byte) to split the trace file ``path`` at: ``path``
+    itself and its _split_byte, or for a gzipped file a plain copy that
+    ``stack`` deletes on exit and the copy's _split_byte. Raises _NoSplit
+    unless two CPUs are available and the split can be tried."""
+    if not parallel.two_cpus():
+        raise _NoSplit("one CPU available")
+    if str(path).endswith(".gz"):
+        _split_size(path, gzipped=True)
+        try:
+            copy = stack.enter_context(tempfile.NamedTemporaryFile(
+                prefix="tracepattern-", suffix=".csv"))
+            _inflate(path, copy)
+        except _NoSplit:
+            raise
+        except Exception as exc:  # a truncated or corrupt stream, a full disk
+            raise _NoSplit(f"the gzip copy failed ({exc!r})") from None
+        path = copy.name
+    return path, _split_byte(path)
+
+
+def _split_size(path, gzipped=False):
+    """The size of ``path``, for a gzipped file its inflated size as the
+    trailer gives it (modulo 2**32, and of the last member only). Raises
+    _NoSplit unless it is a regular file and that size is at least
+    SPLIT_TRACE_BYTES."""
+    info = os.stat(path)  # before opening: opening a FIFO would wait for a writer
+    if not stat.S_ISREG(info.st_mode):
+        raise _NoSplit("not a regular file")
+    size = info.st_size
+    if gzipped:
+        with open(path, "rb") as fh:
+            fh.seek(max(size - 4, 0))
+            size = int.from_bytes(fh.read(4), "little") if size >= 18 else 0
+    if size < max(SPLIT_TRACE_BYTES, 2):
+        raise _NoSplit(f"below the size floor of {SPLIT_TRACE_BYTES} bytes")
+    return size
+
+
+def _inflate(path, out):
+    """Write the gzipped file ``path`` inflated into the binary file ``out``;
+    _NoSplit at the first ``"``."""
+    with gzip.open(path, "rb") as fh:
+        block = bytearray(1 << 20)
+        while n := fh.readinto(block):
+            if block.find(b'"', 0, n) >= 0:
+                raise _NoSplit('a " in the file')
+            out.write(memoryview(block)[:n])
+    out.flush()
 
 
 def _split_byte(path):
-    """The first line start at or after the middle byte of ``path``, if it is
-    a plain file of at least SPLIT_TRACE_BYTES holding no ``"`` and two CPUs
-    are available; otherwise None."""
-    if str(path).endswith(".gz") or not parallel.two_cpus():
-        return None
-    info = os.stat(path)  # before opening: opening a FIFO would wait for a writer
-    size = info.st_size
-    if not stat.S_ISREG(info.st_mode) or size < max(SPLIT_TRACE_BYTES, 2):
-        return None
+    """The first line start at or after the middle byte of the plain file
+    ``path``. Raises _NoSplit unless it is a regular file of at least
+    SPLIT_TRACE_BYTES holding no ``"``, with a line start past the middle."""
+    size = _split_size(path)
     with open(path, "rb") as fh:
         block = bytearray(1 << 20)
         while n := fh.readinto(block):
             if block.find(b'"', 0, n) >= 0:
-                return None
+                raise _NoSplit('a " in the file')
         fh.seek(size // 2 - 1)
         fh.readline()
         mid = fh.tell()
-    return mid if mid < size else None
+    if mid >= size:
+        raise _NoSplit("no line start after the middle byte")
+    return mid
 
 
 def _ingest_serial(config, net, parser, offset=None):

@@ -171,6 +171,16 @@ class TestLoadNetwork:
     @given(document=json_documents)
     @example(document=doc([line(1, [[0, 1], [0, 1]], free_flow_kmh="x")]))
     @example(document=doc([line(1, [[0, 1], [0, 1]]), line(1, [[0, 1], [0, 2]])]))
+    # a bad position comes before a later feature's error and its own free flow's
+    @example(document=doc([line(1, [[0, 1], ["1", 2]]), line(1, [[0, 1], [0, 2]])]))
+    @example(document=doc([line(1, [[0, 1], [0, 100]], free_flow_kmh="x")]))
+    @example(document=doc([line(1, [[0, 1], [0, 2]], free_flow_kmh=-1),
+                           line(2, [[True, 1], [0, 2]])]))
+    # positions the array check leaves to _vertex: an altitude beyond the
+    # float range, widths 2 and 3 mixed, a longitude beyond it
+    @example(document=doc([line(1, [[0, 1, 10 ** 400], [0, 2, 0]])]))
+    @example(document=doc([line(1, [[0, 1, 5], [0, 2]]), line(2, [[0, 1], [1, 1]])]))
+    @example(document=doc([line(1, [[0, 1], [-10 ** 400, 2]])]))
     @settings(max_examples=300, deadline=None)
     def test_equals_feature_oracle(self, document, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "oracle.geojson"

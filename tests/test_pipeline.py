@@ -1,16 +1,18 @@
 import contextlib
 import gzip
 import json
+import logging
 import os
 import pathlib
 import shutil
 import signal
+import tempfile
 from unittest import mock
 
 import pytest
 
-from tracepattern import matching, parallel, pipeline
-from tracepattern.errors import DataQualityError
+from tracepattern import matching, network, parallel, pipeline
+from tracepattern.errors import DataQualityError, IngestError
 from tracepattern.ingest import DEFAULT_CHUNK_SIZE
 from tracepattern.pipeline import STAGES, RunConfig, run_pipeline
 from tracepattern.synth import Scenario, generate, uniform_profile, write_scenario
@@ -79,9 +81,10 @@ def split_inputs(tmp_path_factory):
 
 @contextlib.contextmanager
 def split_traces(strict=True, cpus=(0, 1)):
-    """Split every plain trace file, whatever its size, as on a machine with
-    the CPUs ``cpus``; yields the mock that counts the forks. With
-    ``strict``, a fall back to the serial path fails the test."""
+    """Split every trace file, plain or gzipped, whatever its size or its
+    gzip trailer's, as on a machine with the CPUs ``cpus``; yields the mock
+    that counts the forks. With ``strict``, a fall back to the serial path
+    fails the test."""
     real = parallel.fork_split
 
     def no_fallback(front, back, join, serial):
@@ -119,20 +122,34 @@ def outcome(config):
     return error, stats, files
 
 
+@contextlib.contextmanager
+def temp_dir(path):
+    """TMPDIR pointed at the new directory ``path``; asserts it is empty
+    at the end."""
+    path.mkdir()
+    with mock.patch.dict(os.environ, TMPDIR=str(path)), \
+            mock.patch.object(tempfile, "tempdir", None):  # read TMPDIR again
+        yield
+    assert not list(path.iterdir())
+
+
 def split_equals_serial(trace, net_path, tmp_path, forks=1, cpus=(0, 1), strict=True,
-                        name="traces.csv", **settings):
-    """Write ``trace`` and run it serially and then split, into the same
-    ``out_dir``; asserts the same error, stats and bytes, and ``forks``
-    forks. Returns the serial outcome."""
+                        name="traces.csv", gz=None, **settings):
+    """Write ``trace`` (or the gzip file ``gz``, for a name ending in .gz)
+    and run it serially and then split, into the same ``out_dir``, with
+    TMPDIR in ``tmp_path``; asserts the same error, stats and bytes,
+    ``forks`` forks and an empty TMPDIR after each run. Returns the serial
+    outcome."""
     path = tmp_path / name
     if name.endswith(".gz"):
-        path.write_bytes(gzip.compress(trace))
+        path.write_bytes(gzip.compress(trace) if gz is None else gz)
     else:
         path.write_bytes(trace)
     config = RunConfig(traces_path=str(path), network_path=net_path,
                        out_dir=str(tmp_path / "out"), **settings)
-    serial = outcome(config)
-    with split_traces(strict, cpus) as fork:
+    with temp_dir(tmp_path / "serial-tmp"):
+        serial = outcome(config)
+    with temp_dir(tmp_path / "split-tmp"), split_traces(strict, cpus) as fork:
         split = outcome(config)
     assert fork.call_count == forks
     assert_no_child()
@@ -162,6 +179,23 @@ def quote_order_id(line):
     fields = line.split(b",")
     fields[1] = b'"' + fields[1] + b'"'
     return b",".join(fields)
+
+
+@contextlib.contextmanager
+def child_fails(how):
+    """A forked child raises (``how`` "raise") or is killed ("kill") in its
+    first match_batch."""
+    parent, real = os.getpid(), matching.match_batch
+
+    def fails_in_child(*args):
+        if os.getpid() != parent:
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("the child fails")
+        return real(*args)
+
+    with mock.patch.object(matching, "match_batch", fails_in_child):
+        yield
 
 
 def with_lines(trace, edits):
@@ -207,6 +241,15 @@ class TestSplitEqualsSerial:
             (tmp_path / "t.csv").write_bytes(trace)
             assert pipeline._split_byte(str(tmp_path / "t.csv")) == start
         split_equals_serial(trace, net_path, tmp_path, chunk_size=7)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, DEFAULT_CHUNK_SIZE])
+    def test_gzip_input(self, chunk_size, split_inputs, tmp_path):
+        """Split through a plain copy in TMPDIR, deleted after the run."""
+        net_path, trace = split_inputs
+        error, _, files = split_equals_serial(trace, net_path, tmp_path, chunk_size=chunk_size,
+                                              name="traces.csv.gz")
+        assert error is None
+        assert json.loads(files["manifest.json"])["config"]["traces_path"].endswith(".csv.gz")
 
     def test_explicit_offset(self, split_inputs, tmp_path):
         net_path, trace = split_inputs
@@ -272,10 +315,6 @@ class TestSplitFallsBack:
         error, _, _ = split_equals_serial(trace, net_path, tmp_path, forks=0)
         assert error is None
 
-    def test_gzip_input(self, split_inputs, tmp_path):
-        net_path, trace = split_inputs
-        split_equals_serial(trace, net_path, tmp_path, forks=0, name="traces.csv.gz")
-
     def test_one_cpu(self, split_inputs, tmp_path):
         net_path, trace = split_inputs
         split_equals_serial(trace, net_path, tmp_path, forks=0, cpus=(0,))
@@ -284,16 +323,7 @@ class TestSplitFallsBack:
     def test_failed_child(self, how, split_inputs, tmp_path):
         """A child that exits 1 or is killed."""
         net_path, trace = split_inputs
-        parent, real = os.getpid(), matching.match_batch
-
-        def fails_in_child(*args):
-            if os.getpid() != parent:
-                if how == "kill":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise RuntimeError("the child fails")
-            return real(*args)
-
-        with mock.patch.object(matching, "match_batch", fails_in_child):
+        with child_fails(how):
             split_equals_serial(trace, net_path, tmp_path, strict=False)
 
     def test_offset_sample_larger_than_the_front_half(self, split_inputs, tmp_path):
@@ -302,3 +332,135 @@ class TestSplitFallsBack:
         error, _, _ = split_equals_serial(trace, net_path, tmp_path, forks=0,
                                           offset_sample_size=4000)
         assert error is None
+
+
+class TestGzipSplitFallsBack:
+    """Whatever makes the split of a gzipped trace file give up, the
+    outcome is the serial one, and the plain copy in TMPDIR is gone."""
+
+    def test_truncated_stream(self, split_inputs, tmp_path):
+        net_path, trace = split_inputs
+        gz = gzip.compress(trace)
+        error, stats, files = split_equals_serial(trace, net_path, tmp_path, forks=0,
+                                                  name="traces.csv.gz", gz=gz[:len(gz) // 2])
+        assert error[0] is IngestError and "read failure after row" in error[1]
+        assert stats == []
+        assert json.loads(files["manifest.json"])["failed_stage"] == "ingest_and_match"
+
+    @pytest.mark.parametrize("where", [0.25, 0.75], ids=["front", "back"])
+    def test_non_utf8_byte_in_either_half(self, where, split_inputs, tmp_path):
+        """Past the offset sample, so the front half raises after the fork."""
+        net_path, trace = split_inputs
+        i = int(trace.count(b"\n") * where)
+        assert 1000 < i
+        trace = with_lines(trace, [(i, lambda line: b"\xff" + line[1:])])
+        error, _, _ = split_equals_serial(trace, net_path, tmp_path, strict=False, chunk_size=7,
+                                          name="traces.csv.gz")
+        assert error[0] is IngestError and "can't decode byte 0xff" in error[1]
+
+    @pytest.mark.parametrize("where", [0.25, 0.75], ids=["front", "back"])
+    def test_quote_in_either_half(self, where, split_inputs, tmp_path):
+        net_path, trace = split_inputs
+        trace = with_lines(trace, [(int(trace.count(b"\n") * where), quote_order_id)])
+        error, _, _ = split_equals_serial(trace, net_path, tmp_path, forks=0,
+                                          name="traces.csv.gz")
+        assert error is None
+
+    def test_copy_stops_at_the_first_quote(self, tmp_path):
+        data = b"x\n" * (1 << 21) + b'"\n' + b"x\n" * (1 << 21)
+        path, copy = tmp_path / "traces.csv.gz", tmp_path / "copy.csv"
+        path.write_bytes(gzip.compress(data))
+        with open(copy, "wb") as out, pytest.raises(pipeline._NoSplit, match='a " in the file'):
+            pipeline._inflate(str(path), out)
+        assert copy.stat().st_size <= data.index(b'"')
+
+    def test_one_cpu(self, split_inputs, tmp_path):
+        net_path, trace = split_inputs
+        with mock.patch.object(pipeline, "_inflate", wraps=pipeline._inflate) as inflate:
+            split_equals_serial(trace, net_path, tmp_path, forks=0, cpus=(0,),
+                                name="traces.csv.gz")
+        assert inflate.call_count == 0
+
+    @pytest.mark.parametrize("how", ["raise", "kill"])
+    def test_failed_child(self, how, split_inputs, tmp_path):
+        net_path, trace = split_inputs
+        with child_fails(how):
+            split_equals_serial(trace, net_path, tmp_path, strict=False, name="traces.csv.gz")
+
+
+def debug_lines(caplog):
+    """The messages tracepattern.pipeline logged into ``caplog``."""
+    return [r.getMessage() for r in caplog.records if r.name == pipeline.__name__]
+
+
+class TestIngestLog:
+    """ingest_and_match writes one debug line per run, saying which path ran."""
+
+    @pytest.fixture
+    def ingest(self, split_inputs, tmp_path, caplog):
+        """ingest(trace, name, data, **settings): debug_lines() of ingesting and
+        matching ``trace`` written as ``name``, gzipped if it ends in .gz,
+        or the bytes ``data`` if given."""
+        net = network.load_network(split_inputs[0])
+
+        def run(trace, name="traces.csv", data=None, **settings):
+            path = tmp_path / name
+            if data is None:
+                data = gzip.compress(trace) if name.endswith(".gz") else trace
+            path.write_bytes(data)
+            config = RunConfig(traces_path=str(path), network_path=split_inputs[0],
+                               out_dir=str(tmp_path / "out"), **settings)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger=pipeline.__name__):
+                pipeline.ingest_and_match(config, net)
+            return debug_lines(caplog)
+
+        return run
+
+    @pytest.mark.parametrize("name, note", [("traces.csv", ""),
+                                            ("traces.csv.gz", " of a plain copy of the gzip file")])
+    def test_split(self, name, note, ingest, split_inputs):
+        _, trace = split_inputs
+        mid = len(b"".join(trace.splitlines(keepends=True)[:split_line(trace)]))
+        with split_traces():
+            assert ingest(trace, name) == [f"ingest split at byte {mid} of {len(trace)}{note}"]
+
+    @pytest.mark.parametrize("name", ["traces.csv", "traces.csv.gz"])
+    def test_one_cpu_available(self, name, ingest, split_inputs):
+        with split_traces(cpus=(0,)):
+            assert ingest(split_inputs[1], name) == ["ingest on one CPU: one CPU available"]
+
+    @pytest.mark.parametrize("name", ["traces.csv", "traces.csv.gz"])
+    def test_below_the_size_floor(self, name, ingest, split_inputs):
+        """The size of a gzipped file is its trailer's, the inflated size."""
+        _, trace = split_inputs
+        with split_traces(), mock.patch.object(pipeline, "SPLIT_TRACE_BYTES", len(trace) + 1):
+            assert ingest(trace, name) == [
+                f"ingest on one CPU: below the size floor of {len(trace) + 1} bytes"]
+
+    @pytest.mark.parametrize("name", ["traces.csv", "traces.csv.gz"])
+    def test_quote(self, name, ingest, split_inputs):
+        _, trace = split_inputs
+        trace = with_lines(trace, [(trace.count(b"\n") // 4, quote_order_id)])
+        with split_traces():
+            assert ingest(trace, name) == ['ingest on one CPU: a " in the file']
+
+    def test_offset_sample_longer_than_the_front_half(self, ingest, split_inputs):
+        with split_traces():
+            lines = ingest(split_inputs[1], offset_sample_size=4000)
+        assert len(lines) == 1
+        assert lines[0].startswith("ingest on one CPU: the offset from the front half failed "
+                                   "(OffsetEstimationError('sample of ")
+
+    def test_failed_copy(self, ingest, split_inputs, caplog):
+        """A gzip stream cut short: the copy fails, then the serial read."""
+        _, trace = split_inputs
+        with split_traces(), pytest.raises(IngestError):
+            ingest(trace, "traces.csv.gz", data=gzip.compress(trace)[:-100])
+        lines = debug_lines(caplog)
+        assert len(lines) == 1
+        assert lines[0].startswith("ingest on one CPU: the gzip copy failed (EOFError(")
+
+    def test_failed_split(self, ingest, split_inputs):
+        with split_traces(strict=False), child_fails("raise"):
+            assert ingest(split_inputs[1]) == ["ingest on one CPU: the split failed"]
