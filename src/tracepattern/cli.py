@@ -19,7 +19,6 @@ from . import congestion as cg
 from . import export as ex
 from . import matching, network, pipeline, synth
 from .errors import ConfigError, DataQualityError, TracePatternError
-from .ingest import read_chunks_from_path
 
 logger = logging.getLogger(__name__)
 
@@ -43,8 +42,14 @@ def _load_config_file(path):
         return {}
     import yaml  # only a config file needs it; it costs startup time
 
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh) or {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh) or {}
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        mark = getattr(exc, "problem_mark", None)  # where a YAML syntax error is
+        where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        why = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ConfigError(f"config file {path}{where}: {why}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must be a mapping")
     return data
@@ -118,8 +123,7 @@ def offset(traces_path, network_path, sample_size):
                              out_dir="", offset_sample_size=sample_size)
     cfg.validate()
     net = network.load_network(network_path)
-    off, _ = pipeline.resolve_offset(
-        cfg, net, read_chunks_from_path(traces_path))
+    off, _ = pipeline.ingest_range(cfg, net)
     click.echo(f"{off.dlat:+.6f} {off.dlon:+.6f}")
 
 

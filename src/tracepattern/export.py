@@ -201,12 +201,8 @@ def _first_bad_line(path, record):
 def _read_split(path, start, stop, record, serial):
     """(ids, values) of the body bytes ``start:stop`` of a matrix CSV, the
     back half loaded by a forked child; ``serial()`` if either half fails."""
-    mid = start + (stop - start) // 2
-    if mid > start:  # move to the first line start at or after the middle byte
-        with open(path, "rb") as fh:
-            fh.seek(mid - 1)
-            fh.readline()
-            mid = fh.tell()
+    with open(path, "rb") as fh:
+        mid = parallel.line_start(fh, start + (stop - start) // 2)
 
     def back(tmp):
         tmp.write(_load_lines(path, mid, stop, record))

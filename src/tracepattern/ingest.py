@@ -9,6 +9,7 @@ Also maps timestamps to day-local 15-minute intervals.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime
 import gzip
@@ -122,12 +123,17 @@ class ParserConfig:
 
 @dataclass
 class IngestStats:
-    """Row-level bookkeeping; parsed + skipped equals total input rows."""
+    """Row-level bookkeeping of a file or a byte range; parsed + skipped equals rows read."""
 
     parsed: int = 0
     parse_errors: int = 0
     validation_errors: int = 0
-    samples: list = field(default_factory=list)
+    samples: list = field(default_factory=list)  # "row N: error" of the first 10 skipped rows
+    last_row: int = 0  # the number of the last row read; blank rows and a header count
+    skips: list = field(default_factory=list)  # (rows parsed before, number) per skipped row
+    offset_skipped: int = 0  # these three, counted by the pipeline, sum to parsed
+    matched: int = 0
+    unmatched: int = 0
 
     @property
     def skipped(self) -> int:
@@ -136,6 +142,16 @@ class IngestStats:
     @property
     def total(self) -> int:
         return self.parsed + self.skipped
+
+    def merge(self, back: "IngestStats"):
+        """Append ``back``, the record of the next range, moving its positions and row numbers."""
+        renumbered = (f"row {num + self.last_row}: {text.partition(': ')[2]}"
+                      for (_, num), text in zip(back.skips, back.samples))
+        self.samples += itertools.islice(renumbered, 10 - len(self.samples))
+        self.skips += [(before + self.parsed, num + self.last_row) for before, num in back.skips]
+        for name in ("parsed", "parse_errors", "validation_errors", "last_row",
+                     "offset_skipped", "matched", "unmatched"):
+            setattr(self, name, getattr(self, name) + getattr(back, name))
 
 
 def _parse_rows(rows, config: ParserConfig):
@@ -176,15 +192,16 @@ def _parse_rows(rows, config: ParserConfig):
 def _add_rows(batch, errors, kept, rows, nums, config: ParserConfig):
     """Parse the field lists ``rows``, numbered ``nums``, into ``batch``,
     whose rows are numbered ``kept``, and its [(number, error)] ``errors``,
-    keeping row order in both."""
+    keeping row order in all three; returns the three."""
     more, failed = _parse_rows(rows, config)
     batch = TraceBatch.concat([batch, more])
-    if kept.size and kept[-1] > nums[0]:  # rows of ``more`` come before some of ``batch``
-        dropped = [pos for pos, _ in failed]
-        kept = np.concatenate([kept, np.delete(np.asarray(nums, dtype=np.int64), dropped)])
-        batch = batch[np.argsort(kept, kind="stable")]
+    kept = np.concatenate([kept, np.delete(np.asarray(nums, dtype=np.int64),
+                                           [pos for pos, _ in failed])])
+    if np.any(kept[:-1] > kept[1:]):  # rows of ``more`` come before some of ``batch``
+        order = np.argsort(kept, kind="stable")
+        batch, kept = batch[order], kept[order]
     errors += ((nums[pos], exc) for pos, exc in failed)
-    return batch, sorted(errors, key=lambda error: error[0])
+    return batch, sorted(errors, key=lambda error: error[0]), kept
 
 
 def _convert(texts, kind):
@@ -313,10 +330,9 @@ def open_trace_file(path, start=0, stop=None):
         if start != 0 or stop is not None:
             raise ValueError(f"{path}: a gzipped trace file has no byte ranges")
         return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", newline="")
-    if start == 0 and stop is None:
-        return open(path, "r", encoding="utf-8", newline="")
     raw = open(path, "rb", buffering=0)
-    raw.seek(start)
+    if start:  # not on a FIFO
+        raw.seek(start)
     if stop is not None:
         raw = _Head(raw, stop)
     return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="")
@@ -342,7 +358,8 @@ class _Head(io.RawIOBase):
         super().close()
 
 
-def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStats | None = None):
+def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStats | None = None,
+                head=True, tail=True):
     """Yield TraceBatches of at most ``config.chunk_size`` parsed rows.
 
     ``source`` is an open text stream. Malformed rows are counted on
@@ -350,6 +367,10 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
     error rate exceeds the configured ceiling (checked per chunk, after a
     minimum of 1000 rows). A stream that cannot be read or decoded raises
     IngestError.
+
+    Rows are numbered on from ``stats.last_row``. Without ``head`` the stream
+    starts past the file's first line, so its first record is a row and no
+    check is made; without ``tail`` the file goes on, and its end is unchecked.
 
     Each block of lines is read on its own. np.loadtxt tokenizes its lines
     up to the first one holding a ``"``. One csv.reader then reads the
@@ -362,21 +383,20 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
         stats = IngestStats()
     lines = iter(source)
     chunk: list[TraceBatch] = []
-    first = True  # no record read yet, so the next one may be a header
-    row_num = 0  # the last row read
+    first = head  # no record read yet, so the next one may be a header
 
     def csv_rows(block, rejected, q, start):
         """(field lists, numbers) of the csv records of ``block``'s lines
         ``rejected`` and of its lines from ``q`` on, read on into ``lines``
         while a quoted field is open; blank records and a header are skipped."""
-        nonlocal first, row_num
+        nonlocal first
         reader = csv.reader(itertools.chain((block[i] for i in rejected),
                                             itertools.islice(block, q, None), lines),
                             delimiter=config.delimiter)
         stop = len(rejected) + len(block) - q  # lines of the block
         rows, kept = [], []
         for num in itertools.chain((start + i for i in rejected), itertools.count(start + q)):
-            row_num = num - 1  # the last record read in full
+            stats.last_row = num - 1  # the last record read in full
             if reader.line_num >= stop:
                 break
             fields = next(reader, None)
@@ -394,7 +414,7 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
             # checked after the same rows as a row-at-a-time reader would
             need = config.chunk_size - sum(map(len, chunk))
             size = 1 if first else need  # only the first row can be a header
-            start, block = row_num + 1, []
+            start, block = stats.last_row + 1, []
             try:
                 block.extend(itertools.islice(lines, size))
             except Exception as exc:  # raised again once the lines read are parsed
@@ -410,40 +430,50 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
                                       table["timestamp"], table["lat"], table["lon"])
             errors = [(start + at[i], exc) for i, exc in sorted(failed.items())]
             rows, nums = csv_rows(block, rejected, q, start)
-            if rows:
+            if rows or errors:  # the numbers of the rows of ``batch``
                 kept = np.delete(np.asarray(at, dtype=np.int64), list(failed)) + start
-                batch, errors = _add_rows(batch, errors, kept, rows, nums, config)
+            if rows:
+                batch, errors, kept = _add_rows(batch, errors, kept, rows, nums, config)
+            if errors:
+                nums = [num for num, _ in errors]
+                stats.skips += zip((np.searchsorted(kept, nums) + stats.parsed).tolist(), nums)
+                parse_errors = sum(isinstance(exc, ParseError) for _, exc in errors)
+                stats.parse_errors += parse_errors
+                stats.validation_errors += len(errors) - parse_errors
+                stats.samples += [f"row {num}: {exc}"
+                                  for num, exc in errors[:10 - len(stats.samples)]]
             stats.parsed += len(batch)
-            for num, exc in errors:
-                if isinstance(exc, ParseError):
-                    stats.parse_errors += 1
-                else:
-                    stats.validation_errors += 1
-                if len(stats.samples) < 10:
-                    stats.samples.append(f"row {num}: {exc}")
             if len(batch):
                 chunk.append(batch)
             if not block:
                 break
             if len(batch) == need:
-                _check_error_rate(stats, config)
+                if head:
+                    check_error_rate(stats, config, replay=False)
                 yield TraceBatch.concat(chunk)
                 chunk = []
     except (OSError, EOFError, zlib.error, UnicodeDecodeError, csv.Error) as exc:
-        raise IngestError(f"read failure after row {row_num}: {exc}") from exc
-    _check_error_rate(stats, config)
+        raise IngestError(f"read failure after row {stats.last_row}: {exc}") from exc
+    if head and tail:
+        check_error_rate(stats, config, replay=False)
     if chunk:
         yield TraceBatch.concat(chunk)
 
 
-def _check_error_rate(stats: IngestStats, config: ParserConfig):
-    if stats.total >= CEILING_MIN_ROWS:
-        rate = stats.skipped / stats.total
-        if rate > config.error_rate_ceiling:
+def check_error_rate(stats: IngestStats, config: ParserConfig, replay=True):
+    """Raise the DataQualityError that read_chunks raises first over the
+    file that ``stats`` records (without ``replay``: at its last check). It
+    checks at end of file and at each multiple k of chunk_size parsed rows,
+    counting the rows skipped before the k-th (no block crosses k)."""
+    size = config.chunk_size
+    ends = range(size, stats.parsed + 1, size) if replay and stats.skips else ()
+    checks = ((k, bisect.bisect_left(stats.skips, (k,))) for k in ends)
+    for parsed, skipped in itertools.chain(checks, [(stats.parsed, stats.skipped)]):
+        total = parsed + skipped
+        if total >= CEILING_MIN_ROWS and skipped / total > config.error_rate_ceiling:
             raise DataQualityError(
-                f"row error rate {rate:.2%} exceeds ceiling "
-                f"{config.error_rate_ceiling:.2%}; first errors: {stats.samples}"
-            )
+                f"row error rate {skipped / total:.2%} exceeds ceiling "
+                f"{config.error_rate_ceiling:.2%}; first errors: {stats.samples[:skipped]}")
 
 
 def read_chunks_from_path(path, config: ParserConfig = ParserConfig(),
@@ -452,14 +482,12 @@ def read_chunks_from_path(path, config: ParserConfig = ParserConfig(),
 
     ``start`` and ``stop`` limit a plain file to its bytes ``start:stop``,
     which begin at a line start; a gzipped file has no byte ranges
-    (ValueError). Past byte 0 the header rule is off: the range is read as
-    if a header line preceded it, so its first line is a row (counted as
-    skipped if malformed), and row numbers count that header.
+    (ValueError). A range past byte 0 is read without ``head`` (its first
+    line is a row, counted as skipped if malformed) and a range with a
+    ``stop`` without ``tail``.
     """
     with open_trace_file(path, start, stop) as stream:
-        if start:
-            stream = itertools.chain([config.delimiter.join(config.columns) + "\n"], stream)
-        yield from read_chunks(stream, config, stats)
+        yield from read_chunks(stream, config, stats, head=not start, tail=stop is None)
 
 
 def day_slot(timestamps, tz_offset_s: int = DEFAULT_TZ_OFFSET_S):

@@ -21,6 +21,13 @@ def two_cpus():
             and len(os.sched_getaffinity(0)) >= 2)
 
 
+def line_start(fh, byte):
+    """The first line start at or after ``byte`` (>= 1) of the binary file ``fh``."""
+    fh.seek(byte - 1)
+    fh.readline()
+    return fh.tell()
+
+
 def fork_split(front, back, join, serial):
     """``join(front(), tmp)``, where ``back(tmp)`` runs meanwhile in a forked
     child and writes its part into ``tmp``, an unlinked temporary file that

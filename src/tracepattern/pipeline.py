@@ -14,6 +14,7 @@ import logging
 import math
 import numbers
 import os
+import pickle
 import stat
 import tempfile
 from dataclasses import dataclass, field, asdict
@@ -24,10 +25,9 @@ from . import congestion as cg
 from . import export as ex
 from . import matching, network, parallel, patterns
 from .errors import ComparisonError, ConfigError, ExportError
-from .ingest import (CEILING_MIN_ROWS, DEFAULT_CHUNK_SIZE, DEFAULT_ERROR_RATE_CEILING,
-                     DEFAULT_TZ_OFFSET_S, SECONDS_PER_DAY, SLOTS_PER_DAY, IngestStats,
-                     IntervalIndex, ParserConfig, TraceBatch,
-                     read_chunks_from_path)
+from .ingest import (DEFAULT_CHUNK_SIZE, DEFAULT_ERROR_RATE_CEILING, DEFAULT_TZ_OFFSET_S,
+                     SECONDS_PER_DAY, SLOTS_PER_DAY, IngestStats, IntervalIndex,
+                     ParserConfig, TraceBatch, check_error_rate, read_chunks_from_path)
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +47,11 @@ class RunConfig:
     offset: tuple | None = None  # (dlat, dlon); None = estimate
     offset_sample_size: int = matching.DEFAULT_MIN_SAMPLE
     date_groups: dict = field(default_factory=dict)  # scenario -> [iso dates]
+
+    @property
+    def parser(self) -> ParserConfig:
+        return ParserConfig(chunk_size=self.chunk_size,
+                            error_rate_ceiling=self.error_rate_ceiling)
 
     def validate(self):
         # settings from a YAML config arrive with whatever type it spelled
@@ -102,24 +107,6 @@ def check_date_groups(date_groups):
             seen[day] = group
 
 
-def resolve_offset(config: RunConfig, net, chunks_iter):
-    """Explicit offset, or estimate from the head of the batch stream.
-
-    Returns (offset, buffered_chunks): chunks consumed for the sample are
-    handed back so the caller still processes every row.
-    """
-    if config.offset is not None:
-        return matching.OffsetVector(*config.offset), []
-    n = config.offset_sample_size
-    buffered = []
-    for chunk in chunks_iter:
-        buffered.append(chunk)
-        if sum(map(len, buffered)) >= n:
-            break
-    off = matching.estimate_offset(TraceBatch.concat(buffered)[:n], net, min_sample=n)
-    return off, buffered
-
-
 STAGES = ("load_network", "ingest_and_match", "build_tensors", "clean", "analyze", "export")
 
 # A trace file of at least this many bytes, inflated, is parsed and matched
@@ -143,8 +130,7 @@ def run_pipeline(config: RunConfig) -> dict:
         net = network.load_network(config.network_path)
         done.append("load_network")
 
-        offset, stats, builder, (offset_skipped, matched_n, unmatched_n) = \
-            ingest_and_match(config, net)
+        offset, stats, builder = ingest_and_match(config, net)
         done.append("ingest_and_match")
 
         flow, speed_raw = builder.finalize()
@@ -159,9 +145,9 @@ def run_pipeline(config: RunConfig) -> dict:
                 "rows_total": stats.total,
                 "parsed": stats.parsed,
                 "skipped_rows": stats.skipped,
-                "offset_skipped": offset_skipped,
-                "matched": matched_n,
-                "unmatched": unmatched_n,
+                "offset_skipped": stats.offset_skipped,
+                "matched": stats.matched,
+                "unmatched": stats.unmatched,
             },
             "dropped_road_ids": cleaning.dropped_road_ids,
             "flagged_road_ids": cleaning.flagged_road_ids,
@@ -180,87 +166,98 @@ def run_pipeline(config: RunConfig) -> dict:
 
 def ingest_and_match(config: RunConfig, net):
     """Read, correct and match every row of the trace file into a new
-    TensorBuilder. Returns (offset, IngestStats, builder, [offset_skipped,
-    matched, unmatched]).
+    TensorBuilder. Returns (offset, IngestStats, builder); the stats also
+    count where the parsed rows went.
 
-    When two CPUs are available, a trace file of at least SPLIT_TRACE_BYTES
-    that holds no ``"`` is split at its first line start at or after the
-    middle byte. A gzipped file is sized by its trailer and first inflated
-    into a temporary plain copy under TMPDIR, which is split instead and
-    deleted before this returns. The offset is resolved from the head of
-    the front half. Then a forked child reads and matches the back half
-    while this process does the front, and the child's rows are added after
-    the front's with their order ids coded in the serial order, so the
-    result is the serial one. The trace file itself is read again
-    serially, with the offset already resolved, if the back half rejects a
-    row (only the serial path numbers it and checks the error rate after
-    it), if the front half rejects a row before the error rate is first
-    checked, or if anything fails on either side. There is no split if the
-    offset sample does not fit in the front half or the copy fails. One
-    debug line says which path ran.
+    ingest_range reads the file as one byte range, or as two on two CPUs
+    when it is at least SPLIT_TRACE_BYTES and holds no ``"``: cut at its
+    first line start at or after the middle byte, a gzipped one (sized by
+    its trailer) in a plain copy under TMPDIR, deleted before this returns.
+    The offset comes from the head of the front, and a forked child reads
+    the back range: its rows join the front's, order ids coded in one-range
+    order, its IngestStats is merged after the front's and the error-rate
+    checks are replayed, so the outcome is that of one range. The file (not
+    the copy) is read as one range if a side raises or the child dies, and
+    is not cut if the front's offset or the copy fails. One debug line says
+    which path ran.
     """
-    parser = ParserConfig(chunk_size=config.chunk_size,
-                          error_rate_ceiling=config.error_rate_ceiling)
-    with contextlib.ExitStack() as stack:  # deletes a plain copy before a serial read
+    with contextlib.ExitStack() as stack:  # deletes a plain copy before a one-range read
         try:
             path, mid = _split_source(config.traces_path, stack)
+            return _ingest_split(config, net, path, mid)
         except _NoSplit as why:
             logger.debug("ingest on one CPU: %s", why)
-        else:
-            return _ingest_split(config, net, parser, path, mid)
-    return _ingest_serial(config, net, parser)
+    offset, run = ingest_range(config, net)
+    return (offset, *run())
 
 
-def _ingest_split(config, net, parser, path, mid):
-    """ingest_and_match with ``path``, a plain copy of the trace file or the
-    file itself, split at its byte ``mid``."""
-    stats = IngestStats()
-    chunks = read_chunks_from_path(path, parser, stats, stop=mid)
+def _ingest_split(config, net, path, mid):
+    """ingest_and_match of ``path`` cut at ``mid``; _NoSplit if the front's offset fails."""
     try:
-        offset, buffered = resolve_offset(config, net, chunks)
+        offset, front = ingest_range(config, net, path, stop=mid)
     except Exception as exc:
-        chunks.close()
-        logger.debug("ingest on one CPU: the offset from the front half failed (%r)", exc)
-        return _ingest_serial(config, net, parser)
-
-    def front():
-        builder = _new_builder(config, net)
-        counts = _match_into(builder, itertools.chain(buffered, chunks), offset, net, config)
-        if stats.skipped and stats.total < CEILING_MIN_ROWS:
-            raise RuntimeError("rows rejected before the error rate was first checked")
-        return builder, counts
+        raise _NoSplit(f"the offset from the front half failed ({exc!r})") from None
 
     def back(tmp):
-        back_stats = IngestStats()
-        builder = _new_builder(config, net)
-        counts = _match_into(builder, read_chunks_from_path(path, parser, back_stats, start=mid),
-                             offset, net, config)
-        if back_stats.skipped:
-            raise RuntimeError("the back half rejects rows")
-        np.save(tmp, [back_stats.parsed, *counts])
-        if builder.n_points:
+        stats, builder = ingest_range(config, net, path, mid, offset=offset)[1]()
+        pickle.dump(stats, tmp)
+        if stats.matched:
             # the builder's stored columns, and its order ids in first-seen order
             for parts in builder._columns:
                 np.save(tmp, np.concatenate(parts))
             np.save(tmp, np.frombuffer("\n".join(builder._order_idx).encode(), np.uint8))
 
     def join(front_result, tmp):
-        builder, counts = front_result
-        parsed, *more = np.load(tmp).tolist()
-        if more[1]:
+        stats, builder = front_result
+        back_stats = pickle.load(tmp)
+        if back_stats.matched:
             columns = [np.load(tmp) for _ in range(5)]
-            ids = np.load(tmp).tobytes().decode().split("\n")
-            builder.add_coded(ids, *columns)
-        stats.parsed += parsed
+            builder.add_coded(np.load(tmp).tobytes().decode().split("\n"), *columns)
+        stats.merge(back_stats)
         copy = "" if path == config.traces_path else " of a plain copy of the gzip file"
         logger.debug("ingest split at byte %d of %d%s", mid, os.path.getsize(path), copy)
-        return offset, stats, builder, [a + b for a, b in zip(counts, more)]
+        return stats, builder
 
-    def serial():
+    def one_range():
         logger.debug("ingest on one CPU: the split failed")
-        return _ingest_serial(config, net, parser, offset)
+        return ingest_range(config, net, offset=offset)[1]()
 
-    return parallel.fork_split(front, back, join, serial)
+    stats, builder = parallel.fork_split(front, back, join, one_range)
+    check_error_rate(stats, config.parser)
+    return offset, stats, builder
+
+
+def ingest_range(config: RunConfig, net, path=None, start=0, stop=None, offset=None):
+    """(offset, run) of the bytes ``start:stop`` of the trace file ``path``
+    (None: the configured one; ``stop`` None: to its end): the offset given,
+    configured or estimated from the range's head, and ``run()``, which reads,
+    corrects and matches the range into (IngestStats, TensorBuilder)."""
+    stats = IngestStats()
+    chunks = read_chunks_from_path(path or config.traces_path, config.parser, stats, start, stop)
+    sampled = []
+    if offset is None and config.offset is not None:
+        offset = matching.OffsetVector(*config.offset)
+    elif offset is None:
+        n = config.offset_sample_size
+        for chunk in chunks:
+            sampled.append(chunk)
+            if sum(map(len, sampled)) >= n:
+                break
+        offset = matching.estimate_offset(TraceBatch.concat(sampled)[:n], net, min_sample=n)
+
+    def run():
+        builder = patterns.TensorBuilder(net.ordered_ids(), config.pair_dt_max_s,
+                                         config.tz_offset_s)
+        for chunk in itertools.chain(sampled, chunks):
+            shifted, skipped = matching.apply_offset(chunk, offset)
+            matched, unmatched = matching.match_batch(shifted, net, config.max_dist_km)
+            builder.add(matched)
+            stats.offset_skipped += skipped
+            stats.matched += len(matched)
+            stats.unmatched += unmatched
+        return stats, builder
+
+    return offset, run
 
 
 class _NoSplit(Exception):
@@ -328,42 +325,10 @@ def _split_byte(path):
         while n := fh.readinto(block):
             if block.find(b'"', 0, n) >= 0:
                 raise _NoSplit('a " in the file')
-        fh.seek(size // 2 - 1)
-        fh.readline()
-        mid = fh.tell()
+        mid = parallel.line_start(fh, size // 2)
     if mid >= size:
         raise _NoSplit("no line start after the middle byte")
     return mid
-
-
-def _ingest_serial(config, net, parser, offset=None):
-    """ingest_and_match on one CPU; the offset is resolved unless given."""
-    stats = IngestStats()
-    chunks = read_chunks_from_path(config.traces_path, parser, stats)
-    buffered = []
-    if offset is None:
-        offset, buffered = resolve_offset(config, net, chunks)
-    builder = _new_builder(config, net)
-    counts = _match_into(builder, itertools.chain(buffered, chunks), offset, net, config)
-    return offset, stats, builder, counts
-
-
-def _new_builder(config, net):
-    return patterns.TensorBuilder(net.ordered_ids(), config.pair_dt_max_s, config.tz_offset_s)
-
-
-def _match_into(builder, chunks, offset, net, config):
-    """Correct and match ``chunks`` into ``builder``; returns [offset_skipped,
-    matched, unmatched]."""
-    counts = [0, 0, 0]
-    for chunk in chunks:
-        shifted, skipped = matching.apply_offset(chunk, offset)
-        matched, unmatched = matching.match_batch(shifted, net, config.max_dist_km)
-        builder.add(matched)
-        counts[0] += skipped
-        counts[1] += len(matched)
-        counts[2] += unmatched
-    return counts
 
 
 def analyze_and_write(flow, speed_raw, net, config: RunConfig, done: list, estimate=False):

@@ -229,6 +229,31 @@ class TestEstimate:
                        "typo_key: 1\n")
         assert runner.invoke(main, ["estimate", "--config", str(cfg)]).exit_code == 1
 
+    @pytest.mark.parametrize("command", ["estimate", "analyze", "timeseries", "synth"])
+    @pytest.mark.parametrize("text, message", [
+        (b"traces_path: [unclosed\n",
+         ", line 2, column 1: expected ',' or ']', but got '<stream end>'\n"),
+        (b"traces_path: caf\xe9\n",
+         ": 'utf-8' codec can't decode byte 0xe9 in position 16: invalid continuation byte\n"),
+    ], ids=["yaml-syntax-error", "not-utf8"])
+    def test_unreadable_config_file_exit_1_one_line(self, runner, workspace, tmp_path,
+                                                    command, text, message):
+        """Every command that takes --config reads it through one function."""
+        cfg = tmp_path / "run.yaml"
+        cfg.write_bytes(text)
+        out, new = workspace["out"], str(tmp_path / "o")
+        args = {"estimate": [],
+                "analyze": ["--flow", os.path.join(out, "flow.csv"),
+                            "--speed", os.path.join(out, "speed_raw.csv"),
+                            "--network", workspace["net"], "--out", new],
+                "timeseries": ["--series", os.path.join(out, "network_series.csv"),
+                               "--scenario", "weekday", "--out-dir", new],
+                "synth": ["--out", new]}[command]
+        result = runner.invoke(main, [command, "--config", str(cfg), *args])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: config file {cfg}{message}"
+        assert not os.path.exists(new)
+
 
 def _strict_json(path):
     """The JSON document at ``path``, parsed with NaN and Infinity refused."""

@@ -5,15 +5,15 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracepattern import ingest
 from tracepattern.errors import (DataQualityError, IngestError, ParseError,
                                  RecordValidationError)
-from tracepattern.ingest import (DEFAULT_COLUMNS, IngestStats, IntervalIndex,
-                                 ParserConfig, TraceBatch, _check_error_rate,
-                                 _looks_like_header, _parse_rows, day_slot,
+from tracepattern.ingest import (DEFAULT_CHUNK_SIZE, DEFAULT_COLUMNS, IngestStats, IntervalIndex,
+                                 ParserConfig, TraceBatch, _looks_like_header,
+                                 _parse_rows, check_error_rate, day_slot,
                                  open_trace_file, read_chunks)
 
 from conftest import TraceRecord, assign_interval, batch_from_records
@@ -57,10 +57,13 @@ def oracle_parse_record(fields, config=ParserConfig()):
 
 
 def oracle_read_chunks(source, config=ParserConfig(), stats=None):
-    """The row-at-a-time reference for ``read_chunks``."""
+    """The row-at-a-time reference for ``read_chunks``. It checks the
+    error rate by replaying check_error_rate over the rows read so far,
+    whose last check is the one due now."""
     stats = IngestStats() if stats is None else stats
     chunk, first = [], True
     for row_num, fields in enumerate(csv.reader(source, delimiter=config.delimiter), start=1):
+        stats.last_row = row_num
         if not fields:
             continue
         if first:
@@ -70,19 +73,19 @@ def oracle_read_chunks(source, config=ParserConfig(), stats=None):
         try:
             chunk.append(oracle_parse_record(fields, config))
             stats.parsed += 1
-        except ParseError as exc:
-            stats.parse_errors += 1
-            if len(stats.samples) < 10:
-                stats.samples.append(f"row {row_num}: {exc}")
-        except RecordValidationError as exc:
-            stats.validation_errors += 1
+        except (ParseError, RecordValidationError) as exc:
+            if isinstance(exc, ParseError):
+                stats.parse_errors += 1
+            else:
+                stats.validation_errors += 1
+            stats.skips.append((stats.parsed, row_num))
             if len(stats.samples) < 10:
                 stats.samples.append(f"row {row_num}: {exc}")
         if len(chunk) == config.chunk_size:
-            _check_error_rate(stats, config)
+            check_error_rate(stats, config)
             yield batch_from_records(chunk)
             chunk = []
-    _check_error_rate(stats, config)
+    check_error_rate(stats, config)
     if chunk:
         yield batch_from_records(chunk)
 
@@ -199,19 +202,34 @@ class TestReadChunks:
             read_all(stream)
 
     def test_byte_ranges(self, tmp_path):
-        """The ranges cut at any line start read the rows of the whole file;
-        the first line of a range past byte 0 is a row, never a header."""
-        text = "driver_id,order_id,timestamp,lon,lat\n" + rows_csv(30)
+        """The ranges cut at any line start read the rows of the whole file,
+        and the record of the front range merged with the back's is the
+        whole file's: counts, skipped rows' positions and numbers, and the
+        first 10 error texts. The first line of a range past byte 0 is a
+        row, never a header."""
+        lines = ["driver_id,order_id,timestamp,lon,lat\n", *rows_csv(30).splitlines(True)]
+        for i, bad in ((1, "d1,o1,abc,104.0,30.0\n"), (2, "d,o,1,200.0,30.0\n"),
+                       *((i, "bad,row\n") for i in (9, 10, 11, 17, 23, 24, 28)),
+                       (29, "d,,1475280000,104.0,30.0\n"), (30, "d,o,0,104.0,30.0\n")):
+            lines[i] = bad
+        text = "".join(lines)
         path = tmp_path / "traces.csv"
         path.write_text(text)
-        whole = as_rows(TraceBatch.concat(list(ingest.read_chunks_from_path(path))))
         starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"][:-1]
-        for cut in starts[1:]:
-            stats = IngestStats()
-            parts = [ingest.read_chunks_from_path(path, ParserConfig(chunk_size=7), stats, *span)
-                     for span in ((0, cut), (cut, None))]
-            assert as_rows(TraceBatch.concat([c for part in parts for c in part])) == whole
-            assert stats.total == 30
+        for chunk_size in (1, 7, DEFAULT_CHUNK_SIZE):
+            config = ParserConfig(chunk_size=chunk_size)
+            whole_stats = IngestStats()
+            whole = as_rows(TraceBatch.concat(list(
+                ingest.read_chunks_from_path(path, config, whole_stats))))
+            assert (whole_stats.skipped, len(whole_stats.samples)) == (11, 10)
+            for cut in starts[1:]:
+                stats, back = IngestStats(), IngestStats()
+                parts = [ingest.read_chunks_from_path(path, config, part, *span)
+                         for part, span in ((stats, (0, cut)), (back, (cut, None)))]
+                assert as_rows(TraceBatch.concat([c for part in parts for c in part])) == whole
+                stats.merge(back)
+                assert stats.total == 30
+                assert stats == whole_stats
         bad = "d1,o1,abc,104.0,30.0\n"
         for text, start, want in ((bad + rows_csv(1), 0, (1, 0)),
                                   (rows_csv(1) + bad + rows_csv(1), len(rows_csv(1)), (1, 1))):
@@ -219,6 +237,32 @@ class TestReadChunks:
             stats = IngestStats()
             list(ingest.read_chunks_from_path(path, ParserConfig(), stats, start))
             assert (stats.parsed, stats.skipped) == want
+
+    @given(chunk_size=st.sampled_from([1, 7, 64, 1000, DEFAULT_CHUNK_SIZE]),
+           broken=st.lists(st.integers(1, 1499), max_size=40),  # row 0 is never a header
+           ceiling=st.sampled_from([0.001, 0.005, 0.01]))
+    @settings(max_examples=30, deadline=None)
+    @example(chunk_size=1000, broken=[1000, 1001], ceiling=0.001)  # right after a check
+    @example(chunk_size=1, broken=[1496, 1497, 1499], ceiling=0.001)  # fails at the last row
+    def test_replayed_error_rate_checks(self, chunk_size, broken, ceiling):
+        """check_error_rate over the record of a read that checks nothing
+        raises the DataQualityError text of the read that checks, or
+        nothing if that read raises nothing. A check after k parsed rows
+        counts no row skipped after the k-th."""
+        lines = rows_csv(1500).splitlines(keepends=True)
+        for i in broken:
+            lines[i] = "bad,row\n"
+        text = "".join(lines)
+        config = ParserConfig(chunk_size=chunk_size, error_rate_ceiling=ceiling)
+        got, stats = run_reader(read_chunks, text, config)
+        unchecked = IngestStats()
+        list(read_chunks(io.StringIO(text), config, unchecked, head=False))
+        try:
+            check_error_rate(unchecked, config)
+        except DataQualityError as exc:
+            assert got[-1] == str(exc)
+        else:
+            assert not isinstance(got[-1], str) and unchecked == stats
 
     @pytest.mark.parametrize("span", [(5, None), (0, 40), (5, 40)])
     def test_gzip_has_no_byte_ranges(self, span, tmp_path):

@@ -209,7 +209,8 @@ def with_lines(trace, edits):
 
 class TestSplitEqualsSerial:
     """A trace file parsed and matched by this process and a forked child
-    gives the serial outputs, manifest included, with no fall back."""
+    gives the serial outputs, manifest included, IngestStats and error
+    text, with no fall back."""
 
     @pytest.mark.parametrize("chunk_size", [1, 7, DEFAULT_CHUNK_SIZE])
     def test_chunk_sizes(self, chunk_size, split_inputs, tmp_path):
@@ -258,17 +259,11 @@ class TestSplitEqualsSerial:
         assert error is None
         assert json.loads(files["manifest.json"])["offset"]["source"] == "explicit"
 
-
-class TestSplitFallsBack:
-    """Whatever makes the split path give up, the outcome is the serial
-    one: outputs, counts, error samples and error text."""
-
     def test_malformed_first_line_of_the_back_half(self, split_inputs, tmp_path):
         """Counted as skipped, as the serial path does, not taken for a header."""
         net_path, trace = split_inputs
         trace = with_lines(trace, [(split_line(trace), break_timestamp)])
-        error, (stats,), _ = split_equals_serial(trace, net_path, tmp_path, strict=False,
-                                                 chunk_size=7)
+        error, (stats,), _ = split_equals_serial(trace, net_path, tmp_path, chunk_size=7)
         assert error is None
         assert stats.parse_errors == 1 and stats.skipped == 1
 
@@ -276,10 +271,65 @@ class TestSplitFallsBack:
         net_path, trace = split_inputs
         n = trace.count(b"\n")
         trace = with_lines(trace, [(n * 3 // 4, break_timestamp)])
-        error, (stats,), _ = split_equals_serial(trace, net_path, tmp_path, strict=False)
+        error, (stats,), _ = split_equals_serial(trace, net_path, tmp_path)
         assert error is None
         assert len(stats.samples) == 1
         assert stats.samples[0].startswith(f"row {n * 3 // 4 + 1}: malformed numeric field")
+
+    def test_rows_rejected_before_the_first_rate_check(self, split_inputs, tmp_path):
+        """A front half of fewer than 1,000 rows with 20 broken ones: the
+        rate is first checked once 1,000 rows are read, in the back half, so
+        the replay over the merged record raises."""
+        net_path, trace = split_inputs
+        trace = b"".join(trace.splitlines(keepends=True)[:1801])
+        trace = with_lines(trace, [(i, break_timestamp) for i in range(100, 120)])
+        error, _, _ = split_equals_serial(trace, net_path, tmp_path,
+                                          chunk_size=7, offset=(-0.0004, 0.0003))
+        assert error[0] is DataQualityError
+
+    @pytest.mark.parametrize("chunk_size", [7, DEFAULT_CHUNK_SIZE])
+    def test_data_quality_error_in_the_back_half_only(self, chunk_size, split_inputs,
+                                                      tmp_path):
+        """100 broken rows past the middle trip the ceiling at a chunk
+        boundary (at size 7) or at end of file, which only the replay sees."""
+        net_path, trace = split_inputs
+        k = split_line(trace) + 500
+        trace = with_lines(trace, [(i, break_timestamp) for i in range(k, k + 100)])
+        error, stats, files = split_equals_serial(trace, net_path, tmp_path,
+                                                  chunk_size=chunk_size)
+        assert error[0] is DataQualityError and f"row {k + 1}: malformed" in error[1]
+        assert stats == []
+        assert json.loads(files["manifest.json"])["failed_stage"] == "ingest_and_match"
+
+    def test_front_half_over_the_ceiling(self, split_inputs, tmp_path):
+        """40 broken rows at the end of the front half: over the ceiling for
+        the front half, which is not checked at its end, under it for the
+        file, which is checked at its end only."""
+        net_path, trace = split_inputs
+        k = split_line(trace)
+        trace = with_lines(trace, [(i, break_timestamp) for i in range(k - 40, k)])
+        error, (stats,), _ = split_equals_serial(trace, net_path, tmp_path)
+        assert error is None
+        assert stats.skipped == 40 and stats.skipped / k > 0.01
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, DEFAULT_CHUNK_SIZE])
+    def test_gzip_input_with_broken_rows(self, chunk_size, split_inputs, tmp_path):
+        """Rows broken on both sides of the middle, 12 in all, so the error
+        samples take 10 of them across the cut."""
+        net_path, trace = split_inputs
+        k = split_line(trace)
+        broken = [*range(k - 6, k), *range(k, k + 6 * 97, 97)]
+        trace = with_lines(trace, [(i, break_timestamp) for i in broken])
+        error, (stats,), _ = split_equals_serial(trace, net_path, tmp_path,
+                                                 chunk_size=chunk_size, name="traces.csv.gz")
+        assert error is None
+        assert stats.parse_errors == 12 and len(stats.samples) == 10
+        assert [s.split(":")[0] for s in stats.samples] == [f"row {i + 1}" for i in broken[:10]]
+
+
+class TestSplitFallsBack:
+    """Whatever makes the split path give up, the outcome is the serial
+    one: outputs, counts, error samples and error text."""
 
     # at the default chunk size, the offset sample would read the whole
     # front half, which raises before the fork
@@ -295,16 +345,6 @@ class TestSplitFallsBack:
                                                   **settings)
         assert error[0] is DataQualityError and "row 1501: malformed" in error[1]
         assert json.loads(files["manifest.json"])["failed_stage"] == "ingest_and_match"
-
-    def test_rows_rejected_before_the_first_rate_check(self, split_inputs, tmp_path):
-        """A front half of fewer than 1,000 rows with 20 broken ones: only
-        the serial path checks the rate once 1,000 rows are read."""
-        net_path, trace = split_inputs
-        trace = b"".join(trace.splitlines(keepends=True)[:1801])
-        trace = with_lines(trace, [(i, break_timestamp) for i in range(100, 120)])
-        error, _, _ = split_equals_serial(trace, net_path, tmp_path, strict=False,
-                                          chunk_size=7, offset=(-0.0004, 0.0003))
-        assert error[0] is DataQualityError
 
     @pytest.mark.parametrize("where", [0.25, 0.75], ids=["front", "back"])
     def test_quote_in_either_half(self, where, split_inputs, tmp_path):
