@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import datetime
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -33,6 +32,12 @@ SPLIT_WRITE_CELLS = 1 << 20
 SPLIT_READ_BYTES = 4 << 20
 _BLOCK = 1 << 20  # bytes per read when joining a child's result
 _ROW_BLOCK = 1 << 15  # cells of the rows _write_rows handles at once
+# A row with fewer than one cell in _SPLICE_EVERY nonzero is the zero-row
+# text with those cells spliced in. Per 2,000 x 672 rows (CPU time, best of
+# 15, 2-vCPU Xeon VM), splicing 2% of the cells took 0.019 s for float64 and
+# 0.014 s for int64, and 4% 0.028 and 0.030 s, against 0.024 and 0.018 s
+# for formatting the rows whole.
+_SPLICE_EVERY = 50
 
 
 def write_matrix_csv(matrix: SpatioTemporalMatrix, path, metadata: dict | None = None):
@@ -40,37 +45,35 @@ def write_matrix_csv(matrix: SpatioTemporalMatrix, path, metadata: dict | None =
 
     The header is ``road_id`` and the interval labels; each row is a road id
     and its cells, integers for an integer matrix and the shortest
-    round-trip ``repr`` of each float otherwise. Lines end in ``\\r\\n``.
-    Rows are formatted a block at a time, so no Python copy of the whole
-    matrix is made. A row with fewer than half its cells nonzero is the
-    all-zero row text with only its nonzero cells formatted and spliced
-    in; any other row has every cell formatted. A cell counts as zero
-    only if all its bits are, so ``-0.0`` and NaN are formatted like any
-    other value.
+    round-trip ``repr`` of each float (as float64) otherwise. Lines end in
+    ``\\r\\n``. Cells are formatted by orjson a block of rows at a time
+    (see _format_rows), so no Python copy of the whole matrix is made. A
+    row with fewer than one cell in _SPLICE_EVERY nonzero is the all-zero
+    row text with only its nonzero cells formatted and spliced in; any
+    other row has every cell formatted. A cell counts as zero only if all
+    its bits are, so ``-0.0`` and NaN are formatted like any other value.
 
     A matrix of at least SPLIT_WRITE_CELLS cells is written on two CPUs: a
     forked child formats the back half of the rows into a temporary file,
     which is appended to the front half. The bytes are the same.
     """
-    header = ",".join(["road_id", *matrix.interval_labels()]) + "\r\n"
+    import orjson  # noqa: F401  only matrix CSVs need it; imported once, before the fork
+
+    header = ",".join(["road_id", *matrix.interval_labels()]).encode() + b"\r\n"
     n = len(matrix.road_ids)
 
     def head(stop):  # the header and rows :stop, the whole file if stop is n
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, "wb") as fh:
             fh.write(header)
             _write_rows(fh, matrix, 0, stop)
-
-    def back(tmp):
-        out = io.TextIOWrapper(tmp, encoding="utf-8", newline="")
-        _write_rows(out, matrix, n // 2, n)
-        out.detach()  # flushes, and leaves tmp open
 
     def join(_, tmp):
         with open(path, "ab") as fh:
             shutil.copyfileobj(tmp, fh, _BLOCK)
 
     if matrix.values.size >= SPLIT_WRITE_CELLS and parallel.two_cpus():
-        parallel.fork_split(lambda: head(n // 2), back, join, lambda: head(n))
+        parallel.fork_split(lambda: head(n // 2), lambda tmp: _write_rows(tmp, matrix, n // 2, n),
+                            join, lambda: head(n))
     else:
         head(n)
     if metadata is not None:
@@ -78,44 +81,78 @@ def write_matrix_csv(matrix: SpatioTemporalMatrix, path, metadata: dict | None =
 
 
 def _write_rows(fh, matrix, lo, hi):
-    """Write rows ``lo:hi`` of ``matrix`` to the text file ``fh``.
+    """Write rows ``lo:hi`` of ``matrix`` to the binary file ``fh``.
 
     Every cell whose bits are all zero formats to the same text, ``zero``,
     so ``zeros`` is the text of an all-zero row and cell ``j`` of it
-    starts at ``j * step``. A row with ``2 * k < n`` of its ``n`` cells
-    nonzero is ``zeros`` with the texts of those ``k`` cells spliced in at
-    their offsets; any other row is all its cells formatted and joined. The
-    nonzero cells of a block's sparse rows are found and formatted at
+    starts at ``j * step``. A row with ``k * _SPLICE_EVERY < n`` of its
+    ``n`` cells nonzero is ``zeros`` with the texts of those ``k`` cells
+    spliced in at their offsets; any other row is all its cells formatted.
+    The nonzero cells of a block's sparse rows are found and formatted at
     once, so such a row costs no numpy call of its own.
     """
     values = matrix.values
     n = values.shape[1]
-    fmt = str if np.issubdtype(values.dtype, np.integer) else float.__repr__
-    zero = fmt(values.dtype.type(0).item())
-    zeros = ",".join([zero] * n)
+    kind = values.dtype.kind
+    dtype = np.float64 if kind == "f" else np.uint64 if kind == "u" else np.int64
+    zero = _format_rows(np.zeros((1, 1), dtype))[0]
+    zeros = b",".join([zero] * n)
     step = len(zero) + 1
+    comma = b"," if n else b""  # a row of no cells is its road id alone
     bits = values.view(f"u{values.dtype.itemsize}")
     rows = max(1, _ROW_BLOCK // max(n, 1))
     for b in range(lo, hi, rows):
         e = min(b + rows, hi)
+        block = np.ascontiguousarray(values[b:e], dtype)
         nonzero = bits[b:e] != 0
         counts = np.count_nonzero(nonzero, axis=1)
-        sparse = 2 * counts < n
+        sparse = counts * _SPLICE_EVERY < n
         nonzero[~sparse] = False
         flat = np.flatnonzero(nonzero)
-        cells = zip((flat % n * step).tolist(), map(fmt, np.take(values[b:e], flat).tolist()))
-        for row, rid, k, spliced in zip(range(b, e), matrix.road_ids[b:e], counts.tolist(),
-                                        sparse.tolist()):
+        whole = iter(_format_rows(block[~sparse]))
+        texts = _format_rows(np.take(block, flat)[None])[0].split(b",")
+        cells = zip((flat % n * step).tolist(), texts)
+        lines = []
+        for rid, k, spliced in zip(matrix.road_ids[b:e], counts.tolist(), sparse.tolist()):
+            lines += (str(rid).encode(), comma)
             if not spliced:
-                fh.write(",".join([str(rid), *map(fmt, values[row].tolist())]) + "\r\n")
+                lines += (next(whole), b"\r\n")
                 continue
-            parts = [str(rid), ","]
             pos = 0
             for off, text in itertools.islice(cells, k):
-                parts += (zeros[pos:off], text)
+                lines += (zeros[pos:off], text)
                 pos = off + len(zero)
-            parts += (zeros[pos:], "\r\n")
-            fh.write("".join(parts))
+            lines += (zeros[pos:], b"\r\n")
+        fh.write(b"".join(lines))
+
+
+def _format_rows(block) -> list[bytes]:
+    """The comma-joined cell texts of each row of the 2-D C-contiguous
+    float64, int64 or uint64 array ``block``: ``str`` of each integer,
+    ``repr`` of each float.
+
+    orjson writes an integer as ``str`` does, and a float with the same
+    shortest, closest digits as ``repr``, in the same form for every
+    nonzero |x| in [1e-4, 1e16). Outside that range it writes ``null`` for
+    NaN and ±inf, and ``0.00001`` and ``1e16`` where ``repr`` writes
+    ``1e-05`` and ``1e+16``. A row's ``null`` texts become ``nan``, and
+    the other cells outside that range get ``repr``'s text one by one.
+    """
+    import orjson
+
+    rows = [orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] for row in block]
+    if block.dtype.kind == "f":
+        size = np.abs(block)
+        for r in np.flatnonzero(np.isnan(size).any(axis=1)).tolist():
+            rows[r] = rows[r].replace(b"null", b"nan")
+        odd = ((size < 1e-4) & (size != 0)) | (size >= 1e16)  # NaN compares false
+        for r in np.flatnonzero(odd.any(axis=1)).tolist():
+            texts = rows[r].split(b",")
+            cols = np.flatnonzero(odd[r])
+            for c, value in zip(cols.tolist(), block[r, cols].tolist()):
+                texts[c] = repr(value).encode()
+            rows[r] = b",".join(texts)
+    return rows
 
 
 def read_matrix_csv(path) -> SpatioTemporalMatrix:

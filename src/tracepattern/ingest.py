@@ -310,13 +310,18 @@ def _raising(exc):
 
 
 def _looks_like_header(fields, config: ParserConfig) -> bool:
+    """Whether a file's first record is a header: it has the configured
+    field count and none of its ``timestamp``, ``lat`` and ``lon`` fields
+    parses as a number. Any other first record is a row."""
     if len(fields) != len(config.columns):
-        return True
-    try:
-        int(fields[config.columns.index("timestamp")])
         return False
-    except ValueError:
-        return True
+    for name in ("timestamp", "lat", "lon"):
+        try:
+            float(fields[config.columns.index(name)])
+            return False
+        except ValueError:
+            pass
+    return True
 
 
 def open_trace_file(path, start=0, stop=None):

@@ -268,7 +268,8 @@ def _split_source(path, stack):
     """(plain file, byte) to split the trace file ``path`` at: ``path``
     itself and its _split_byte, or for a gzipped file a plain copy that
     ``stack`` deletes on exit and the copy's _split_byte. Raises _NoSplit
-    unless two CPUs are available and the split can be tried."""
+    unless two CPUs are available, the file holds no ``"`` and the split
+    can be tried."""
     if not parallel.two_cpus():
         raise _NoSplit("one CPU available")
     if str(path).endswith(".gz"):
@@ -281,8 +282,11 @@ def _split_source(path, stack):
             raise
         except Exception as exc:  # a truncated or corrupt stream, a full disk
             raise _NoSplit(f"the gzip copy failed ({exc!r})") from None
-        path = copy.name
-    return path, _split_byte(path)
+        return copy.name, _split_byte(copy.name)
+    mid = _split_byte(path)
+    with open(path, "rb") as fh:
+        _scan_for_quotes(fh)
+    return path, mid
 
 
 def _split_size(path, gzipped=False):
@@ -307,24 +311,27 @@ def _inflate(path, out):
     """Write the gzipped file ``path`` inflated into the binary file ``out``;
     _NoSplit at the first ``"``."""
     with gzip.open(path, "rb") as fh:
-        block = bytearray(1 << 20)
-        while n := fh.readinto(block):
-            if block.find(b'"', 0, n) >= 0:
-                raise _NoSplit('a " in the file')
-            out.write(memoryview(block)[:n])
+        _scan_for_quotes(fh, out)
     out.flush()
+
+
+def _scan_for_quotes(fh, out=None):
+    """Read the binary file ``fh`` to its end, writing it into ``out`` if
+    given; _NoSplit at the first ``"``."""
+    block = bytearray(1 << 20)
+    while n := fh.readinto(block):
+        if block.find(b'"', 0, n) >= 0:
+            raise _NoSplit('a " in the file')
+        if out is not None:
+            out.write(memoryview(block)[:n])
 
 
 def _split_byte(path):
     """The first line start at or after the middle byte of the plain file
     ``path``. Raises _NoSplit unless it is a regular file of at least
-    SPLIT_TRACE_BYTES holding no ``"``, with a line start past the middle."""
+    SPLIT_TRACE_BYTES with a line start past the middle."""
     size = _split_size(path)
     with open(path, "rb") as fh:
-        block = bytearray(1 << 20)
-        while n := fh.readinto(block):
-            if block.find(b'"', 0, n) >= 0:
-                raise _NoSplit('a " in the file')
         mid = parallel.line_start(fh, size // 2)
     if mid >= size:
         raise _NoSplit("no line start after the middle byte")

@@ -64,8 +64,10 @@ def axis(first_slot, n):
             for s in range(first_slot, first_slot + n)]
 
 
+# with the ends of the range in which orjson writes a float as repr does
 EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5,
-               np.finfo(np.float64).max, -np.finfo(np.float64).max, 0.1, 36.0]
+               np.finfo(np.float64).max, -np.finfo(np.float64).max, 0.1, 36.0,
+               float(np.nextafter(1e-4, 0)), 1e-4, float(np.nextafter(1e16, 0)), -1e-4]
 floats = st.floats(width=64) | st.sampled_from(EDGE_FLOATS)
 ints = st.integers(INT64.min, INT64.max) | st.sampled_from([INT64.min, INT64.max, 0, -1])
 
@@ -110,16 +112,19 @@ NONZERO_FLOATS = [v for v in SPARSE_FLOATS + EDGE_FLOATS if np.float64(v).view(n
 
 @st.composite
 def switch_matrices(draw):
-    """Rows around the writer's half-density switch: each row of width ``n``
-    has 0, n//2 - 1, n//2, (n + 1)//2 or n cells whose bits are not zero, so
-    a row is spliced into the zero-row text when 2 * count < n and joined
-    whole otherwise."""
-    n = draw(st.integers(0, 13))
+    """Rows around the writer's splice switch: a row of width ``n`` is
+    spliced into the zero-row text when ``count * s < n`` cells have bits
+    that are not zero (``s`` = export._SPLICE_EVERY) and formatted whole
+    otherwise. Each row has 0 or n such cells, or the largest spliced count
+    ``top`` or ``top + 1``."""
+    s = export._SPLICE_EVERY
+    n = draw(st.integers(0, 3 * s + 1))
+    top = (n - 1) // s
     n_roads = draw(st.integers(1, 6))
     road_ids = draw(st.lists(ints, min_size=n_roads, max_size=n_roads, unique=True))
     integral = draw(st.booleans())
     dtype, nonzero = (np.int64, NONZERO_INTS) if integral else (np.float64, NONZERO_FLOATS)
-    counts = sorted({c for c in (0, n // 2 - 1, n // 2, (n + 1) // 2, n) if c >= 0})
+    counts = sorted({c for c in (0, top, top + 1, n) if 0 <= c <= n})
     values = np.zeros((n_roads, n), dtype)
     for row in values:
         k = draw(st.sampled_from(counts))
@@ -129,8 +134,8 @@ def switch_matrices(draw):
 
 
 EDGE_MATRICES = {
-    "float_edges": SpatioTemporalMatrix([1, 2], axis(0, 6),
-                                        np.array(EDGE_FLOATS).reshape(2, 6)),
+    "float_edges": SpatioTemporalMatrix([1, 2], axis(0, 8),
+                                        np.array(EDGE_FLOATS).reshape(2, 8)),
     "int64_extremes": SpatioTemporalMatrix([7], axis(95, 4),
                                            np.array([[INT64.min, INT64.max, 0, -1]])),
     "int64_road_ids": SpatioTemporalMatrix([INT64.min, -1, 0, INT64.max], axis(3, 2),
@@ -149,6 +154,10 @@ EDGE_MATRICES = {
     "float32_edges": SpatioTemporalMatrix([1, 2], axis(0, 5), np.array(
         [[np.nan, -0.0, 0.0, np.inf, 0.1],
          [0.0, -np.inf, FLOAT32.max, FLOAT32.smallest_subnormal, 0.0]], dtype=np.float32)),
+    "uint64_extremes": SpatioTemporalMatrix([1], axis(0, 3), np.array(
+        [[np.iinfo(np.uint64).max, 0, 1]], dtype=np.uint64)),
+    "not_c_contiguous": SpatioTemporalMatrix([1, 2, 3], axis(0, 4), np.asfortranarray(
+        np.array(EDGE_FLOATS[:12]).reshape(3, 4))[:, ::-1]),
 }
 
 
@@ -184,8 +193,7 @@ class TestEqualsOracle:
     @given(matrix=switch_matrices(), block=st.sampled_from([1, 7, export._ROW_BLOCK]),
            split=st.booleans())
     @settings(max_examples=400, deadline=None)
-    def test_writer_bytes_at_the_half_density_switch(self, matrix, block, split,
-                                                     tmp_path_factory):
+    def test_writer_bytes_at_the_splice_switch(self, matrix, block, split, tmp_path_factory):
         """Spliced and joined rows, in blocks of one row or more, on one or
         two CPUs, give the reference bytes."""
         d = tmp_path_factory.mktemp("h")
@@ -203,6 +211,31 @@ class TestEqualsOracle:
         path = tmp_path_factory.mktemp("r") / "m.csv"
         oracle_write(matrix, path)
         assert_same_matrix(read_matrix_csv(path), oracle_read(path))
+
+
+class TestFormatRows:
+    """The cell formatter against ``repr`` and ``str`` directly."""
+
+    @given(block=st.integers(0, 4).flatmap(lambda r: st.integers(0, 9).flatmap(
+        lambda c: hnp.arrays(np.float64, (r, c), elements=floats))))
+    @settings(max_examples=1000, deadline=None)
+    def test_floats_as_repr(self, block):
+        assert export._format_rows(block) == [
+            ",".join(map(repr, row)).encode() for row in block.tolist()]
+
+    @given(block=st.integers(0, 4).flatmap(lambda r: st.integers(0, 9).flatmap(
+        lambda c: hnp.arrays(np.int64, (r, c), elements=ints))))
+    @settings(max_examples=300, deadline=None)
+    def test_int64_as_str(self, block):
+        assert export._format_rows(block) == [
+            ",".join(map(str, row)).encode() for row in block.tolist()]
+
+    def test_edges(self):
+        uint64 = np.iinfo(np.uint64)
+        for values in (EDGE_FLOATS, [INT64.min, INT64.max, 0, -1], [uint64.max, 0, 1]):
+            block = np.array([values])
+            text = ",".join(map(repr if block.dtype.kind == "f" else str, block[0].tolist()))
+            assert export._format_rows(block) == [text.encode()]
 
 
 def test_header_only_reads_as_empty_matrix_without_warning(tmp_path):

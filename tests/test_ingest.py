@@ -231,12 +231,35 @@ class TestReadChunks:
                 assert stats.total == 30
                 assert stats == whole_stats
         bad = "d1,o1,abc,104.0,30.0\n"
-        for text, start, want in ((bad + rows_csv(1), 0, (1, 0)),
+        for text, start, want in ((lines[0] + rows_csv(1), 0, (1, 0)),
+                                  (bad + rows_csv(1), 0, (1, 1)),
                                   (rows_csv(1) + bad + rows_csv(1), len(rows_csv(1)), (1, 1))):
             path.write_text(text)
             stats = IngestStats()
             list(ingest.read_chunks_from_path(path, ParserConfig(), stats, start))
             assert (stats.parsed, stats.skipped) == want
+
+    @pytest.mark.parametrize("line, header", [
+        ("d1,o1,14752800x0,104.06,30.65\n", False),
+        ("d1,o1,1475280000,104.06\n", False),
+        ("driver_id,order_id,timestamp,lon,lat\n", True),
+        ("a,b,c,d,e\n", True),
+    ])
+    def test_first_record_is_a_header_only_without_numbers(self, line, header, tmp_path):
+        """A first record is a header only if it has the configured field
+        count and no number in its timestamp, lat or lon field; any other
+        is a row, counted as skipped, on one byte range and on two."""
+        path = tmp_path / "traces.csv"
+        path.write_text(line + rows_csv(5))
+        cut = len(line) + len(rows_csv(2))
+        for spans in ([(0, None)], [(0, cut), (cut, None)]):
+            stats = IngestStats()
+            for span in spans:
+                part = IngestStats()
+                list(ingest.read_chunks_from_path(path, ParserConfig(), part, *span))
+                stats.merge(part)
+            assert (stats.parsed, stats.skipped, stats.total) == (5, 1 - header, 6 - header)
+            assert [text.split(":")[0] for text in stats.samples] == ([] if header else ["row 1"])
 
     @given(chunk_size=st.sampled_from([1, 7, 64, 1000, DEFAULT_CHUNK_SIZE]),
            broken=st.lists(st.integers(1, 1499), max_size=40),  # row 0 is never a header

@@ -267,6 +267,17 @@ class TestSplitEqualsSerial:
         assert error is None
         assert stats.parse_errors == 1 and stats.skipped == 1
 
+    def test_malformed_first_line_of_the_file(self, split_inputs, tmp_path):
+        """A row, not a header: the manifest counts it as skipped."""
+        net_path, trace = split_inputs
+        lines = trace.splitlines(keepends=True)
+        trace = b"".join([break_timestamp(lines[1]), *lines[1:]])
+        error, (stats,), files = split_equals_serial(trace, net_path, tmp_path, chunk_size=7)
+        counts = json.loads(files["manifest.json"])["counts"]
+        assert error is None
+        assert (counts["skipped_rows"], counts["rows_total"]) == (1, len(lines))
+        assert stats.samples[0].startswith("row 1: malformed numeric field")
+
     def test_rejected_row_deep_in_the_back_half(self, split_inputs, tmp_path):
         net_path, trace = split_inputs
         n = trace.count(b"\n")
