@@ -7,6 +7,7 @@ analyze (from saved matrices), heatmap, timeseries, synth. Exit codes:
 
 from __future__ import annotations
 
+import datetime
 import functools
 import logging
 import os
@@ -212,16 +213,15 @@ def synth_cmd(config_file, seed, out_dir, write_truth):
     data = _load_config_file(config_file)
     if seed is not None:
         data["seed"] = seed
-    if "start_date" in data and isinstance(data["start_date"], str):
-        import datetime as _dt
-        data["start_date"] = _dt.date.fromisoformat(data["start_date"])
-    if "demand_profile" in data:
-        data["demand_profile"] = tuple(data["demand_profile"])
-    if "injected_offset" in data:
-        data["injected_offset"] = tuple(data["injected_offset"])
     try:
+        # YAML reads a quoted date as a string and a tuple as a list
+        if "start_date" in data and not isinstance(data["start_date"], datetime.date):
+            data["start_date"] = datetime.date.fromisoformat(data["start_date"])
+        for name in ("demand_profile", "injected_offset"):
+            if name in data:
+                data[name] = tuple(data[name])
         scenario = synth.Scenario(**data)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario config: {exc}") from None
     gen = synth.generate(scenario)
     net_path, trace_path = synth.write_scenario(gen, out_dir)

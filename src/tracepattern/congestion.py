@@ -155,19 +155,11 @@ def daily_aggregates(flow: SpatioTemporalMatrix, congestion: CongestionSeries):
     return out
 
 
-def network_day_matrix(congestion: CongestionSeries):
-    """(days, 96) view of the network score series; requires whole days."""
-    intervals = congestion.per_road.intervals
-    days = congestion.per_road.days()
-    if len(intervals) != len(days) * SLOTS_PER_DAY:
+def day_matrix(matrix: SpatioTemporalMatrix, per_interval):
+    """(days, (days, 96) float64 array) of ``per_interval``, one value per
+    interval of ``matrix``'s axis, such as the network score series or the
+    network-total flow; requires whole days."""
+    days = matrix.days()
+    if len(matrix.intervals) != len(days) * SLOTS_PER_DAY:
         raise ValueError("interval axis does not cover whole days")
-    return days, congestion.network.reshape(len(days), SLOTS_PER_DAY)
-
-
-def flow_day_matrix(flow: SpatioTemporalMatrix):
-    """(days, 96) per-interval network-total flow; requires whole days."""
-    days = flow.days()
-    totals = flow.values.sum(axis=0)
-    if totals.size != len(days) * SLOTS_PER_DAY:
-        raise ValueError("interval axis does not cover whole days")
-    return days, totals.reshape(len(days), SLOTS_PER_DAY).astype(np.float64)
+    return days, np.asarray(per_interval, dtype=np.float64).reshape(len(days), SLOTS_PER_DAY)

@@ -1,6 +1,6 @@
 """Chunked trace-file ingestion.
 
-Reads delimited GPS trace files (optionally gzipped) in fixed-size chunks,
+Reads CSV GPS trace files (optionally gzipped) in fixed-size chunks,
 tokenizes each block of lines with ``np.loadtxt`` (``csv.reader`` where it
 must), validates the block as column arrays, and hands each chunk on as one
 TraceBatch of columns.
@@ -30,7 +30,8 @@ SECONDS_PER_DAY = 86400
 INTERVAL_SECONDS = 900
 SLOTS_PER_DAY = SECONDS_PER_DAY // INTERVAL_SECONDS  # 96
 
-DEFAULT_COLUMNS = ("driver_id", "order_id", "timestamp", "lon", "lat")
+# The trace-file layout: one row per ping, these fields in this order
+COLUMNS = ("driver_id", "order_id", "timestamp", "lon", "lat")
 DEFAULT_TZ_OFFSET_S = 8 * 3600  # UTC+8
 DEFAULT_CHUNK_SIZE = 10_000
 DEFAULT_ERROR_RATE_CEILING = 0.01
@@ -106,16 +107,12 @@ class IntervalIndex:
 
 @dataclass(frozen=True)
 class ParserConfig:
-    """Trace-file layout and ingest policy."""
+    """Ingest policy: rows per chunk and the error-rate ceiling."""
 
-    columns: tuple = DEFAULT_COLUMNS
-    delimiter: str = ","
     chunk_size: int = DEFAULT_CHUNK_SIZE
     error_rate_ceiling: float = DEFAULT_ERROR_RATE_CEILING
 
     def __post_init__(self):
-        if set(self.columns) != set(DEFAULT_COLUMNS):
-            raise ValueError(f"columns must be a permutation of {DEFAULT_COLUMNS}")
         if not isinstance(self.chunk_size, int) or isinstance(self.chunk_size, bool) \
                 or self.chunk_size < 1:
             raise ValueError(f"chunk_size must be an integer >= 1, not {self.chunk_size!r}")
@@ -154,7 +151,7 @@ class IngestStats:
             setattr(self, name, getattr(self, name) + getattr(back, name))
 
 
-def _parse_rows(rows, config: ParserConfig):
+def _parse_rows(rows):
     """Convert and validate a block of rows, each a list of field strings.
 
     Returns (TraceBatch of the valid rows in order, [(position, error)] in
@@ -163,7 +160,7 @@ def _parse_rows(rows, config: ParserConfig):
     timestamp, lat and lon conversion; then the value rules of
     ``_validate``.
     """
-    width = len(config.columns)
+    width = len(COLUMNS)
     errors = {}
     positions = range(len(rows))
     if set(map(len, rows)) - {width}:
@@ -172,7 +169,7 @@ def _parse_rows(rows, config: ParserConfig):
                 errors[pos] = ParseError(f"expected {width} fields, got {len(r)}")
         positions = [pos for pos in positions if pos not in errors]
         rows = [rows[pos] for pos in positions]
-    column = dict(zip(config.columns, zip(*rows) if rows else [()] * width))
+    column = dict(zip(COLUMNS, zip(*rows) if rows else [()] * width))
     failed = {}
     converted = []
     for name, kind in (("timestamp", int), ("lat", float), ("lon", float)):
@@ -189,11 +186,11 @@ def _parse_rows(rows, config: ParserConfig):
     return batch, sorted(errors.items())
 
 
-def _add_rows(batch, errors, kept, rows, nums, config: ParserConfig):
+def _add_rows(batch, errors, kept, rows, nums):
     """Parse the field lists ``rows``, numbered ``nums``, into ``batch``,
     whose rows are numbered ``kept``, and its [(number, error)] ``errors``,
     keeping row order in all three; returns the three."""
-    more, failed = _parse_rows(rows, config)
+    more, failed = _parse_rows(rows)
     batch = TraceBatch.concat([batch, more])
     kept = np.concatenate([kept, np.delete(np.asarray(nums, dtype=np.int64),
                                            [pos for pos, _ in failed])])
@@ -251,34 +248,33 @@ def _validate(driver, order, ts, lat, lon, errors=None):
     return TraceBatch(order[keep], ts[keep].astype(np.int64), lat[keep], lon[keep]), errors
 
 
-_COLUMN_TYPES = {"driver_id": object, "order_id": object, "timestamp": np.int64,
-                 "lat": np.float64, "lon": np.float64}
+_RECORD = np.dtype([(name, {"timestamp": np.int64, "lon": np.float64,
+                            "lat": np.float64}.get(name, object)) for name in COLUMNS])
 
 
-def _load_lines(lines, config: ParserConfig):
+def _load_lines(lines):
     """Tokenize and convert a block of lines, none holding a ``"``, with np.loadtxt.
 
-    Blank lines are dropped. Returns (records in ``config.columns`` order,
+    Blank lines are dropped. Returns (one _RECORD per row,
     index in ``lines`` of each record, indices in ``lines`` of the lines
     left to csv.reader): the lines np.loadtxt rejects (a wrong field count,
     a number it will not parse or an int64 overflow), or every line when
     one is longer than csv's field limit, where csv.reader raises and
     np.loadtxt would not.
     """
-    dtype = np.dtype([(name, _COLUMN_TYPES[name]) for name in config.columns])
     lengths = list(map(len, lines))
     if lines and max(lengths) > csv.field_size_limit():
-        return np.empty(0, dtype), [], range(len(lines))
+        return np.empty(0, _RECORD), [], range(len(lines))
     at = range(len(lines))
     if lines and min(lengths) <= 2:  # room for a blank line
         at = [i for i, line in enumerate(lines) if line.rstrip("\r\n")]
         lines = [lines[i] for i in at]
 
     def load(rows):
-        return np.loadtxt(rows, dtype=dtype, delimiter=config.delimiter, comments=None,
-                          quotechar=None, ndmin=1) if rows else np.empty(0, dtype)
+        return np.loadtxt(rows, dtype=_RECORD, delimiter=",", comments=None,
+                          quotechar=None, ndmin=1) if rows else np.empty(0, _RECORD)
 
-    rejected, lo, table = [], 0, np.empty(0, dtype)
+    rejected, lo, table = [], 0, np.empty(0, _RECORD)
     while lo < len(lines):
         try:
             table = load(itertools.islice(lines, lo, None))
@@ -309,15 +305,15 @@ def _raising(exc):
     yield
 
 
-def _looks_like_header(fields, config: ParserConfig) -> bool:
-    """Whether a file's first record is a header: it has the configured
-    field count and none of its ``timestamp``, ``lat`` and ``lon`` fields
+def _looks_like_header(fields) -> bool:
+    """Whether a file's first record is a header: it has one field per
+    column and none of its ``timestamp``, ``lat`` and ``lon`` fields
     parses as a number. Any other first record is a row."""
-    if len(fields) != len(config.columns):
+    if len(fields) != len(COLUMNS):
         return False
     for name in ("timestamp", "lat", "lon"):
         try:
-            float(fields[config.columns.index(name)])
+            float(fields[COLUMNS.index(name)])
             return False
         except ValueError:
             pass
@@ -396,8 +392,7 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
         while a quoted field is open; blank records and a header are skipped."""
         nonlocal first
         reader = csv.reader(itertools.chain((block[i] for i in rejected),
-                                            itertools.islice(block, q, None), lines),
-                            delimiter=config.delimiter)
+                                            itertools.islice(block, q, None), lines))
         stop = len(rejected) + len(block) - q  # lines of the block
         rows, kept = [], []
         for num in itertools.chain((start + i for i in rejected), itertools.count(start + q)):
@@ -407,7 +402,7 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
             fields = next(reader, None)
             if fields is None:
                 break
-            if fields and not (first and _looks_like_header(fields, config)):
+            if fields and not (first and _looks_like_header(fields)):
                 rows.append(fields)
                 kept.append(num)
             first = first and not fields
@@ -429,7 +424,7 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
             q = len(block)
             if '"' in "".join(block):
                 q = next(i for i, line in enumerate(block) if '"' in line)
-            table, at, rejected = _load_lines(block[:q], config)
+            table, at, rejected = _load_lines(block[:q])
             first = first and not len(table)
             batch, failed = _validate(table["driver_id"], table["order_id"],
                                       table["timestamp"], table["lat"], table["lon"])
@@ -438,7 +433,7 @@ def read_chunks(source, config: ParserConfig = ParserConfig(), stats: IngestStat
             if rows or errors:  # the numbers of the rows of ``batch``
                 kept = np.delete(np.asarray(at, dtype=np.int64), list(failed)) + start
             if rows:
-                batch, errors, kept = _add_rows(batch, errors, kept, rows, nums, config)
+                batch, errors, kept = _add_rows(batch, errors, kept, rows, nums)
             if errors:
                 nums = [num for num, _ in errors]
                 stats.skips += zip((np.searchsorted(kept, nums) + stats.parsed).tolist(), nums)

@@ -125,7 +125,7 @@ def run_pipeline(config: RunConfig) -> dict:
     config.validate()
     os.makedirs(config.out_dir, exist_ok=True)
     done = []
-    manifest = {"config": _config_echo(config), "stages_completed": done}
+    manifest = {"config": asdict(config), "stages_completed": done}
     try:
         net = network.load_network(config.network_path)
         done.append("load_network")
@@ -348,7 +348,7 @@ def analyze_and_write(flow, speed_raw, net, config: RunConfig, done: list, estim
     every file written to its SHA-256; otherwise it is None. Returns
     (cleaning, digests). Raises ComparisonError when the two matrices'
     interval axes differ, a flow road is not in ``net``, a flow cell is
-    not a finite count >= 0 or a fitting index is not finite.
+    not a finite whole count >= 0 or a fitting index is not finite.
     """
     if flow.intervals != speed_raw.intervals:
         raise ComparisonError("the flow and speed matrices have different interval axes")
@@ -356,8 +356,13 @@ def analyze_and_write(flow, speed_raw, net, config: RunConfig, done: list, estim
     if lacking is not None:
         raise ComparisonError(f"road {lacking} of the flow matrix is not in the network")
     v = flow.values
-    if not (np.min(v, initial=0) >= 0 and np.max(v, initial=0) < np.inf):  # a NaN cell: NaN min
-        i, j = np.argwhere(~((v >= 0) & np.isfinite(v)))[0]
+    counts = np.min(v, initial=0) >= 0 and np.max(v, initial=0) < np.inf  # a NaN cell: NaN min
+    if counts and v.dtype.kind == "f":  # whole numbers, by blocks of rows: no grid-sized temporary
+        rows = max((1 << 16) // max(v.shape[1], 1), 1)
+        counts = all(np.array_equal(np.floor(block), block)
+                     for block in (v[r:r + rows] for r in range(0, len(v), rows)))
+    if not counts:
+        i, j = np.argwhere(~((v >= 0) & np.isfinite(v) & (np.floor(v) == v)))[0]
         raise ComparisonError(f"road {flow.road_ids[i]} of the flow matrix has flow {v[i, j]} "
                               f"at {flow.intervals[j].label()}, not a finite count >= 0")
     cleaning = patterns.clean_speed_matrix(speed_raw, config.missing_fraction,
@@ -405,8 +410,8 @@ def analyze(flow, cleaned_speeds, net, config: RunConfig) -> dict:
     daily = cg.daily_aggregates(flow, scores)
     fitting = {}
     try:
-        days, dc = cg.network_day_matrix(scores)
-        _, cf = cg.flow_day_matrix(flow)
+        days, dc = cg.day_matrix(scores.per_road, scores.network)
+        _, cf = cg.day_matrix(flow, flow.values.sum(axis=0))
     except ValueError:
         return {"scores": scores, "daily": daily, "fitting": fitting}
     groups = _resolve_groups(config.date_groups, days)
@@ -493,9 +498,3 @@ def _write_daily(daily, path):
         for agg in daily:
             dc = "" if np.isnan(agg.dc_mean) else repr(agg.dc_mean)
             w.writerow([agg.day.isoformat(), agg.cf_total, dc, int(agg.partial)])
-
-
-def _config_echo(config: RunConfig) -> dict:
-    echo = asdict(config)
-    echo["offset"] = list(config.offset) if config.offset is not None else None
-    return echo

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import datetime
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geo
 from .errors import ComparisonError, ConfigError
-from .ingest import SLOTS_PER_DAY, DEFAULT_TZ_OFFSET_S
+from .ingest import COLUMNS, SECONDS_PER_DAY, SLOTS_PER_DAY, DEFAULT_TZ_OFFSET_S
 from .patterns import SpatioTemporalMatrix, full_interval_axis
 
 _TRIM = 0.05  # trips run over the interior of a segment, clear of intersections
@@ -29,11 +30,7 @@ def uniform_profile(per_slot: int):
 
 def bimodal_profile(peak: int, base: int = 1):
     """Morning and evening commute peaks (slots 32-37 and 70-75)."""
-    prof = [base] * SLOTS_PER_DAY
-    for lo, hi in ((32, 38), (70, 76)):
-        for s in range(lo, hi):
-            prof[s] = peak
-    return tuple(prof)
+    return multi_peak_profile(peak, base, ((32, 38), (70, 76)))
 
 
 def multi_peak_profile(peak: int, base: int = 1, peak_slots=((32, 38), (56, 60), (70, 76), (84, 88))):
@@ -66,6 +63,19 @@ class Scenario:
     tz_offset_s: int = DEFAULT_TZ_OFFSET_S
 
     def validate(self):
+        # fields from a YAML scenario arrive with whatever type it spelled
+        for kind, word, names in (
+                (int, "an integer", ("seed", "grid_rows", "grid_cols", "ping_period_s",
+                                     "n_days", "tz_offset_s")),
+                (numbers.Real, "a finite number", ("segment_length_km", "vehicle_speed_kmh",
+                                                   "noise_std_deg", "base_lat", "base_lon"))):
+            for name in names:
+                value = getattr(self, name)
+                if not isinstance(value, kind) or isinstance(value, bool) \
+                        or not abs(value) < math.inf:  # NaN fails too
+                    raise ConfigError(f"{name} must be {word}, not {value!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.grid_rows < 2 or self.grid_cols < 2:
             raise ConfigError("grid needs at least 2x2 nodes")
         if self.segment_length_km <= 0:
@@ -80,6 +90,11 @@ class Scenario:
             raise ConfigError("demand_profile generates no orders")
         if self.n_days < 1:
             raise ConfigError("n_days must be >= 1")
+        longest = max(_trip_seconds(self, road, seg[4])
+                      for road, seg in enumerate(_segments(grid_network_doc(self))))
+        if int(longest) + 2 > SECONDS_PER_DAY:
+            raise ConfigError(f"a trip takes {longest:.0f} s, too long to end on the day "
+                              "it starts")
 
 
 @dataclass
@@ -125,16 +140,25 @@ def grid_network_doc(scenario: Scenario) -> dict:
     return {"type": "FeatureCollection", "features": features}
 
 
+def _segments(doc):
+    """(alat, alon, blat, blon, length in km) of each road of a grid network document."""
+    ends = (feat["geometry"]["coordinates"] for feat in doc["features"])
+    return [(alat, alon, blat, blon, geo.haversine(alat, alon, blat, blon))
+            for (alon, alat), (blon, blat) in ends]
+
+
+def _trip_seconds(scenario: Scenario, road: int, length: float) -> float:
+    """How long a trip over the interior of a road ``length`` km long takes."""
+    v = scenario.per_road_speed_kmh.get(road, scenario.vehicle_speed_kmh)
+    return length * (1.0 - 2.0 * _TRIM) / v * 3600.0
+
+
 def generate(scenario: Scenario) -> GeneratedScenario:
     """Run one scenario: network document, trace CSV, and ground truth."""
     scenario.validate()
     rng = np.random.default_rng(scenario.seed)
     doc = grid_network_doc(scenario)
-    segs = []
-    for feat in doc["features"]:
-        (alon, alat), (blon, blat) = feat["geometry"]["coordinates"]
-        length = geo.haversine(alat, alon, blat, blon)
-        segs.append((alat, alon, blat, blon, length))
+    segs = _segments(doc)
     n_segs = len(segs)
 
     day0_ord = scenario.start_date.toordinal() - _EPOCH.toordinal()
@@ -144,7 +168,7 @@ def generate(scenario: Scenario) -> GeneratedScenario:
     v_sum = np.zeros(n_rows * n_cols)
     v_cnt = np.zeros(n_rows * n_cols, dtype=np.int64)
 
-    lines = ["driver_id,order_id,timestamp,lon,lat"]
+    lines = [",".join(COLUMNS)]
     order_no = 0
     n_pings = 0
     period = scenario.ping_period_s
@@ -160,8 +184,7 @@ def generate(scenario: Scenario) -> GeneratedScenario:
                 if direction:
                     alat, alon, blat, blon = blat, blon, alat, alon
                 v = scenario.per_road_speed_kmh.get(road, scenario.vehicle_speed_kmh)
-                travel_km = length * (1.0 - 2.0 * _TRIM)
-                duration = travel_km / v * 3600.0
+                duration = _trip_seconds(scenario, road, length)
                 # keep the whole trip inside the scenario's last day
                 latest = day_local_start + 86400 - int(duration) - 2
                 t0_local = min(day_local_start + slot * 900 + int(rng.integers(900)), latest)
@@ -190,7 +213,7 @@ def generate(scenario: Scenario) -> GeneratedScenario:
                 oid = f"o{order_no:06d}"
                 did = f"d{order_no:06d}"
                 for t, la, lo in zip(ts_utc, out_lat, out_lon):
-                    lines.append(f"{did},{oid},{t},{lo:.10f},{la:.10f}")
+                    lines.append(f"{did},{oid},{t},{lo:.10f},{la:.10f}")  # COLUMNS order
                 n_pings += k.size
                 order_no += 1
 

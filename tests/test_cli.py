@@ -2,6 +2,7 @@ import gzip
 import json
 import os
 import warnings
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -427,7 +428,7 @@ class TestAnalyze:
         assert result.exit_code == 1
         assert result.stderr == "error: road 999999 of the flow matrix is not in the network\n"
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-1", "2.5"])
     def test_flow_cell_not_a_count_exit_1_one_line(self, runner, workspace, tmp_path, cell):
         with open(os.path.join(workspace["out"], "flow.csv"), newline="") as fh:
             lines = fh.readlines()
@@ -644,6 +645,20 @@ class TestTimeseries:
             finite = [v for v in values.values() if not np.isnan(v)]
             assert min(finite) == 0.0 and max(finite) == 1.0
 
+    def test_svg_text_is_escaped(self, runner, workspace, tmp_path):
+        # a date-group name is free text; the SVG carries it in its title
+        name = "a&b <x>"
+        cfg = tmp_path / "ts.yaml"
+        cfg.write_text('date_groups: {"a&b <x>": ["2016-10-01", "2016-10-02"]}\n')
+        out = tmp_path / "ts"
+        result = runner.invoke(main, [
+            "timeseries", "--series", os.path.join(workspace["out"], "network_series.csv"),
+            "--scenario", name, "--config", str(cfg), "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        svg = minidom.parse(str(out / f"timeseries_{name}_dc.svg"))
+        texts = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+        assert texts[0] == f"DC by slot ({name})" and texts[1] == "DC"
+
     def test_unknown_scenario_exit_1(self, runner, workspace, tmp_path):
         result = runner.invoke(main, [
             "timeseries", "--series",
@@ -703,6 +718,24 @@ class TestSynthCommand:
         result = runner.invoke(main, ["synth", "--config", str(cfg),
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ('start_date: "2016-13-01"', "bad scenario config: "),
+        ('grid_rows: "9"', "grid_rows must be an integer, not '9'"),
+        ("demand_profile: 5", "bad scenario config: 'int' object is not iterable"),
+        ("seed: true", "seed must be an integer, not True"),
+        ("segment_length_km: .nan", "segment_length_km must be a finite number"),
+        ("start_date: 5", "bad scenario config: "),
+        ("segment_length_km: 30\nvehicle_speed_kmh: 1", "a trip takes 97200 s, "),
+    ], ids=["start_date", "grid_rows", "demand_profile", "seed", "segment_length_km",
+            "start_date_not_a_string", "trip_duration"])
+    def test_bad_scenario_value_exit_1_one_line(self, runner, tmp_path, line, message):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(line + "\n")
+        result = runner.invoke(main, ["synth", "--config", str(cfg),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: " + message) and result.stderr.count("\n") == 1
 
     def test_anomaly_rate_is_not_a_scenario_field(self, runner, tmp_path):
         # anomalies are injected by synth.inject_anomalies, never by generate

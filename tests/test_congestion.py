@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracepattern.congestion import (daily_aggregates, fitting_index,
-                                     flow_day_matrix, min_max_normalize,
-                                     network_day_matrix, score_matrix)
+from tracepattern.congestion import (daily_aggregates, day_matrix, fitting_index,
+                                     min_max_normalize, score_matrix)
 from tracepattern.errors import ComparisonError
 from tracepattern.network import load_network
 from tracepattern.patterns import SpatioTemporalMatrix, full_interval_axis
@@ -374,9 +373,9 @@ class TestDailyAggregates:
     def test_day_matrices_shapes(self):
         net, speeds = toy_network_and_speeds(n_days=2)
         series = score_matrix(speeds, net)
-        days, dc = network_day_matrix(series)
+        days, dc = day_matrix(series.per_road, series.network)
         assert len(days) == 2 and dc.shape == (2, 96)
         flow = SpatioTemporalMatrix([0, 1], list(speeds.intervals),
                                     np.ones((2, 192), dtype=np.int64))
-        _, cf = flow_day_matrix(flow)
+        _, cf = day_matrix(flow, flow.values.sum(axis=0))
         assert cf.shape == (2, 96) and np.all(cf == 2)

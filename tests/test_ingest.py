@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tracepattern import ingest
 from tracepattern.errors import (DataQualityError, IngestError, ParseError,
                                  RecordValidationError)
-from tracepattern.ingest import (DEFAULT_CHUNK_SIZE, DEFAULT_COLUMNS, IngestStats, IntervalIndex,
+from tracepattern.ingest import (COLUMNS, DEFAULT_CHUNK_SIZE, IngestStats, IntervalIndex,
                                  ParserConfig, TraceBatch, _looks_like_header,
                                  _parse_rows, check_error_rate, day_slot,
                                  open_trace_file, read_chunks)
@@ -19,23 +19,23 @@ from tracepattern.ingest import (DEFAULT_CHUNK_SIZE, DEFAULT_COLUMNS, IngestStat
 from conftest import TraceRecord, assign_interval, batch_from_records
 
 
-def parse_record(fields, config=ParserConfig()):
-    """One delimited row (a string or a pre-split field list) through the
-    block parser; raises the error of the first rule it breaks."""
+def parse_record(fields):
+    """One CSV row (a string or a pre-split field list) through the block
+    parser; raises the error of the first rule it breaks."""
     if isinstance(fields, str):
-        fields = fields.rstrip("\r\n").split(config.delimiter)
-    batch, errors = _parse_rows([fields], config)
+        fields = fields.rstrip("\r\n").split(",")
+    batch, errors = _parse_rows([fields])
     if errors:
         raise errors[0][1]
-    return TraceRecord(fields[config.columns.index("driver_id")], batch.order_id[0],
+    return TraceRecord(fields[COLUMNS.index("driver_id")], batch.order_id[0],
                        int(batch.timestamp[0]), float(batch.lat[0]), float(batch.lon[0]))
 
 
-def oracle_parse_record(fields, config=ParserConfig()):
+def oracle_parse_record(fields):
     """The row-at-a-time reference for the row rules of ``read_chunks``."""
-    if len(fields) != len(config.columns):
-        raise ParseError(f"expected {len(config.columns)} fields, got {len(fields)}")
-    row = dict(zip(config.columns, fields))
+    if len(fields) != len(COLUMNS):
+        raise ParseError(f"expected {len(COLUMNS)} fields, got {len(fields)}")
+    row = dict(zip(COLUMNS, fields))
     try:
         ts = int(row["timestamp"])
         lat = float(row["lat"])
@@ -62,16 +62,16 @@ def oracle_read_chunks(source, config=ParserConfig(), stats=None):
     whose last check is the one due now."""
     stats = IngestStats() if stats is None else stats
     chunk, first = [], True
-    for row_num, fields in enumerate(csv.reader(source, delimiter=config.delimiter), start=1):
+    for row_num, fields in enumerate(csv.reader(source), start=1):
         stats.last_row = row_num
         if not fields:
             continue
         if first:
             first = False
-            if _looks_like_header(fields, config):
+            if _looks_like_header(fields):
                 continue
         try:
-            chunk.append(oracle_parse_record(fields, config))
+            chunk.append(oracle_parse_record(fields))
             stats.parsed += 1
         except (ParseError, RecordValidationError) as exc:
             if isinstance(exc, ParseError):
@@ -133,11 +133,6 @@ class TestParseRecord:
         for ts in ("253402214400", "99999999999999", str(10 ** 19)):
             with pytest.raises(RecordValidationError, match="past year 9999"):
                 parse_record(f"d1,o1,{ts},104.06,30.65")
-
-    def test_custom_column_order(self):
-        cfg = ParserConfig(columns=("timestamp", "lat", "lon", "driver_id", "order_id"))
-        rec = parse_record("1475280000,30.65,104.06,d9,o9", cfg)
-        assert rec.driver_id == "d9" and rec.lat == 30.65
 
 
 class TestParserConfig:
@@ -246,8 +241,8 @@ class TestReadChunks:
         ("a,b,c,d,e\n", True),
     ])
     def test_first_record_is_a_header_only_without_numbers(self, line, header, tmp_path):
-        """A first record is a header only if it has the configured field
-        count and no number in its timestamp, lat or lon field; any other
+        """A first record is a header only if it has one field per column
+        and no number in its timestamp, lat or lon field; any other
         is a row, counted as skipped, on one byte range and on two."""
         path = tmp_path / "traces.csv"
         path.write_text(line + rows_csv(5))
@@ -323,7 +318,7 @@ fields = {
     | st.floats(-100, 100).map(repr),
 }
 trace_rows = st.lists(
-    st.fixed_dictionaries(fields).map(lambda r: [r[c] for c in ParserConfig().columns])
+    st.fixed_dictionaries(fields).map(lambda r: [r[c] for c in COLUMNS])
     | st.lists(st.sampled_from(["d1", "o1", "1475280000", "30.6"]), max_size=7),
     max_size=60)
 
@@ -357,14 +352,14 @@ def assert_matches_oracle(text, config, newline="\n"):
     return want_stats
 
 
-def valid_lines(n, columns=DEFAULT_COLUMNS, delimiter=","):
-    """``n`` valid rows as lines, fields in ``columns`` order, ids with ``#`` and ``'``."""
+def valid_lines(n):
+    """``n`` valid rows as lines, ids with ``#`` and ``'``."""
     lines = []
     for i in range(n):
         row = {"driver_id": f"d'{i % 13}", "order_id": f"o#{i % 17}",
                "timestamp": str(1475280000 + 7 * i), "lat": f"30.{i % 97:02d}",
                "lon": f"104.{i % 89:02d}"}
-        lines.append(delimiter.join(row[c] for c in columns) + "\n")
+        lines.append(",".join(row[c] for c in COLUMNS) + "\n")
     return lines
 
 
@@ -379,7 +374,7 @@ class TestBlockParserEqualsOracle:
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
         if header:
-            writer.writerow(ParserConfig().columns)
+            writer.writerow(COLUMNS)
         buf.write(rows_csv(valid_prefix))
         writer.writerows(rows)
         config = ParserConfig(chunk_size=chunk_size, error_rate_ceiling=ceiling)
@@ -402,7 +397,7 @@ class TestBlockParserEqualsOracle:
         for column in ("timestamp", "lat", "lon"):
             lines = valid_lines(1100)
             row = lines[500].rstrip("\n").split(",")
-            row[DEFAULT_COLUMNS.index(column)] = text
+            row[COLUMNS.index(column)] = text
             lines[500] = ",".join(row) + "\n"
             for chunk_size in (10_000, 7):
                 assert_matches_oracle("".join(lines), ParserConfig(chunk_size=chunk_size))
@@ -452,16 +447,11 @@ class TestBlockParserEqualsOracle:
          ParserConfig(), "\n"),
         ("".join(valid_lines(1100)[:400]) + "d1,o1,1475280000,104.06,30.65\r"
          + "".join(valid_lines(700)), ParserConfig(chunk_size=7), ""),
-        ("".join(valid_lines(1100, delimiter="\t")) + "d1\to1\t5\t104.06\t91\n",
-         ParserConfig(delimiter="\t"), "\n"),
-        ("".join(valid_lines(1100, ("timestamp", "lat", "lon", "driver_id", "order_id")))
-         + "1475280000,30.65,104.06,d1,\n",
-         ParserConfig(columns=("timestamp", "lat", "lon", "driver_id", "order_id"),
-                      chunk_size=7), "\n"),
+        ("".join(valid_lines(1100)) + "d1,o1,1475280000,104.06,\n",
+         ParserConfig(chunk_size=7), "\n"),
         ("".join(valid_lines(1100)[:400]) + "\r\r\n" + "".join(valid_lines(700)),
          ParserConfig(), "\n"),
-    ], ids=["whitespace-line", "lone-cr-line-end", "tab-delimiter", "order-id-last",
-            "cr-only-line"])
+    ], ids=["whitespace-line", "lone-cr-line-end", "empty-last-field", "cr-only-line"])
     def test_layouts_of_a_loaded_block(self, text, config, newline):
         stats = assert_matches_oracle(text, config, newline)
         assert stats.parsed >= 1099
@@ -482,9 +472,9 @@ class TestBlockParserEqualsOracle:
         text = head + "".join(lines)
         loaded_lines = []
 
-        def load_lines(block, config):
+        def load_lines(block):
             loaded_lines.extend(block)
-            return load_lines.real(block, config)
+            return load_lines.real(block)
 
         load_lines.real = ingest._load_lines
         monkeypatch.setattr(ingest, "_load_lines", load_lines)
@@ -504,9 +494,9 @@ class TestBlockParserEqualsOracle:
         lines[2500] = quoted
         loaded_lines = []
 
-        def load_lines(block, config):
+        def load_lines(block):
             loaded_lines.extend(block)
-            return load_lines.real(block, config)
+            return load_lines.real(block)
 
         load_lines.real = ingest._load_lines
         monkeypatch.setattr(ingest, "_load_lines", load_lines)

@@ -1,4 +1,5 @@
 import contextlib
+import datetime
 import gzip
 import json
 import logging
@@ -9,13 +10,16 @@ import signal
 import tempfile
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from tracepattern import matching, network, parallel, pipeline
-from tracepattern.errors import DataQualityError, IngestError
+from tracepattern.errors import ComparisonError, DataQualityError, IngestError
 from tracepattern.ingest import DEFAULT_CHUNK_SIZE
+from tracepattern.patterns import SpatioTemporalMatrix, full_interval_axis
 from tracepattern.pipeline import STAGES, RunConfig, run_pipeline
-from tracepattern.synth import Scenario, generate, uniform_profile, write_scenario
+from tracepattern.synth import (Scenario, generate, grid_network_doc, uniform_profile,
+                                write_scenario)
 
 from conftest import assert_no_child
 
@@ -61,6 +65,34 @@ def test_manifest_names_the_failed_stage(tmp_path, target, stage):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failed_stage"] == stage and manifest["error"] == "boom"
     assert manifest["stages_completed"] == list(STAGES[:STAGES.index(stage)])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+def test_flow_cells_must_be_whole_counts(tmp_path, dtype):
+    """analyze_and_write checks a float flow matrix for whole counts a block
+    of rows at a time: 760 roads x 96 intervals span two blocks, and a 2.5
+    in the last row is found. An integer matrix needs no such check."""
+    doc = grid_network_doc(Scenario(grid_rows=20, grid_cols=20))
+    net_path = tmp_path / "network.geojson"
+    net_path.write_text(json.dumps(doc))
+    net = network.load_network(str(net_path))
+    ids = net.ordered_ids()
+    axis = full_interval_axis(datetime.date(2016, 10, 1), datetime.date(2016, 10, 1))
+    values = np.ones((len(ids), len(axis)), dtype=dtype)
+    flow = SpatioTemporalMatrix(ids, axis, values)
+    speed = SpatioTemporalMatrix(ids, axis, np.full(values.shape, 30.0))
+    config = RunConfig(traces_path="", network_path=str(net_path), out_dir=str(tmp_path / "a"))
+    assert len(ids) * len(axis) > 1 << 16  # more than one block of rows
+    pipeline.analyze_and_write(flow, speed, net, config, [])
+    assert (tmp_path / "a" / "daily.csv").read_text().splitlines()[1].startswith(
+        f"2016-10-01,{len(ids) * len(axis)},")
+    if dtype == np.int64:
+        return
+    values[-1, 5] = 2.5
+    with pytest.raises(ComparisonError) as exc:
+        pipeline.analyze_and_write(flow, speed, net, config, [])
+    assert str(exc.value) == (f"road {ids[-1]} of the flow matrix has flow 2.5 at "
+                              f"{axis[5].label()}, not a finite count >= 0")
 
 
 # a day on a 3 x 3 grid, 5,852 pings grouped in runs by order; the front

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 
 import numpy as np
@@ -45,10 +46,43 @@ class TestScenarioValidate:
         {"demand_profile": (1, 2, 3)},
         {"demand_profile": tuple([0] * 96)},
         {"n_days": 0},
+        {"grid_rows": "9"},
+        {"seed": True},
+        {"seed": -1},
+        {"n_days": 1.0},
+        {"ping_period_s": 3.0},
+        {"tz_offset_s": None},
+        {"segment_length_km": float("nan")},
+        {"vehicle_speed_kmh": "36"},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             Scenario(**kwargs).validate()
+
+    def test_trip_must_end_on_the_day_it_starts(self):
+        # 27 km at 1 km/h takes 97,200 s: its pings would start the day before
+        slow = Scenario(segment_length_km=30.0, vehicle_speed_kmh=1.0)
+        with pytest.raises(ConfigError, match="a trip takes 97200 s"):
+            slow.validate()
+        with pytest.raises(ConfigError, match="a trip takes"):
+            Scenario(per_road_speed_kmh={3: 0.01}).validate()
+        # 0.45 km at 36 km/h: 45 s
+        Scenario(segment_length_km=0.5, vehicle_speed_kmh=36.0).validate()
+
+    def test_longest_trip_that_fits_a_day(self):
+        """generate starts a trip of d seconds at most 86400 - int(d) - 2 s
+        into its day, so a trip fits while int(d) + 2 <= 86400."""
+        base = Scenario(grid_rows=2, grid_cols=2, ping_period_s=60,
+                        demand_profile=(0,) * 95 + (1,))
+        longest = max(geo.haversine(a[1], a[0], b[1], b[0]) for a, b in
+                      (f["geometry"]["coordinates"] for f in grid_network_doc(base)["features"]))
+        km = longest * (1.0 - 2.0 * 0.05)  # the trip skips 5% of the road at each end
+        with pytest.raises(ConfigError, match="a trip takes"):
+            dataclasses.replace(base, vehicle_speed_kmh=km / 86399.5 * 3600.0).validate()
+        fits = dataclasses.replace(base, vehicle_speed_kmh=km / 86398.5 * 3600.0)
+        day_start = (fits.start_date - datetime.date(1970, 1, 1)).days * 86400 - fits.tz_offset_s
+        ts = [int(line.split(",")[2]) for line in generate(fits).trace_csv.splitlines()[1:]]
+        assert day_start <= min(ts) and max(ts) < day_start + 86400
 
 
 class TestGridNetwork:
