@@ -12,8 +12,8 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
-import warnings
 
 import numpy as np
 
@@ -164,6 +164,9 @@ def read_matrix_csv(path) -> SpatioTemporalMatrix:
     a cell that is not a number or a row of the wrong length raises
     ExportError.
 
+    The body is read by _load_lines: orjson parses each row it reads as
+    np.loadtxt would, and one np.loadtxt call the rest, so the values, the
+    rows read and the errors are those of np.loadtxt over the body's lines.
     A body of at least SPLIT_READ_BYTES is read on two CPUs: a forked child
     loads the lines from the first line start at or after the middle byte
     on. Anything either side rejects is read again on the serial path,
@@ -172,34 +175,32 @@ def read_matrix_csv(path) -> SpatioTemporalMatrix:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             header = fh.readline()
-            if not header:
-                raise ExportError(f"{path} is empty")
-            try:
-                intervals = [IntervalIndex.from_label(lbl)
-                             for lbl in header.rstrip("\r\n").split(",")[1:]]
-            except ValueError as exc:
-                raise ExportError(f"{path} header: {exc}") from None
-            for a, b in zip(intervals, intervals[1:]):
-                if b <= a:
-                    raise ExportError(f"{path} header: {b.label()!r} does not come after "
-                                      f"{a.label()!r}")
-            record = np.dtype([("id", np.int64), ("v", np.float64, (len(intervals),))])
-
-            def serial():
-                first = fh.readline()  # loadtxt warns on a body without rows
-                body = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None,
-                                  ndmin=1, dtype=record) if first else np.empty(0, record)
-                return body["id"], np.ascontiguousarray(body["v"])
-
-            start, stop = len(header.encode("utf-8")), os.fstat(fh.fileno()).st_size
-            if stop - start >= SPLIT_READ_BYTES and parallel.two_cpus():
-                ids, values = _read_split(path, start, stop, record, serial)
-            else:
-                ids, values = serial()
         except UnicodeDecodeError as exc:
             raise ExportError(f"{path} is not UTF-8 text: {exc}") from None
-        except ValueError as exc:
-            raise ExportError(_first_bad_line(path, record) or f"{path}: {exc}") from None
+        start, stop = len(header.encode("utf-8")), os.fstat(fh.fileno()).st_size
+    if not header:
+        raise ExportError(f"{path} is empty")
+    try:
+        intervals = [IntervalIndex.from_label(lbl)
+                     for lbl in header.rstrip("\r\n").split(",")[1:]]
+    except ValueError as exc:
+        raise ExportError(f"{path} header: {exc}") from None
+    for a, b in zip(intervals, intervals[1:]):
+        if b <= a:
+            raise ExportError(f"{path} header: {b.label()!r} does not come after {a.label()!r}")
+    record = np.dtype([("id", np.int64), ("v", np.float64, (len(intervals),))])
+
+    def serial():
+        body = _load_lines(path, start, stop, record)
+        return body["id"], np.ascontiguousarray(body["v"])
+
+    try:
+        if stop - start >= SPLIT_READ_BYTES and parallel.two_cpus():
+            ids, values = _read_split(path, start, stop, record, serial)
+        else:
+            ids, values = serial()
+    except ValueError as exc:  # UnicodeDecodeError too
+        raise ExportError(_first_bad_line(path, record) or f"{path}: {exc}") from None
     uniq, count = np.unique(ids, return_counts=True)
     if uniq.size < ids.size:
         raise ExportError(f"{path}: road {uniq[np.argmax(count > 1)]} is on two rows")
@@ -208,29 +209,33 @@ def read_matrix_csv(path) -> SpatioTemporalMatrix:
 
 def _first_bad_line(path, record):
     """The file line number and the reason of the first row of a matrix CSV
-    that np.loadtxt rejects on its own; None if it rejects none."""
+    that np.loadtxt rejects on its own, or the UTF-8 decoding error of the
+    file read as text if that comes first; None if there is neither."""
     width = 1 + record["v"].shape[0]
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for num, line in enumerate(itertools.islice(fh, 1, None), start=2):
-            if not line.rstrip("\r\n"):  # np.loadtxt skips blank lines
-                continue
-            try:
-                np.loadtxt([line], delimiter=",", comments=None, ndmin=1, dtype=record)
-                continue
-            except ValueError:
-                pass
-            fields = line.rstrip("\r\n").split(",")
-            if len(fields) != width:
-                return f"{path} line {num}: expected {width} fields, got {len(fields)}"
-            for col, text in enumerate(fields, start=1):
-                kind, name = (int, "int64") if col == 1 else (float, "float64")
-                if not text.strip():
-                    return f"{path} line {num}, field {col} is empty"
+        try:
+            for num, line in enumerate(itertools.islice(fh, 1, None), start=2):
+                if not line.rstrip("\r\n"):  # np.loadtxt skips blank lines
+                    continue
                 try:
-                    kind(text)
+                    np.loadtxt([line], delimiter=",", comments=None, ndmin=1, dtype=record)
+                    continue
                 except ValueError:
-                    return f"{path} line {num}, field {col}: {text!r} is not {name}"
-            return f"{path} line {num}: not an int64 road id and {width - 1} float64 cells"
+                    pass
+                fields = line.rstrip("\r\n").split(",")
+                if len(fields) != width:
+                    return f"{path} line {num}: expected {width} fields, got {len(fields)}"
+                for col, text in enumerate(fields, start=1):
+                    kind, name = (int, "int64") if col == 1 else (float, "float64")
+                    if not text.strip():
+                        return f"{path} line {num}, field {col} is empty"
+                    try:
+                        kind(text)
+                    except ValueError:
+                        return f"{path} line {num}, field {col}: {text!r} is not {name}"
+                return f"{path} line {num}: not an int64 road id and {width - 1} float64 cells"
+        except UnicodeDecodeError as exc:
+            return f"{path} is not UTF-8 text: {exc}"
     return None
 
 
@@ -258,25 +263,92 @@ def _read_split(path, start, stop, record, serial):
     return parallel.fork_split(lambda: _load_lines(path, start, mid, record), back, join, serial)
 
 
-def _load_lines(path, start, stop, record):
-    """np.loadtxt of the lines in bytes ``start:stop`` of ``path`` (which
-    begin and end at line starts), read one line at a time. Any warning,
-    such as loadtxt's on lines without data, is raised as an error."""
-    def lines():
-        with open(path, "rb") as fh:
-            fh.seek(start)
-            pos = start
-            for line in fh:
-                yield line.decode("utf-8")
-                pos += len(line)
-                if pos >= stop:
-                    return
+# The bytes of the cells of a row orjson may parse: those of the JSON numbers,
+# which np.loadtxt reads to the same float64 but for "-0", of "nan", read as
+# null, and the comma.
+_CELL_BYTES = b"0123456789+-.eE,na"
+_MINUS_ZERO = re.compile(rb"(?:^|,)-0(?:,|$)")  # np.loadtxt: -0.0; orjson: the int 0
+_INT64 = np.iinfo(np.int64)
 
-    if start == stop:
-        return np.empty(0, record)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return np.loadtxt(lines(), delimiter=",", comments=None, ndmin=1, dtype=record)
+
+def _load_lines(path, start, stop, record):
+    """The records of the lines in bytes ``start:stop`` of ``path`` (which
+    begin and end at line starts), as np.loadtxt reads them from the file
+    opened as text with ``newline=""``, skipping each line that is empty
+    but for its end.
+
+    The lines are read one at a time into blocks of records, each parsed by
+    orjson where _orjson_row reads it as np.loadtxt would. The lines it
+    declines go to one np.loadtxt call, whose records are put back in file
+    order: np.loadtxt skips no line that reaches it, since it skips only
+    those that are empty but for their end. That call's errors, and a
+    declined line that is not UTF-8, raise ValueError.
+    """
+    n = record["v"].shape[0]
+    size = max(1, _BLOCK // record.itemsize)
+    blocks, block, used = [], np.empty(size, record), 0
+    rest, holes = [], []  # the declined lines and their rows
+    for line in _lines(path, start, stop):
+        end = len(line) - line.endswith(b"\n")
+        end -= line.endswith(b"\r", 0, end)
+        if not end:
+            continue
+        if used == size:
+            blocks.append(block)
+            block, used = np.empty(size, record), 0
+        row = _orjson_row(line[:end], n)
+        if row is None:
+            rest.append(line.decode("utf-8"))
+            holes.append(len(blocks) * size + used)
+        else:
+            block[used] = row
+        used += 1
+    body = np.concatenate([*blocks, block[:used]])
+    if rest:
+        body[holes] = np.loadtxt(rest, delimiter=",", comments=None, ndmin=1, dtype=record)
+    return body
+
+
+def _orjson_row(text, n):
+    """(road id, cells) of the matrix CSV line ``text``, without its end, as
+    orjson reads it; None unless the road id is an int64 in ASCII digits and
+    the ``n`` cells hold only _CELL_BYTES and no ``-0``. A cell ``nan`` is
+    read as null, whose None numpy stores as np.nan, the bits np.loadtxt
+    reads from ``nan``. A row without ``nan``, ``.``, ``e`` or ``E`` is an
+    int64 array, which stores faster than its list of ints; with an
+    integer beyond int64 it is None too."""
+    import orjson  # only matrix CSVs need it
+
+    rid, sep, cells = text.partition(b",")
+    digits = rid[1:] if rid.startswith(b"-") else rid
+    if (sep != (b"," if n else b"") or not digits.isdigit()
+            or cells.translate(None, _CELL_BYTES)
+            or b"-0" in cells and _MINUS_ZERO.search(cells)):
+        return None
+    rid = int(rid)
+    nan = b"n" in cells
+    if nan:
+        cells = cells.replace(b"nan", b"null")
+    try:
+        row = orjson.loads(b"[" + cells + b"]")
+        if not (nan or b"." in cells or b"e" in cells or b"E" in cells):
+            row = np.fromiter(row, np.int64, len(row))
+    except (orjson.JSONDecodeError, OverflowError):
+        return None
+    return (rid, row) if len(row) == n and _INT64.min <= rid <= _INT64.max else None
+
+
+def _lines(path, start, stop):
+    """The lines in bytes ``start:stop`` of ``path``, split at ``\\n``,
+    ``\\r\\n`` and a lone ``\\r`` as text mode with ``newline=""`` splits them."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while start < stop and (line := fh.readline()):
+            start += len(line)
+            if line.find(b"\r", 0, len(line) - 2 * line.endswith(b"\r\n")) >= 0:
+                yield from line.splitlines(keepends=True)
+            else:
+                yield line
 
 
 def export_heatmap(matrix: SpatioTemporalMatrix, network, interval_label: str) -> dict:

@@ -71,9 +71,23 @@ class Scenario:
                                                    "noise_std_deg", "base_lat", "base_lon"))):
             for name in names:
                 value = getattr(self, name)
-                if not isinstance(value, kind) or isinstance(value, bool) \
-                        or not abs(value) < math.inf:  # NaN fails too
+                if not _is_a(kind, value):
                     raise ConfigError(f"{name} must be {word}, not {value!r}")
+        offset = self.injected_offset
+        if not (isinstance(offset, (tuple, list)) and len(offset) == 2
+                and all(_is_a(numbers.Real, v) for v in offset)):
+            raise ConfigError(f"injected_offset must be two finite numbers, not {offset!r}")
+        if not isinstance(self.per_road_speed_kmh, dict):
+            raise ConfigError("per_road_speed_kmh must map road ids to speeds, "
+                              f"not {self.per_road_speed_kmh!r}")
+        for road, v in self.per_road_speed_kmh.items():
+            if not (_is_a(int, road) and _is_a(numbers.Real, v)):
+                raise ConfigError("per_road_speed_kmh must map integer road ids to finite "
+                                  f"numbers, not {road!r}: {v!r}")
+        for count in self.demand_profile:
+            if not (_is_a(int, count) and count >= 0):
+                raise ConfigError("demand_profile must hold non-negative integers, "
+                                  f"not {count!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.grid_rows < 2 or self.grid_cols < 2:
@@ -95,6 +109,11 @@ class Scenario:
         if int(longest) + 2 > SECONDS_PER_DAY:
             raise ConfigError(f"a trip takes {longest:.0f} s, too long to end on the day "
                               "it starts")
+
+
+def _is_a(kind, value):
+    """Whether ``value`` is a ``kind`` but not a bool, and finite (NaN is not)."""
+    return isinstance(value, kind) and not isinstance(value, bool) and abs(value) < math.inf
 
 
 @dataclass

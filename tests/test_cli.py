@@ -727,8 +727,13 @@ class TestSynthCommand:
         ("segment_length_km: .nan", "segment_length_km must be a finite number"),
         ("start_date: 5", "bad scenario config: "),
         ("segment_length_km: 30\nvehicle_speed_kmh: 1", "a trip takes 97200 s, "),
+        ("injected_offset: [1]", "injected_offset must be two finite numbers, not (1,)"),
+        ("demand_profile: [" + ",".join(["1.5"] * 96) + "]",
+         "demand_profile must hold non-negative integers, not 1.5"),
+        ("per_road_speed_kmh: [1]", "per_road_speed_kmh must map road ids to speeds, not [1]"),
     ], ids=["start_date", "grid_rows", "demand_profile", "seed", "segment_length_km",
-            "start_date_not_a_string", "trip_duration"])
+            "start_date_not_a_string", "trip_duration", "injected_offset_one_number",
+            "demand_profile_floats", "per_road_speed_kmh_list"])
     def test_bad_scenario_value_exit_1_one_line(self, runner, tmp_path, line, message):
         cfg = tmp_path / "scenario.yaml"
         cfg.write_text(line + "\n")

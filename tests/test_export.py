@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import datetime
+import itertools
 import os
 import signal
 import tracemalloc
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,7 +22,7 @@ from tracepattern.export import read_matrix_csv, write_matrix_csv
 from tracepattern.ingest import IntervalIndex
 from tracepattern.patterns import SpatioTemporalMatrix
 
-from conftest import assert_no_child
+from conftest import assert_no_child, traced_peak
 
 INT64 = np.iinfo(np.int64)
 INT32 = np.iinfo(np.int32)
@@ -211,6 +212,110 @@ class TestEqualsOracle:
         path = tmp_path_factory.mktemp("r") / "m.csv"
         oracle_write(matrix, path)
         assert_same_matrix(read_matrix_csv(path), oracle_read(path))
+
+
+def loadtxt_read(path):
+    """The text-mode np.loadtxt reference for ``read_matrix_csv``: its
+    record array, or the text of the ExportError it raises."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            header = fh.readline()
+            record = np.dtype([("id", np.int64), ("v", np.float64, (header.count(","),))])
+            first = fh.readline()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a body of blank lines
+                body = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None,
+                                  ndmin=1, dtype=record) if first else np.empty(0, record)
+        except UnicodeDecodeError as exc:
+            return f"{path} is not UTF-8 text: {exc}"
+        except ValueError as exc:
+            return export._first_bad_line(path, record) or f"{path}: {exc}"
+    uniq, count = np.unique(body["id"], return_counts=True)
+    if uniq.size < body.size:
+        return f"{path}: road {uniq[np.argmax(count > 1)]} is on two rows"
+    return body
+
+
+# Cell and road-id texts that orjson declines, reads otherwise than np.loadtxt
+# or reads at an edge; the first lists np.loadtxt reads, the second it rejects.
+CELL_TEXTS = ["-0", "-0.0", "-0e0", "0", "1e400", "-1e400", "1e-400", "-1e-400", "5e-324",
+              "2.4703282292062328e-324", "18446744073709551616", "-18446744073709551616",
+              "9" * 400, "00", "01", "1.", ".5", "+1", "1E5", "0.1e+2", " 1", "1 ", "\t1",
+              "nan", "-nan", "inf"]
+BAD_CELL_TEXTS = ["1_0", "x", "", "\xe9", "true", "null", '"1"', "[1]"]
+ROAD_ID_TEXTS = ["007", "+5", "-5", "-0", " 3", str(INT64.max), str(INT64.min)]
+BAD_ROAD_ID_TEXTS = [str(INT64.max + 1), str(INT64.min - 1), "1.0", "1_0", ""]
+cell_texts = (st.floats(width=64).map(repr) | ints.map(str) | st.sampled_from(CELL_TEXTS)
+              | st.from_regex(r"-?(0|[1-9][0-9]{0,25})(\.[0-9]{1,25})?([eE][+-]?[0-9]{1,3})?",
+                              fullmatch=True))
+
+
+@st.composite
+def matrix_csv_bytes(draw):
+    """A matrix CSV: a header, then body lines of road-id and cell texts that
+    np.loadtxt reads and blank lines, with every line end and a last line
+    with or without one. Half the files have one line spoiled: a road id or
+    cell np.loadtxt rejects, a cell too many or too few, or a byte that is
+    not UTF-8."""
+    n = draw(st.integers(0, 4))
+    rows = [[draw(st.sampled_from([str(10 + k)] * 12 + ROAD_ID_TEXTS)),
+             *draw(st.lists(cell_texts, min_size=n, max_size=n))]
+            if draw(st.integers(0, 5)) else []  # a blank line
+            for k in range(draw(st.integers(0, 6)))]
+    body = [row for row in rows if row]
+    if body and draw(st.booleans()):
+        row = body[draw(st.integers(0, len(body) - 1))]
+        col = draw(st.integers(0, len(row) - 1))
+        how = draw(st.sampled_from(["text", "width", "byte"]))
+        if how == "text":
+            row[col] = draw(st.sampled_from(BAD_CELL_TEXTS if col else BAD_ROAD_ID_TEXTS))
+        elif how == "width" and n and draw(st.booleans()):
+            del row[1]
+        elif how == "width":
+            row.append(draw(cell_texts | st.just("")))
+        else:
+            row[col] += "\udcff"  # the byte 0xff once encoded
+    lines = [",".join(["road_id", *(iv.label() for iv in axis(0, n))]),
+             *(",".join(row) for row in rows)]
+    ends = draw(st.lists(st.sampled_from(["\r\n", "\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode(
+        "utf-8", "surrogateescape")
+
+
+class TestReaderEqualsLoadtxt:
+    """read_matrix_csv, which parses with orjson what orjson reads as
+    np.loadtxt would, against np.loadtxt over the lines of the file read as
+    text: the same ids and value bits, or the same ExportError text, on one
+    CPU and split between two."""
+
+    @given(text=matrix_csv_bytes())
+    @example(text=b"road_id,2016-10-01T00:00\r\n1,-0\r\n")
+    @example(text=b"road_id,2016-10-01T00:00,2016-10-01T00:15\r\n1,1.5,-0\r\n")
+    @example(text=b"road_id\r\n1,\r\n")  # orjson reads the empty cells as no cells
+    @example(text=b"road_id,2016-10-01T00:00\r\n1,18446744073709551615\r\n")  # uint64
+    @example(text=b"road_id,2016-10-01T00:00,2016-10-01T00:15\r\n1,nan,2\r\n")
+    @settings(max_examples=400, deadline=None)
+    def test_ids_bits_and_errors(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("t") / "m.csv"
+        path.write_bytes(text)
+        want = loadtxt_read(path)
+        for split in (False, True):
+            with contextlib.ExitStack() as stack:
+                if split:
+                    stack.enter_context(split_jobs(strict=not isinstance(want, str)))
+                if isinstance(want, str):
+                    with pytest.raises(ExportError) as err:
+                        read_matrix_csv(path)
+                    assert str(err.value) == want
+                    continue
+                got = read_matrix_csv(path)
+            assert got.road_ids == want["id"].tolist()
+            assert got.values.shape == want["v"].shape
+            np.testing.assert_array_equal(got.values.view(np.uint64),
+                                          want["v"].view(np.uint64))
 
 
 class TestFormatRows:
@@ -499,6 +604,25 @@ class TestWhenToSplit:
                 mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
             write_matrix_csv(matrix, tmp_path / "m.csv")
             read_matrix_csv(tmp_path / "m.csv")
+
+
+class TestReadMemory:
+    @pytest.mark.parametrize("nan", [False, True], ids=["numbers", "a_nan_in_each_row"])
+    def test_serial_reader_streams_the_file(self, nan, tmp_path):
+        """Two grids' worth of records (the blocks and their concatenation,
+        then the records and their C-contiguous copy) and a block; a reader
+        that holds the file's text, over 2.25 times the grid here, breaks
+        the bound. So does one that hands every row with a NaN cell to
+        np.loadtxt, which then holds all their lines."""
+        rng = np.random.default_rng(3)
+        values = rng.random((500, 1344)) * 100.0
+        if nan:
+            values[np.arange(500), rng.integers(0, 1344, 500)] = np.nan
+        write_matrix_csv(SpatioTemporalMatrix(list(range(500)), axis(0, 1344), values),
+                         tmp_path / "m.csv")
+        assert os.path.getsize(tmp_path / "m.csv") > 2.25 * values.nbytes
+        with mock.patch.object(export, "SPLIT_READ_BYTES", 1 << 62):
+            assert traced_peak(read_matrix_csv, tmp_path / "m.csv") < 2.5 * values.nbytes
 
 
 class TestSplitMemory:

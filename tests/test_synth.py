@@ -54,6 +54,15 @@ class TestScenarioValidate:
         {"tz_offset_s": None},
         {"segment_length_km": float("nan")},
         {"vehicle_speed_kmh": "36"},
+        {"injected_offset": (0.001,)},
+        {"injected_offset": (0.0, float("inf"))},
+        {"injected_offset": 0.001},
+        {"demand_profile": (1.5,) * 96},
+        {"demand_profile": (-1,) + (2,) * 95},
+        {"demand_profile": ("2",) * 96},
+        {"per_road_speed_kmh": [1]},
+        {"per_road_speed_kmh": {"0": 20.0}},
+        {"per_road_speed_kmh": {0: float("nan")}},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
