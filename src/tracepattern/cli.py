@@ -183,7 +183,7 @@ def timeseries(series_path, scenario, config_file, measure, normalize, out_dir):
     data = _load_config_file(config_file)
     date_groups = data.get("date_groups", {})
     pipeline.check_date_groups(date_groups)
-    groups = pipeline._resolve_groups(date_groups, days)
+    groups = pipeline.resolve_groups(date_groups, days)
     if scenario not in groups:
         raise ConfigError(f"unknown scenario {scenario!r}; have {sorted(groups)}")
     chosen = sorted(groups[scenario])

@@ -16,6 +16,8 @@ import gzip
 import io
 import itertools
 import logging
+import math
+import numbers
 import re
 import zlib
 from dataclasses import dataclass, field
@@ -107,7 +109,8 @@ class IntervalIndex:
 
 @dataclass(frozen=True)
 class ParserConfig:
-    """Ingest policy: rows per chunk and the error-rate ceiling."""
+    """Ingest policy: rows per chunk, an integer >= 1, and the error-rate
+    ceiling, a positive finite number; ValueError otherwise."""
 
     chunk_size: int = DEFAULT_CHUNK_SIZE
     error_rate_ceiling: float = DEFAULT_ERROR_RATE_CEILING
@@ -116,6 +119,11 @@ class ParserConfig:
         if not isinstance(self.chunk_size, int) or isinstance(self.chunk_size, bool) \
                 or self.chunk_size < 1:
             raise ValueError(f"chunk_size must be an integer >= 1, not {self.chunk_size!r}")
+        ceiling = self.error_rate_ceiling
+        if not (isinstance(ceiling, numbers.Real) and not isinstance(ceiling, bool)
+                and 0 < ceiling < math.inf):  # NaN fails too
+            raise ValueError(f"error_rate_ceiling must be a positive finite number, "
+                             f"not {ceiling!r}")
 
 
 @dataclass

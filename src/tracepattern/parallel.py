@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import logging
 import os
+import signal
 import tempfile
 
 logger = logging.getLogger(__name__)
@@ -33,7 +34,8 @@ def fork_split(front, back, join, serial):
     child and writes its part into ``tmp``, an unlinked temporary file that
     ``join`` reads from its start. If anything fails, on either side or in
     ``join``, the result of ``serial()`` instead, so errors are raised by
-    the serial path alone. The child is always reaped before this returns.
+    the serial path alone. A failed ``front`` kills the child, whose part
+    would be thrown away. The child is always reaped before this returns.
     """
     status = result = None
     try:
@@ -50,6 +52,9 @@ def fork_split(front, back, join, serial):
                     os._exit(code)
             try:
                 result = front()
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)  # its part would be thrown away
+                raise
             finally:
                 try:
                     status = os.waitpid(pid, 0)[1]

@@ -174,9 +174,9 @@ def ingest_and_match(config: RunConfig, net):
     first line start at or after the middle byte, a gzipped one (sized by
     its trailer) in a plain copy under TMPDIR, deleted before this returns.
     The offset comes from the head of the front, and a forked child reads
-    the back range: its rows join the front's, order ids coded in one-range
-    order, its IngestStats is merged after the front's and the error-rate
-    checks are replayed, so the outcome is that of one range. The file (not
+    the back range and hands back its (IngestStats, TensorBuilder) as one
+    pickle. Both are merged after the front's and the error-rate checks
+    are replayed, so the outcome is that of one range. The file (not
     the copy) is read as one range if a side raises or the child dies, and
     is not cut if the front's offset or the copy fails. One debug line says
     which path ran.
@@ -199,21 +199,15 @@ def _ingest_split(config, net, path, mid):
         raise _NoSplit(f"the offset from the front half failed ({exc!r})") from None
 
     def back(tmp):
-        stats, builder = ingest_range(config, net, path, mid, offset=offset)[1]()
-        pickle.dump(stats, tmp)
-        if stats.matched:
-            # the builder's stored columns, and its order ids in first-seen order
-            for parts in builder._columns:
-                np.save(tmp, np.concatenate(parts))
-            np.save(tmp, np.frombuffer("\n".join(builder._order_idx).encode(), np.uint8))
+        # protocol 5 writes the builder's arrays without copying them
+        pickle.dump(ingest_range(config, net, path, mid, offset=offset)[1](), tmp,
+                    protocol=pickle.HIGHEST_PROTOCOL)
 
     def join(front_result, tmp):
         stats, builder = front_result
-        back_stats = pickle.load(tmp)
-        if back_stats.matched:
-            columns = [np.load(tmp) for _ in range(5)]
-            builder.add_coded(np.load(tmp).tobytes().decode().split("\n"), *columns)
+        back_stats, back_builder = pickle.load(tmp)
         stats.merge(back_stats)
+        builder.merge(back_builder)
         copy = "" if path == config.traces_path else " of a plain copy of the gzip file"
         logger.debug("ingest split at byte %d of %d%s", mid, os.path.getsize(path), copy)
         return stats, builder
@@ -414,7 +408,7 @@ def analyze(flow, cleaned_speeds, net, config: RunConfig) -> dict:
         _, cf = cg.day_matrix(flow, flow.values.sum(axis=0))
     except ValueError:
         return {"scores": scores, "daily": daily, "fitting": fitting}
-    groups = _resolve_groups(config.date_groups, days)
+    groups = resolve_groups(config.date_groups, days)
     for group, member_days in sorted(groups.items()):
         rows = [i for i, d in enumerate(days) if d in member_days]
         if len(rows) < 2:
@@ -439,7 +433,9 @@ def analyze(flow, cleaned_speeds, net, config: RunConfig) -> dict:
     return {"scores": scores, "daily": daily, "fitting": fitting}
 
 
-def _resolve_groups(date_groups, days):
+def resolve_groups(date_groups, days):
+    """{group: set of ``days`` in it}: the ``date_groups`` (checked by
+    check_date_groups), else weekday and weekend."""
     if date_groups:
         wanted = {g: {datetime.date.fromisoformat(d) for d in ds}
                   for g, ds in date_groups.items()}

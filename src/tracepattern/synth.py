@@ -104,8 +104,16 @@ class Scenario:
             raise ConfigError("demand_profile generates no orders")
         if self.n_days < 1:
             raise ConfigError("n_days must be >= 1")
-        longest = max(_trip_seconds(self, road, seg[4])
-                      for road, seg in enumerate(_segments(grid_network_doc(self))))
+        if self.noise_std_deg < 0:
+            raise ConfigError("noise_std_deg must be >= 0")
+        if abs(self.tz_offset_s) >= SECONDS_PER_DAY:
+            raise ConfigError("tz_offset_s must be less than one day in magnitude")
+        segments = _segments(grid_network_doc(self))
+        if not all(-90 <= lat <= 90 and -180 <= lon <= 180
+                   for seg in segments for lat, lon in (seg[0:2], seg[2:4])):
+            raise ConfigError("the grid reaches past lon [-180, 180] or lat [-90, 90]; "
+                              "move base_lat and base_lon or shrink the grid")
+        longest = max(_trip_seconds(self, road, seg[4]) for road, seg in enumerate(segments))
         if int(longest) + 2 > SECONDS_PER_DAY:
             raise ConfigError(f"a trip takes {longest:.0f} s, too long to end on the day "
                               "it starts")

@@ -731,9 +731,16 @@ class TestSynthCommand:
         ("demand_profile: [" + ",".join(["1.5"] * 96) + "]",
          "demand_profile must hold non-negative integers, not 1.5"),
         ("per_road_speed_kmh: [1]", "per_road_speed_kmh must map road ids to speeds, not [1]"),
+        ("grid_rows: 3\ngrid_cols: 3\nbase_lat: 95", "the grid reaches past lon [-180, 180]"),
+        ("grid_rows: 3\ngrid_cols: 3\nbase_lat: 89.999", "the grid reaches past lon [-180, 180]"),
+        ("grid_rows: 3\ngrid_cols: 3\nbase_lon: 179.999", "the grid reaches past lon [-180, 180]"),
+        ("tz_offset_s: 90000", "tz_offset_s must be less than one day in magnitude"),
+        ("noise_std_deg: -1.0", "noise_std_deg must be >= 0"),
     ], ids=["start_date", "grid_rows", "demand_profile", "seed", "segment_length_km",
             "start_date_not_a_string", "trip_duration", "injected_offset_one_number",
-            "demand_profile_floats", "per_road_speed_kmh_list"])
+            "demand_profile_floats", "per_road_speed_kmh_list", "base_lat_past_the_pole",
+            "grid_past_the_pole", "grid_past_the_antimeridian", "tz_offset_s_a_day",
+            "negative_noise"])
     def test_bad_scenario_value_exit_1_one_line(self, runner, tmp_path, line, message):
         cfg = tmp_path / "scenario.yaml"
         cfg.write_text(line + "\n")

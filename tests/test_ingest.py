@@ -141,6 +141,11 @@ class TestParserConfig:
         with pytest.raises(ValueError, match="chunk_size"):
             ParserConfig(chunk_size=chunk_size)
 
+    @pytest.mark.parametrize("ceiling", [float("nan"), float("inf"), -0.5, 0, "x", True])
+    def test_error_rate_ceiling_must_be_positive_and_finite(self, ceiling):
+        with pytest.raises(ValueError, match="error_rate_ceiling"):
+            ParserConfig(error_rate_ceiling=ceiling)
+
 
 class TestReadChunks:
     def test_chunk_sizes(self):

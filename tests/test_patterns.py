@@ -1,5 +1,6 @@
 import dataclasses
 import datetime
+import pickle
 import tracemalloc
 import weakref
 
@@ -317,23 +318,58 @@ class TestTensorBuilder:
             assert_same_bits(result, results[0])
         assert_matches_oracle(*results[0], rows)
 
-    def test_add_coded_continues_the_first_seen_codes(self, small_net, small_records):
-        """Rows cut in two at any point, the back added as another builder's
-        stored columns, give the bytes of one builder that saw them all."""
+    def test_merge_continues_the_first_seen_codes(self, small_net, small_records):
+        """Rows cut in two at any point, the back merged in as another
+        builder, also through a pickle, give the bytes of one builder that
+        saw them all."""
         rows = interleaved(match_batch(small_records, small_net)[0])
         whole = TensorBuilder(small_net.ordered_ids())
         whole.add(rows)
         want = whole.finalize()
         for cut in (0, 1, len(rows) // 3, len(rows) // 2 + 1, len(rows)):
-            front, back = (TensorBuilder(small_net.ordered_ids()) for _ in range(2))
-            front.add(rows[:cut])
-            for i in range(cut, len(rows), 7):
-                back.add(rows[i:i + 7])
-            if back.n_points:
-                front.add_coded(list(back._order_idx),
-                                *(np.concatenate(parts) for parts in back._columns))
-            assert front.n_points == len(rows)
-            assert_same_bits(front.finalize(), want)
+            for hand_over in (lambda b: b, lambda b: pickle.loads(pickle.dumps(b, 5))):
+                front, back = (TensorBuilder(small_net.ordered_ids()) for _ in range(2))
+                front.add(rows[:cut])
+                for i in range(cut, len(rows), 7):
+                    back.add(rows[i:i + 7])
+                front.merge(hand_over(back))
+                assert front.n_points == len(rows)
+                assert_same_bits(front.finalize(), want)
+
+    def test_merging_an_empty_builder_changes_nothing(self, small_net, small_records):
+        rows = match_batch(small_records, small_net)[0]
+        alone, merged = (TensorBuilder(small_net.ordered_ids()) for _ in range(2))
+        alone.add(rows)
+        merged.add(rows)
+        merged.merge(TensorBuilder(small_net.ordered_ids()))
+        assert merged.n_points == len(rows)
+        assert_same_bits(merged.finalize(), alone.finalize())
+
+    @pytest.mark.parametrize("other", [
+        lambda: TensorBuilder((1, 2, 5, 6)),
+        lambda: TensorBuilder((1, 2, 5), pair_dt_max_s=11),
+        lambda: TensorBuilder((1, 2, 5), tz_offset_s=0),
+    ], ids=["road_axis", "pair_dt_max_s", "tz_offset_s"])
+    def test_merge_rejects_another_axis_or_setting(self, other):
+        builder, other = TensorBuilder((1, 2, 5)), other()
+        other.add(matched([mp(2, 1000, LAT, LON)]))
+        with pytest.raises(ValueError, match="the same road axis and settings"):
+            builder.merge(other)
+        assert builder.n_points == 0 and not builder._order_idx
+        assert other.n_points == 1
+
+    def test_a_merged_builder_is_consumed(self):
+        builder, other = TensorBuilder((1, 2, 5)), TensorBuilder((1, 2, 5))
+        other.add(matched([mp(2, 1000, LAT, LON)]))
+        builder.merge(other)
+        for use in (lambda: other.add(matched([mp(2, 2000, LAT, LON)])),
+                    other.finalize, lambda: other.merge(TensorBuilder((1, 2, 5))),
+                    lambda: TensorBuilder((1, 2, 5)).merge(other)):
+            with pytest.raises(ValueError, match="merged into another"):
+                use()
+        with pytest.raises(ValueError, match="cannot merge itself"):
+            builder.merge(builder)
+        assert builder.n_points == 1
 
     def test_pair_block_edges(self, monkeypatch, small_net, small_records):
         matched_rows, _ = match_batch(small_records, small_net)
