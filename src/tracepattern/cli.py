@@ -2,13 +2,13 @@
 
 Subcommands: estimate (full pipeline), offset (print estimated shift),
 analyze (from saved matrices), heatmap, timeseries, synth. Exit codes:
-0 success, 1 fatal config/IO error, 2 data-quality abort.
+0 success, 1 configuration, I/O or usage error, 2 data-quality abort.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
-import functools
 import logging
 import os
 import sys
@@ -24,18 +24,33 @@ from .errors import ConfigError, DataQualityError, TracePatternError
 logger = logging.getLogger(__name__)
 
 
-def _fatal_guard(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except DataQualityError as exc:
-            click.echo(f"data-quality abort: {exc}", err=True)
-            sys.exit(2)
-        except (TracePatternError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-    return wrapper
+@contextlib.contextmanager
+def _exit_codes():
+    """Map a failure to its exit code, told in one stderr line."""
+    try:
+        yield
+    except DataQualityError as exc:
+        click.echo(f"data-quality abort: {exc}", err=True)
+        sys.exit(2)
+    except (TracePatternError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
+    except click.UsageError as exc:
+        click.echo(f"error: {exc.format_message()}", err=True)
+        sys.exit(1)
+
+
+class _Group(click.Group):
+    """The command group: the failures of parsing its own options and of
+    resolving, parsing and running a subcommand all pass _exit_codes."""
+
+    def make_context(self, *args, **kwargs):
+        with _exit_codes():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _exit_codes():
+            return super().invoke(ctx)
 
 
 def _load_config_file(path):
@@ -69,7 +84,7 @@ def _build_run_config(config_file, overrides):
     return pipeline.RunConfig(**data)
 
 
-@click.group()
+@click.group(cls=_Group, no_args_is_help=False)
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose):
     """Road-level traffic patterns from car-hailing GPS traces."""
@@ -100,7 +115,6 @@ def _run_options(fn):
 
 @main.command()
 @_run_options
-@_fatal_guard
 def estimate(config_file, **overrides):
     """Run the full pipeline: ingest, correct, match, aggregate, analyze."""
     config = _build_run_config(config_file, overrides)
@@ -117,7 +131,6 @@ def estimate(config_file, **overrides):
 @click.option("--traces", "traces_path", type=click.Path(exists=True), required=True)
 @click.option("--network", "network_path", type=click.Path(exists=True), required=True)
 @click.option("--sample-size", type=int, default=matching.DEFAULT_MIN_SAMPLE, show_default=True)
-@_fatal_guard
 def offset(traces_path, network_path, sample_size):
     """Estimate and print the coordinate shift; no other processing."""
     cfg = pipeline.RunConfig(traces_path=traces_path, network_path=network_path,
@@ -138,17 +151,13 @@ def offset(traces_path, network_path, sample_size):
               help="YAML config for thresholds and date_groups.")
 @click.option("--anomaly-kmh", type=float, default=None)
 @click.option("--missing-fraction", type=float, default=None)
-@_fatal_guard
 def analyze(flow_path, speed_path, network_path, out_dir, config_file,
             anomaly_kmh, missing_fraction):
     """Congestion and dispersion analysis from saved matrices."""
     cfg = _build_run_config(config_file, {
         "traces_path": flow_path, "network_path": network_path, "out_dir": out_dir,
         "anomaly_kmh": anomaly_kmh, "missing_fraction": missing_fraction})
-    cfg.validate()
-    net = network.load_network(network_path)
-    flow = ex.read_matrix_csv(flow_path)
-    pipeline.analyze_and_write(flow, ex.read_matrix_csv(speed_path), net, cfg, [])
+    pipeline.analyze_saved(cfg, flow_path, speed_path)
     click.echo(f"analysis written to {out_dir}")
 
 
@@ -157,7 +166,6 @@ def analyze(flow_path, speed_path, network_path, out_dir, config_file,
 @click.option("--network", "network_path", type=click.Path(exists=True), required=True)
 @click.option("--interval", required=True, help="Interval label, e.g. 2016-10-01T08:00.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@_fatal_guard
 def heatmap(matrix_path, network_path, interval, out_path):
     """Export one interval of a matrix as a GeoJSON heatmap layer."""
     matrix = ex.read_matrix_csv(matrix_path)
@@ -176,7 +184,6 @@ def heatmap(matrix_path, network_path, interval, out_path):
 @click.option("--measure", type=click.Choice(["dc", "cf"]), default="dc", show_default=True)
 @click.option("--normalize", is_flag=True, help="Per-day min-max normalization.")
 @click.option("--out-dir", type=click.Path(), required=True)
-@_fatal_guard
 def timeseries(series_path, scenario, config_file, measure, normalize, out_dir):
     """Per-scenario daily-overlay time series as CSV and SVG."""
     days, series = pipeline.read_network_series(series_path)
@@ -207,7 +214,6 @@ def timeseries(series_path, scenario, config_file, measure, normalize, out_dir):
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--write-truth", is_flag=True, help="Also write ground-truth matrices.")
-@_fatal_guard
 def synth_cmd(config_file, seed, out_dir, write_truth):
     """Generate a synthetic scenario with known ground truth."""
     data = _load_config_file(config_file)

@@ -63,7 +63,8 @@ def load_network(path_or_obj) -> RoadNetwork:
     positive finite number. Booleans are neither ids nor numbers.
     Each position is an array of 2 or 3 numbers, [lon, lat] or
     [lon, lat, alt] in degrees, lon in [-180, 180] and lat in [-90, 90];
-    altitude is ignored. A null or missing geometry or coordinates mean no
+    altitude is ignored. A geometry object's ``type`` must be
+    "LineString". A null or missing geometry or coordinates mean no
     vertices. Features with fewer than 2 vertices or zero length are
     skipped and counted. A document that is not valid JSON of this shape
     raises NetworkError.
@@ -97,6 +98,9 @@ def load_network(path_or_obj) -> RoadNetwork:
                 geometry = {}
             elif not isinstance(geometry, dict):
                 raise NetworkError(f"segment {seg_id}: geometry is not an object")
+            elif geometry.get("type") != "LineString":
+                raise NetworkError(f"segment {seg_id}: geometry type "
+                                   f"{geometry.get('type')!r} is not 'LineString'")
             coords = geometry.get("coordinates")
             if coords is None:
                 coords = []

@@ -136,8 +136,23 @@ def run_pipeline(config: RunConfig) -> dict:
         flow, speed_raw = builder.finalize()
         done.append("build_tensors")
 
-        cleaning, digests = analyze_and_write(flow, speed_raw, net, config, done,
-                                              estimate=True)
+        cleaning = patterns.clean_speed_matrix(speed_raw, config.missing_fraction,
+                                               config.anomaly_kmh)
+        done.append("clean")
+        analysis = analyze(flow, cleaning.speeds, net, config)
+        done.append("analyze")
+
+        meta = {"interval_seconds": 900, "tz_offset_s": config.tz_offset_s,
+                "anomaly_threshold_kmh": config.anomaly_kmh,
+                "missing_fraction_threshold": config.missing_fraction,
+                "dropped_road_ids": cleaning.dropped_road_ids,
+                "anomaly_rate": cleaning.anomaly_rate}
+        names = ["flow.csv", "speed_raw.csv", "speed_clean.csv"]
+        for name, matrix in zip(names, (flow, speed_raw, cleaning.speeds)):
+            ex.write_matrix_csv(matrix, os.path.join(config.out_dir, name), meta)
+        names += write_analysis(analysis, flow, config.out_dir, meta)
+        digests = {name: ex.sha256_file(os.path.join(config.out_dir, name)) for name in names}
+        done.append("export")
         manifest.update({
             "offset": {"dlat": offset.dlat, "dlon": offset.dlon,
                        "source": "explicit" if config.offset is not None else "estimated"},
@@ -332,18 +347,16 @@ def _split_byte(path):
     return mid
 
 
-def analyze_and_write(flow, speed_raw, net, config: RunConfig, done: list, estimate=False):
-    """The stages ``estimate`` and ``analyze`` share: clean ``speed_raw``,
-    analyze, and write the results into ``config.out_dir``. Appends
-    "clean", "analyze" and "export" to ``done`` as each one finishes.
-
-    With ``estimate``, the flow and speed matrices are written too, each
-    matrix CSV gets a ``.meta.json`` sidecar, and the second result maps
-    every file written to its SHA-256; otherwise it is None. Returns
-    (cleaning, digests). Raises ComparisonError when the two matrices'
-    interval axes differ, a flow road is not in ``net``, a flow cell is
-    not a finite whole count >= 0 or a fitting index is not finite.
-    """
+def analyze_saved(config: RunConfig, flow_path, speed_path):
+    """The ``analyze`` command: clean the raw speed matrix CSV, analyze it
+    with the flow matrix CSV and write_analysis into ``config.out_dir``.
+    ComparisonError when their interval axes differ, a flow road is not in
+    the network, a flow cell is not a finite whole count >= 0 or an f² is
+    not finite."""
+    config.validate()
+    net = network.load_network(config.network_path)
+    flow = ex.read_matrix_csv(flow_path)
+    speed_raw = ex.read_matrix_csv(speed_path)
     if flow.intervals != speed_raw.intervals:
         raise ComparisonError("the flow and speed matrices have different interval axes")
     lacking = next((rid for rid in flow.road_ids if rid not in net.segments), None)
@@ -351,7 +364,7 @@ def analyze_and_write(flow, speed_raw, net, config: RunConfig, done: list, estim
         raise ComparisonError(f"road {lacking} of the flow matrix is not in the network")
     v = flow.values
     counts = np.min(v, initial=0) >= 0 and np.max(v, initial=0) < np.inf  # a NaN cell: NaN min
-    if counts and v.dtype.kind == "f":  # whole numbers, by blocks of rows: no grid-sized temporary
+    if counts:  # whole numbers, by blocks of rows: no grid-sized temporary
         rows = max((1 << 16) // max(v.shape[1], 1), 1)
         counts = all(np.array_equal(np.floor(block), block)
                      for block in (v[r:r + rows] for r in range(0, len(v), rows)))
@@ -361,38 +374,33 @@ def analyze_and_write(flow, speed_raw, net, config: RunConfig, done: list, estim
                               f"at {flow.intervals[j].label()}, not a finite count >= 0")
     cleaning = patterns.clean_speed_matrix(speed_raw, config.missing_fraction,
                                            config.anomaly_kmh)
-    if not estimate:
-        speed_raw = None  # not written, so let the caller's only copy go
-    done.append("clean")
+    del speed_raw  # its only reference: free it before the analysis
     analysis = analyze(flow, cleaning.speeds, net, config)
-    done.append("analyze")
+    os.makedirs(config.out_dir, exist_ok=True)
+    write_analysis(analysis, flow, config.out_dir)
 
-    out = config.out_dir
-    os.makedirs(out, exist_ok=True)
-    meta, matrices = None, {}
-    if estimate:
-        meta = {
-            "interval_seconds": 900,
-            "tz_offset_s": config.tz_offset_s,
-            "anomaly_threshold_kmh": config.anomaly_kmh,
-            "missing_fraction_threshold": config.missing_fraction,
-            "dropped_road_ids": cleaning.dropped_road_ids,
-            "anomaly_rate": cleaning.anomaly_rate,
-        }
-        matrices = {"flow.csv": flow, "speed_raw.csv": speed_raw,
-                    "speed_clean.csv": cleaning.speeds}
-    matrices["inrix.csv"] = analysis["scores"].per_road
-    for name, matrix in matrices.items():
-        ex.write_matrix_csv(matrix, os.path.join(out, name), meta)
-    _write_network_series(analysis["scores"], flow, os.path.join(out, "network_series.csv"))
-    _write_daily(analysis["daily"], os.path.join(out, "daily.csv"))
+
+_SERIES_HEADER = ["interval", "network_inrix", "cf_total"]
+
+
+def write_analysis(analysis, flow, out, meta=None) -> list:
+    """Write what ``analyze`` returned into the directory ``out``; returns
+    the names written, in order. ``inrix.csv`` gets a ``meta`` sidecar if given."""
+    scores = analysis["scores"]
+    ex.write_matrix_csv(scores.per_road, os.path.join(out, "inrix.csv"), meta)
+    with open(os.path.join(out, "network_series.csv"), "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(_SERIES_HEADER)
+        for lbl, dc, f in zip(flow.interval_labels(), scores.network, flow.values.sum(axis=0)):
+            w.writerow([lbl, "" if np.isnan(dc) else repr(float(dc)), int(f)])
+    with open(os.path.join(out, "daily.csv"), "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["day", "cf_total", "dc_mean", "partial"])
+        for agg in analysis["daily"]:
+            dc = "" if np.isnan(agg.dc_mean) else repr(agg.dc_mean)
+            w.writerow([agg.day.isoformat(), agg.cf_total, dc, int(agg.partial)])
     ex.write_json(analysis["fitting"], os.path.join(out, "fitting.json"))
-    digests = None
-    if estimate:
-        digests = {name: ex.sha256_file(os.path.join(out, name))
-                   for name in [*matrices, "network_series.csv", "daily.csv", "fitting.json"]}
-    done.append("export")
-    return cleaning, digests
+    return ["inrix.csv", "network_series.csv", "daily.csv", "fitting.json"]
 
 
 def analyze(flow, cleaned_speeds, net, config: RunConfig) -> dict:
@@ -445,19 +453,6 @@ def resolve_groups(date_groups, days):
             "weekend": {d for d in days if d.weekday() >= 5}}
 
 
-_SERIES_HEADER = ["interval", "network_inrix", "cf_total"]
-
-
-def _write_network_series(scores, flow, path):
-    labels = flow.interval_labels()
-    cf = flow.values.sum(axis=0)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_SERIES_HEADER)
-        for lbl, dc, f in zip(labels, scores.network, cf):
-            w.writerow([lbl, "" if np.isnan(dc) else repr(float(dc)), int(f)])
-
-
 def read_network_series(path):
     """Read a ``network_series.csv``; returns (days, {"dc": ..., "cf": ...}).
 
@@ -486,11 +481,3 @@ def read_network_series(path):
     cells = np.array([by_day[d] for d in days], dtype=np.float64).reshape(-1, SLOTS_PER_DAY, 3)
     return days, {"dc": cells[:, :, 1], "cf": cells[:, :, 2]}
 
-
-def _write_daily(daily, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["day", "cf_total", "dc_mean", "partial"])
-        for agg in daily:
-            dc = "" if np.isnan(agg.dc_mean) else repr(agg.dc_mean)
-            w.writerow([agg.day.isoformat(), agg.cf_total, dc, int(agg.partial)])

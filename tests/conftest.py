@@ -1,14 +1,16 @@
+import contextlib
 import datetime
 import io
 import math
 import os
 import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from tracepattern import geo, network
+from tracepattern import export, geo, network, parallel
 from tracepattern.errors import NetworkError
 from tracepattern.ingest import (DEFAULT_TZ_OFFSET_S, SLOTS_PER_DAY, IngestStats,
                                  IntervalIndex, ParserConfig, TraceBatch, day_slot,
@@ -64,10 +66,12 @@ def load_network_by_features(doc):
             raise NetworkError(f"duplicate segment id {seg_id}")
         seen.add(seg_id)
         geometry = feat.get("geometry")
-        geometry = {} if geometry is None else geometry
-        if not isinstance(geometry, dict):
+        if geometry is not None and not isinstance(geometry, dict):
             raise NetworkError(f"segment {seg_id}: geometry is not an object")
-        coords = geometry.get("coordinates")
+        if geometry is not None and geometry.get("type") != "LineString":
+            raise NetworkError(f"segment {seg_id}: geometry type {geometry.get('type')!r} "
+                               f"is not 'LineString'")
+        coords = (geometry or {}).get("coordinates")
         coords = [] if coords is None else coords
         if not isinstance(coords, list):
             raise NetworkError(f"segment {seg_id}: coordinates are not an array")
@@ -283,6 +287,26 @@ def assert_no_child():
     """Every child this process forked has been reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def split_jobs(strict=True, cpus=(0, 1)):
+    """Split every matrix CSV job, whatever its size, as on a machine with
+    the CPUs ``cpus``; yields the mock that counts the forks. With
+    ``strict``, a fall back to the serial path fails the test."""
+    real = parallel.fork_split
+
+    def no_fallback(front, back, join, serial):
+        return real(front, back, join, lambda: pytest.fail("fell back to the serial path"))
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(export, "SPLIT_WRITE_CELLS", 0))
+        stack.enter_context(mock.patch.object(export, "SPLIT_READ_BYTES", 0))
+        stack.enter_context(mock.patch.object(os, "sched_getaffinity",
+                                              return_value=set(cpus)))
+        if strict:
+            stack.enter_context(mock.patch.object(parallel, "fork_split", no_fallback))
+        yield stack.enter_context(mock.patch.object(os, "fork", wraps=os.fork))
 
 
 def build_tensors(matched_batches, road_ids, pair_dt_max_s=DEFAULT_PAIR_DT_MAX_S):

@@ -15,6 +15,8 @@ from tracepattern.errors import ConfigError
 from tracepattern.synth import (Scenario, generate, uniform_profile,
                                 write_scenario)
 
+from conftest import assert_no_child, split_jobs
+
 
 @pytest.fixture(scope="module")
 def runner():
@@ -38,6 +40,34 @@ def workspace(tmp_path_factory):
     assert result.exit_code == 0, result.output
     return {"root": root, "gen": gen, "net": net_path, "traces": trace_path,
             "out": out_dir}
+
+
+@pytest.mark.parametrize("args, named", [
+    (["estimate", "--tz-offset", "3600.5"], "'--tz-offset'"),
+    (["estimate", "--offset", "1"], "'--offset'"),
+    (["estimate", "--bogus"], "--bogus"),
+    (["--bogus", "estimate"], "--bogus"),
+    (["bogus"], "'bogus'"),
+    ([], "command"),
+], ids=["not-an-integer", "one-of-two-values", "unknown-option", "unknown-group-option",
+        "unknown-command", "no-command"])
+def test_usage_error_exit_1_one_line(runner, args, named):
+    """click's own usage errors keep the exit-code contract: exit 1 and one
+    ``error:`` line, no usage text."""
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert named in result.stderr and result.stdout == ""
+
+
+def test_main_returns_without_standalone_mode(workspace):
+    """Called as a function, a good command returns and a failed one still
+    exits with its code."""
+    args = ["offset", "--traces", workspace["traces"], "--network", workspace["net"]]
+    assert main(args, prog_name="tracepattern", standalone_mode=False) is None
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--sample-size", "0"], prog_name="tracepattern", standalone_mode=False)
+    assert exc.value.code == 1
 
 
 class TestEstimate:
@@ -333,6 +363,44 @@ class TestAnalyze:
                     open(os.path.join(workspace["out"], name), "rb") as fb:
                 assert fa.read() == fb.read(), name
         assert not os.path.exists(os.path.join(out, "inrix.csv.meta.json"))
+
+    @pytest.fixture(scope="class")
+    def configured_run(self, workspace, tmp_path_factory):
+        """(out dir, flags) of an estimate run given date groups in a config
+        file and two thresholds that are not the defaults."""
+        root = tmp_path_factory.mktemp("configured")
+        cfg = root / "run.yaml"
+        cfg.write_text("date_groups:\n  ends: ['2016-10-01', '2016-10-03']\n"
+                       "  middle: ['2016-10-02']\n")
+        flags = ["--config", str(cfg), "--anomaly-kmh", "36", "--missing-fraction", "0.1"]
+        out = root / "run"
+        result = CliRunner().invoke(main, [
+            "estimate", "--traces", workspace["traces"], "--network", workspace["net"],
+            "--out", str(out), *flags])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        # each setting shows: anomalies repaired, some roads dropped, and
+        # the config's groups in place of weekday and weekend
+        assert manifest["anomaly_count"] > 0
+        roads = ex.read_matrix_csv(str(out / "flow.csv")).road_ids
+        assert 0 < len(manifest["dropped_road_ids"]) < len(roads)
+        assert list(json.loads((out / "fitting.json").read_text())) == ["ends"]
+        return out, flags
+
+    @pytest.mark.parametrize("cpus", [(0, 1), (0,)], ids=["two-cpus", "one-cpu"])
+    def test_reproduces_a_configured_estimate(self, runner, workspace, configured_run,
+                                              tmp_path, cpus):
+        run, flags = configured_run
+        out = tmp_path / "analysis"
+        with split_jobs(strict=len(cpus) == 2, cpus=cpus) as fork:
+            result = runner.invoke(main, [
+                "analyze", "--flow", str(run / "flow.csv"), "--speed", str(run / "speed_raw.csv"),
+                "--network", workspace["net"], "--out", str(out), *flags])
+        assert result.exit_code == 0, result.output
+        assert fork.called == (len(cpus) == 2)
+        assert_no_child()
+        for name in ("inrix.csv", "network_series.csv", "daily.csv", "fitting.json"):
+            assert (out / name).read_bytes() == (run / name).read_bytes(), name
 
     @pytest.mark.parametrize("flag, value", [
         ("--missing-fraction", "2"), ("--anomaly-kmh", "-5"), ("--anomaly-kmh", "0"),

@@ -16,13 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tracepattern import export, parallel
+from tracepattern import export
 from tracepattern.errors import ExportError
 from tracepattern.export import read_matrix_csv, write_matrix_csv
 from tracepattern.ingest import IntervalIndex
 from tracepattern.patterns import SpatioTemporalMatrix
 
-from conftest import assert_no_child, traced_peak
+from conftest import assert_no_child, split_jobs, traced_peak
 
 INT64 = np.iinfo(np.int64)
 INT32 = np.iinfo(np.int32)
@@ -427,26 +427,6 @@ def test_writer_memory_stays_below_matrix_size(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < values.nbytes
-
-
-@contextlib.contextmanager
-def split_jobs(strict=True, cpus=(0, 1)):
-    """Split every matrix CSV job, whatever its size, as on a machine with
-    the CPUs ``cpus``; yields the mock that counts the forks. With
-    ``strict``, a fall back to the serial path fails the test."""
-    real = parallel.fork_split
-
-    def no_fallback(front, back, join, serial):
-        return real(front, back, join, lambda: pytest.fail("fell back to the serial path"))
-
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(export, "SPLIT_WRITE_CELLS", 0))
-        stack.enter_context(mock.patch.object(export, "SPLIT_READ_BYTES", 0))
-        stack.enter_context(mock.patch.object(os, "sched_getaffinity",
-                                              return_value=set(cpus)))
-        if strict:
-            stack.enter_context(mock.patch.object(parallel, "fork_split", no_fallback))
-        yield stack.enter_context(mock.patch.object(os, "fork", wraps=os.fork))
 
 
 def random_matrix(n_roads, n_intervals, integral=False, seed=0):

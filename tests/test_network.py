@@ -40,6 +40,7 @@ features = json_values | st.fixed_dictionaries({}, optional={
         "id": json_values | st.integers(0, 3),
         "free_flow_kmh": json_values | numbers}),
     "geometry": json_values | st.fixed_dictionaries({}, optional={
+        "type": st.sampled_from(["LineString", "MultiLineString", "Point"]),
         "coordinates": json_values | st.lists(positions | json_values, max_size=4)}),
 })
 json_documents = json_values | st.fixed_dictionaries(
@@ -150,6 +151,14 @@ class TestLoadNetwork:
         # a string is no id, not even one that int() parses
         *((line(raw, [[104.0, 30.0], [104.0, 30.01]]), f"^feature id {raw!r} is not an integer")
           for raw in ("7", " 8 ", "9_0", "\u0663")),
+        # a road is a LineString: no other geometry type is read as one
+        *(({**line(4, []), "geometry": g}, f"^segment 4: geometry type {t!r} is not 'LineString'$")
+          for t, g in (
+              ("MultiLineString", {"type": "MultiLineString",
+                                   "coordinates": [[[104.0, 30.0], [104.0, 30.01]]]}),
+              ("Point", {"type": "Point", "coordinates": [[104.0, 30.0], [104.0, 30.01]]}),
+              (None, {"coordinates": [[104.0, 30.0], [104.0, 30.01]]}),
+              (None, {}))),
     ])
     def test_malformed_feature_is_network_error(self, feature, message):
         with pytest.raises(NetworkError, match=message):

@@ -13,6 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from tracepattern import export as ex
 from tracepattern import matching, network, parallel, pipeline
 from tracepattern.errors import ComparisonError, DataQualityError, IngestError
 from tracepattern.ingest import DEFAULT_CHUNK_SIZE
@@ -69,9 +70,10 @@ def test_manifest_names_the_failed_stage(tmp_path, target, stage):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
 def test_flow_cells_must_be_whole_counts(tmp_path, dtype):
-    """analyze_and_write checks a float flow matrix for whole counts a block
+    """analyze_saved checks the flow matrix it reads for whole counts a block
     of rows at a time: 760 roads x 96 intervals span two blocks, and a 2.5
-    in the last row is found. An integer matrix needs no such check."""
+    in the last row is found, whatever dtype wrote the file. An integer
+    matrix cannot hold the 2.5."""
     doc = grid_network_doc(Scenario(grid_rows=20, grid_cols=20))
     net_path = tmp_path / "network.geojson"
     net_path.write_text(json.dumps(doc))
@@ -81,16 +83,21 @@ def test_flow_cells_must_be_whole_counts(tmp_path, dtype):
     values = np.ones((len(ids), len(axis)), dtype=dtype)
     flow = SpatioTemporalMatrix(ids, axis, values)
     speed = SpatioTemporalMatrix(ids, axis, np.full(values.shape, 30.0))
-    config = RunConfig(traces_path="", network_path=str(net_path), out_dir=str(tmp_path / "a"))
+    flow_path, speed_path = str(tmp_path / "flow.csv"), str(tmp_path / "speed_raw.csv")
+    ex.write_matrix_csv(flow, flow_path)
+    ex.write_matrix_csv(speed, speed_path)
+    config = RunConfig(traces_path=flow_path, network_path=str(net_path),
+                       out_dir=str(tmp_path / "a"))
     assert len(ids) * len(axis) > 1 << 16  # more than one block of rows
-    pipeline.analyze_and_write(flow, speed, net, config, [])
+    pipeline.analyze_saved(config, flow_path, speed_path)
     assert (tmp_path / "a" / "daily.csv").read_text().splitlines()[1].startswith(
         f"2016-10-01,{len(ids) * len(axis)},")
     if dtype == np.int64:
         return
     values[-1, 5] = 2.5
+    ex.write_matrix_csv(flow, flow_path)
     with pytest.raises(ComparisonError) as exc:
-        pipeline.analyze_and_write(flow, speed, net, config, [])
+        pipeline.analyze_saved(config, flow_path, speed_path)
     assert str(exc.value) == (f"road {ids[-1]} of the flow matrix has flow 2.5 at "
                               f"{axis[5].label()}, not a finite count >= 0")
 
