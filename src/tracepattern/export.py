@@ -29,7 +29,7 @@ from .patterns import SpatioTemporalMatrix
 # ~1 MiB and 28% less at 4.7 MiB (2-vCPU Xeon VM).
 SPLIT_WRITE_CELLS = 1 << 20
 SPLIT_READ_BYTES = 4 << 20
-_BLOCK = 1 << 20  # bytes per read when joining a child's result
+_BLOCK = 1 << 20  # bytes per read: joining a child's result, buffering the line reader
 _ROW_BLOCK = 1 << 15  # cells of the rows _write_rows handles at once
 # A row with fewer than one cell in _SPLICE_EVERY nonzero is the zero-row
 # text with those cells spliced in. Per 2,000 x 672 rows (CPU time, best of
@@ -134,23 +134,30 @@ def _format_rows(block) -> list[bytes]:
     shortest, closest digits as ``repr``, in the same form for every
     nonzero |x| in [1e-4, 1e16). Outside that range it writes ``null`` for
     NaN and ±inf, and ``0.00001`` and ``1e16`` where ``repr`` writes
-    ``1e-05`` and ``1e+16``. A row's ``null`` texts become ``nan``, and
-    the other cells outside that range get ``repr``'s text one by one.
+    ``1e-05`` and ``1e+16``. So the rows are written from a copy of the
+    block that holds NaN in those other cells, and each ``null`` of a row
+    becomes, in column order, the ``repr`` of its cell (``nan`` for NaN).
     """
     import orjson
 
-    rows = [orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] for row in block]
-    if block.dtype.kind == "f":
-        size = np.abs(block)
-        for r in np.flatnonzero(np.isnan(size).any(axis=1)).tolist():
+    if block.dtype.kind != "f":
+        return [orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] for row in block]
+    size = np.abs(block)
+    odd = ((size < 1e-4) & (size != 0)) | (size >= 1e16)  # ±inf included, NaN not
+    null = odd | np.isnan(size)
+    written = block
+    if odd.any():
+        written = block.copy()
+        written[odd] = np.nan
+    rows = [orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] for row in written]
+    odd_rows = odd.any(axis=1)
+    for r in np.flatnonzero(null.any(axis=1)).tolist():
+        if not odd_rows[r]:
             rows[r] = rows[r].replace(b"null", b"nan")
-        odd = ((size < 1e-4) & (size != 0)) | (size >= 1e16)  # NaN compares false
-        for r in np.flatnonzero(odd.any(axis=1)).tolist():
-            texts = rows[r].split(b",")
-            cols = np.flatnonzero(odd[r])
-            for c, value in zip(cols.tolist(), block[r, cols].tolist()):
-                texts[c] = repr(value).encode()
-            rows[r] = b",".join(texts)
+            continue
+        parts = rows[r].split(b"null")
+        texts = [repr(value).encode() for value in block[r, null[r]].tolist()]
+        rows[r] = b"".join([text for pair in zip(parts, texts) for text in pair] + parts[-1:])
     return rows
 
 
@@ -341,7 +348,7 @@ def _orjson_row(text, n):
 def _lines(path, start, stop):
     """The lines in bytes ``start:stop`` of ``path``, split at ``\\n``,
     ``\\r\\n`` and a lone ``\\r`` as text mode with ``newline=""`` splits them."""
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=_BLOCK) as fh:
         fh.seek(start)
         while start < stop and (line := fh.readline()):
             start += len(line)

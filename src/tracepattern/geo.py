@@ -25,6 +25,12 @@ def haversine(lat1, lon1, lat2, lon2):
     return d
 
 
+def lon_km_per_deg(lat):
+    """Km per degree of longitude at latitude ``lat`` (degrees): the x scale
+    of the local plane that ``min_dist_to_subsegments`` projects into."""
+    return KM_PER_DEG * np.cos(np.radians(lat))
+
+
 def min_dist_to_subsegments(lat, lon, a_lat, a_lon, b_lat, b_lon):
     """Distances (km) from query points to straight sub-segments.
 
@@ -38,20 +44,44 @@ def min_dist_to_subsegments(lat, lon, a_lat, a_lon, b_lat, b_lon):
     """
     lat = np.asarray(lat, dtype=np.float64)
     lon = np.asarray(lon, dtype=np.float64)
-    kx = KM_PER_DEG * np.cos(np.radians(lat))
-    ky = KM_PER_DEG
+    shape = np.broadcast_shapes(lat.shape, lon.shape,
+                                *map(np.shape, (a_lat, a_lon, b_lat, b_lon)))
+    # arrays of the broadcast shape, at least 1-d: min_dist_at_scale works
+    # in place on its first temporaries
+    lat, lon, a_lat, a_lon, b_lat, b_lon = np.broadcast_arrays(
+        *np.atleast_1d(lat, lon, a_lat, a_lon, b_lat, b_lon))
+    d, t = min_dist_at_scale(lat, lon, lon_km_per_deg(lat), a_lat, a_lon, b_lat, b_lon)
+    return d.reshape(shape)[()], t.reshape(shape)[()]
 
-    ax = (a_lon - lon) * kx
-    ay = (a_lat - lat) * ky
-    bx = (b_lon - lon) * kx
-    by = (b_lat - lat) * ky
 
-    dx = bx - ax
-    dy = by - ay
-    seg2 = dx * dx + dy * dy
+def min_dist_at_scale(lat, lon, kx, a_lat, a_lon, b_lat, b_lon):
+    """``min_dist_to_subsegments`` with the x scale ``kx``, which must be
+    ``lon_km_per_deg(lat)``, given: a caller that measures one point
+    against many sub-segments computes it once per point. The operations,
+    and so the bits, are those of ``min_dist_to_subsegments``; they run in
+    place on the first temporaries, which have the broadcast shape.
+    """
+    ax = a_lon - lon
+    ax *= kx
+    ay = a_lat - lat
+    ay *= KM_PER_DEG
+    dx = b_lon - lon  # bx, then bx - ax
+    dx *= kx
+    dx -= ax
+    dy = b_lat - lat
+    dy *= KM_PER_DEG
+    dy -= ay
+    seg2 = dx * dx
+    seg2 += dy * dy
+    t = ax * dx  # -(ax * dx + ay * dy) / seg2 where seg2 > 0, else 0
+    t += ay * dy
+    np.negative(t, out=t)
     with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.where(seg2 > 0.0, -(ax * dx + ay * dy) / seg2, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    cx = ax + t * dx
-    cy = ay + t * dy
-    return np.hypot(cx, cy), t
+        t /= seg2
+    np.copyto(t, 0.0, where=~(seg2 > 0.0))
+    np.clip(t, 0.0, 1.0, out=t)
+    dx *= t  # the closest point: a + t * (b - a)
+    ax += dx
+    dy *= t
+    ay += dy
+    return np.hypot(ax, ay, out=ax), t

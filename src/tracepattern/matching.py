@@ -123,8 +123,8 @@ def apply_offset(batch: TraceBatch, off: OffsetVector):
     lat = batch.lat + off.dlat
     lon = batch.lon + off.dlon
     ok = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
-    shifted = replace(batch, lat=lat, lon=lon)[ok]
-    return shifted, len(batch) - len(shifted)
+    shifted = replace(batch, lat=lat, lon=lon)
+    return _kept(shifted, ok), len(batch) - int(np.count_nonzero(ok))
 
 
 def match_batch(batch: TraceBatch, net: RoadNetwork,
@@ -136,9 +136,14 @@ def match_batch(batch: TraceBatch, net: RoadNetwork,
     counted as unmatched, a normal outcome.
     """
     seg_ids = net.index.nearest_batch(batch.lat, batch.lon, max_dist_km)[0]
-    ok = seg_ids >= 0
-    matched = replace(batch, road_id=seg_ids)[ok]
+    matched = _kept(replace(batch, road_id=seg_ids), seg_ids >= 0)
     if len(batch):
         logger.debug("match rate %.1f%% (%d/%d)",
                      100.0 * len(matched) / len(batch), len(matched), len(batch))
     return matched, len(batch) - len(matched)
+
+
+def _kept(batch: TraceBatch, ok) -> TraceBatch:
+    """The rows of ``batch`` where ``ok`` is true: ``batch`` itself when
+    no row is dropped, with no gather of its columns."""
+    return batch if ok.all() else batch[ok]

@@ -1,8 +1,9 @@
 """Road network model, GeoJSON loading, and nearest-segment queries.
 
 The network is immutable after load. Nearest-segment queries go through a
-uniform grid index over polyline sub-segments; the index is an accelerator
-only and returns exactly what an exhaustive scan would.
+uniform grid index over polyline sub-segments, which keeps the candidates
+of each grid cell it has been queried at, per distance gate; the index is
+an accelerator only and returns exactly what an exhaustive scan would.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_MAX_DIST_KM = 0.05  # 50 m matching gate
 
 _CELL_DEG = 0.002  # ~220 m grid cell
-_PAIR_BUDGET = 1 << 16  # (point, candidate) pairs evaluated per slice of a query
+_BLOCK = 1 << 14  # points of one nearest_batch call matched at once
 _SLACK = 1e-6  # relative growth of the gate radii in the candidate filter
 _ID_RANGE = range(-2**63, 2**63)  # int64, the dtype of road ids in arrays
 
@@ -263,16 +264,21 @@ class SpatialIndex:
 
     Sub-segments are registered in every grid cell their bounding box
     overlaps, as a CSR table: sorted cell keys, offsets and sub-segment ids.
-    A query groups its points by cell, keeps for each occupied cell the
-    sub-segments that can lie within the distance gate of some point in it,
-    and evaluates the resulting (point, candidate) pairs in fixed-size slices.
+    The candidates of a grid cell at a distance gate are the sub-segments
+    that can lie within the gate of some point in the cell. They are worked
+    out once per cell and gate, the first time a query meets the cell, and
+    kept in a memo per gate, again as a CSR table. A query looks up each
+    point's cell in it and measures each point against its candidates one
+    candidate slot at a time, for a block of points at a time.
     """
 
     def __init__(self, net: RoadNetwork):
         ids = net.ordered_ids()
         v, n_vert = _flatten([net.segments[s].polyline for s in ids])
         a, b = _subsegments(v, n_vert)
-        self.a_lat, self.a_lon, self.b_lat, self.b_lon = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+        # rows a_lat, a_lon, b_lat, b_lon: one take gathers a candidate's ends
+        self.ends = np.stack([a[:, 0], a[:, 1], b[:, 0], b[:, 1]])
+        self.a_lat, self.a_lon, self.b_lat, self.b_lon = self.ends
         self.seg_ids = np.repeat(np.asarray(ids, dtype=np.int64), n_vert - 1)
         self.n_sub = len(self.seg_ids)
         self.lat_lo = np.minimum(self.a_lat, self.b_lat)
@@ -294,6 +300,10 @@ class SpatialIndex:
         # the grid rows that hold registered cells
         self.row_lo, self.row_hi = (int(i0.min()), int(i1.max())) if self.n_sub else (0, -1)
         self.max_abs_lat = float(np.max(np.abs(v[:, 0]), initial=0.0))
+        # max_dist_km -> (keys, start, subs): the sorted keys of the cells
+        # queried at that gate, and their candidates, cell k's ascending in
+        # subs[start[k]:start[k + 1]]
+        self._memo = {}
 
     def _radii(self, max_dist_km):
         """(r_lat, r_lon): a road within the gate of a point has its closest
@@ -330,9 +340,42 @@ class SpatialIndex:
                  & (self.lat_hi[sub] + r_lat >= lat0)
                  & (self.lon_lo[sub] - r_lon <= lon0 + _CELL_DEG)
                  & (self.lon_hi[sub] + r_lon >= lon0))
-        # a sub-segment registered in several cells of the neighbourhood once
-        pair = np.unique(u[meets] * self.n_sub + sub[meets])
+        # a sub-segment registered in several cells of the neighbourhood
+        # once. A stable sort of the ascending runs of each cell takes a
+        # quarter of the time of np.unique, which hashes int64 in numpy 2.4.
+        pair = np.sort(u[meets] * self.n_sub + sub[meets], kind="stable")
+        first = np.ones(pair.size, dtype=bool)
+        first[1:] = pair[1:] != pair[:-1]
+        pair = pair[first]
         return np.bincount(pair // self.n_sub, minlength=ci.size), pair % self.n_sub
+
+    def _candidates(self, ci, cj, max_dist_km):
+        """(subs, start, count): the memo's candidate table at the gate
+        ``max_dist_km``, and where the candidates of each cell (ci[k], cj[k])
+        start in it and how many there are. Cells not in the memo yet are
+        added to it first."""
+        empty = (np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                 np.empty(0, dtype=np.int64))
+        keys, start, subs = self._memo.get(max_dist_km, empty)
+        key = _cell_key(ci, cj)
+        pos = np.searchsorted(keys, key)
+        new = keys.take(pos, mode="clip") != key if keys.size else np.ones(key.size, bool)
+        if new.any():
+            # decoded from each new cell's first point: key >> 32 is ci - 1
+            # where cj < 0
+            new_keys, first = np.unique(key[new], return_index=True)
+            at = np.flatnonzero(new)[first]
+            n_cand, cand = self._cell_candidates(ci[at], cj[at], *self._radii(max_dist_km))
+            keys = np.concatenate([keys, new_keys])
+            by_key = np.argsort(keys, kind="stable")
+            counts = np.concatenate([np.diff(start), n_cand])[by_key]
+            starts = np.concatenate([start[:-1], subs.size + np.cumsum(n_cand) - n_cand])
+            subs = np.concatenate([subs, cand])[_ranges(starts[by_key], counts)]
+            keys = keys[by_key]
+            start = np.concatenate([[0], np.cumsum(counts)])
+            self._memo[max_dist_km] = keys, start, subs
+            pos = np.searchsorted(keys, key)
+        return subs, start[pos], start[pos + 1] - start[pos]
 
     def nearest_batch(self, lats, lons, max_dist_km):
         """Vectorized gated nearest-segment query.
@@ -352,49 +395,35 @@ class SpatialIndex:
         if self.n_sub == 0 or n == 0:
             return out_id, out_d, out_lat, out_lon
 
-        # group the points by grid cell
-        ci, cj = _cell(lats), _cell(lons)
-        by_cell = np.argsort(_cell_key(ci, cj), kind="stable")
-        ci, cj = ci[by_cell], cj[by_cell]
-        new = np.flatnonzero(np.r_[True, (ci[1:] != ci[:-1]) | (cj[1:] != cj[:-1])])
-        n_cand, cand = self._cell_candidates(ci[new], cj[new], *self._radii(max_dist_km))
-
-        # each point against every candidate of its cell, as flat pairs, in
-        # slices of whole points that hold at most _PAIR_BUDGET pairs unless
-        # one point alone holds more
-        cell = np.repeat(np.arange(new.size), np.diff(np.append(new, n)))
-        count = n_cand[cell]
-        has = count > 0
-        pts, count = by_cell[has], count[has]
-        cand_start = (np.cumsum(n_cand) - n_cand)[cell[has]]
-        ends = np.cumsum(count)
-        near = np.full(n, -1, dtype=np.int64)  # nearest sub-segment in the gate
-        near_t = np.zeros(n)  # projection parameter of the closest point on it
-        s = 0
-        while s < pts.size:
-            base = ends[s] - count[s]
-            e = max(s + 1, int(np.searchsorted(ends, base + _PAIR_BUDGET, "right")))
-            c = count[s:e]
-            sub = cand[_ranges(cand_start[s:e], c)]
-            p = np.repeat(pts[s:e], c)
-            d, t = geo.min_dist_to_subsegments(lats[p], lons[p],
-                                               self.a_lat[sub], self.a_lon[sub],
-                                               self.b_lat[sub], self.b_lon[sub])
-            first = ends[s:e] - c - base  # each point's first pair
-            dmin = np.minimum.reduceat(d, first)
-            ok = dmin <= max_dist_km
-            # a point's first pair at its minimum has its lowest sub-segment
-            at_min = np.flatnonzero(d == np.repeat(dmin, c))
-            k = at_min[np.searchsorted(at_min, first[ok])]
-            hit = pts[s:e][ok]
-            near[hit] = sub[k]
-            near_t[hit] = t[k]
-            out_d[hit] = d[k]
-            s = e
-
-        hit = near >= 0
-        i, t = near[hit], near_t[hit]
-        out_id[hit] = self.seg_ids[i]
-        out_lat[hit] = self.a_lat[i] + t * (self.b_lat[i] - self.a_lat[i])
-        out_lon[hit] = self.a_lon[i] + t * (self.b_lon[i] - self.a_lon[i])
+        max_dist_km = float(max_dist_km)
+        for lo in range(0, n, _BLOCK):
+            lat, lon = lats[lo:lo + _BLOCK], lons[lo:lo + _BLOCK]
+            subs, start, count = self._candidates(_cell(lat), _cell(lon), max_dist_km)
+            # by candidate count, most first: the points with a j-th
+            # candidate are a prefix, n_slot[j] long. A count rank of 8 or
+            # 16 bits sorts by radix.
+            top = int(count.max())
+            by_count = np.argsort((top - count).astype(np.min_scalar_type(top)), kind="stable")
+            n_slot = count.size - np.cumsum(np.bincount(count))[:-1]
+            lat, lon, start = lat[by_count], lon[by_count], start[by_count]
+            kx = geo.lon_km_per_deg(lat)
+            best_d = np.full(count.size, np.inf)
+            best = np.zeros(count.size, dtype=np.int64)  # nearest sub-segment so far
+            best_t = np.zeros(count.size)  # projection parameter of its closest point
+            for j, m in enumerate(n_slot.tolist()):
+                sub = subs[start[:m] + j]
+                d, t = geo.min_dist_at_scale(lat[:m], lon[:m], kx[:m],
+                                             *self.ends.take(sub, axis=1))
+                # strictly nearer: candidates ascend, so ties keep the lowest id
+                nearer = d < best_d[:m]
+                np.copyto(best_d[:m], d, where=nearer)
+                np.copyto(best[:m], sub, where=nearer)
+                np.copyto(best_t[:m], t, where=nearer)
+            hit = best_d <= max_dist_km
+            rows = lo + by_count[hit]
+            i, t = best[hit], best_t[hit]
+            out_d[rows] = best_d[hit]
+            out_id[rows] = self.seg_ids[i]
+            out_lat[rows] = self.a_lat[i] + t * (self.b_lat[i] - self.a_lat[i])
+            out_lon[rows] = self.a_lon[i] + t * (self.b_lon[i] - self.a_lon[i])
         return out_id, out_d, out_lat, out_lon

@@ -191,16 +191,23 @@ class TensorBuilder:
         # speed: mean over consecutive same-order same-road pairs. Rows sort
         # by one (order, ts) key; the sort is stable, so equal (order, ts)
         # rows keep their arrival order. Rows that arrive grouped by order
-        # are sorted runs already, which Timsort merges in linear time.
+        # are sorted runs already, which Timsort merges in linear time. Rows
+        # in key order, as from a file of orders one after another, each in
+        # time order, need no sort: a stable sort of a sorted key is the
+        # identity.
         t0 = int(ts.min())
-        sort = np.argsort(_packed_key(order, ts, int(ts.max()) - t0 + 1, t0),
-                          kind="stable")
-        order = order[sort]
-        ts = ts[sort]
-        cell = cell[sort]
-        lat = lat[sort]
-        lon = lon[sort]
-        del sort
+        key = _packed_key(order, ts, int(ts.max()) - t0 + 1, t0)
+        if (key[1:] < key[:-1]).any():
+            sort = np.argsort(key, kind="stable")
+            del key
+            order = order[sort]
+            ts = ts[sort]
+            cell = cell[sort]
+            lat = lat[sort]
+            lon = lon[sort]
+            del sort
+        else:
+            del key
         ok = order[1:] == order[:-1]
         dt = ts[1:] - ts[:-1]
         ok &= dt > 0

@@ -45,6 +45,8 @@ class TestApplyOffset:
         assert skipped == 0
         for name in ("order_id", "timestamp", "lat", "lon"):
             assert np.array_equal(getattr(out, name), getattr(b, name))
+        # no row dropped: the columns are not gathered
+        assert out.order_id is b.order_id and out.timestamp is b.timestamp
 
     def test_out_of_range_skipped(self):
         out, skipped = apply_offset(batch((89.9999, 104.06)), OffsetVector(0.001, 0.0))
@@ -133,6 +135,7 @@ class TestMatchBatch:
         matched, unmatched = match_batch(small_records, small_net)
         assert unmatched == 0
         assert isinstance(matched, TraceBatch) and len(matched) == len(small_records)
+        assert matched.order_id is small_records.order_id  # no row dropped, no gather
         for lat, lon, road in zip(matched.lat, matched.lon, matched.road_id):
             assert point_to_segment_distance(lat, lon, small_net.segments[road]) <= 0.05
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from tracepattern import geo, network
 from tracepattern.errors import NetworkError
 from tracepattern.matching import _OFFSET_GATE_KM
-from tracepattern.network import (_CELL_DEG, _PAIR_BUDGET, DEFAULT_MAX_DIST_KM,
-                                  RoadNetwork, SpatialIndex, load_network)
+from tracepattern.network import (_BLOCK, _CELL_DEG, DEFAULT_MAX_DIST_KM, RoadNetwork,
+                                  SpatialIndex, load_network)
 
 from conftest import load_network_by_features, point_to_segment_distance
 
@@ -34,7 +34,11 @@ json_values = st.recursive(
                                                                  max_size=4),
     max_leaves=12)
 numbers = st.integers(-200, 200) | st.floats() | st.sampled_from(["nan", "30.5", "x"])
-positions = st.lists(numbers, min_size=0, max_size=4) | st.sampled_from(["12", "12.5", "1234"])
+# [lon, lat], out of range by at most a degree
+lon_lat = st.tuples(st.integers(-181, 181) | st.floats(-181, 181),
+                    st.integers(-91, 91) | st.floats(-91, 91)).map(list)
+positions = (lon_lat | st.lists(numbers, min_size=0, max_size=4)
+             | st.sampled_from(["12", "12.5", "1234"]))
 features = json_values | st.fixed_dictionaries({}, optional={
     "properties": json_values | st.fixed_dictionaries({}, optional={
         "id": json_values | st.integers(0, 3),
@@ -43,8 +47,17 @@ features = json_values | st.fixed_dictionaries({}, optional={
         "type": st.sampled_from(["LineString", "MultiLineString", "Point"]),
         "coordinates": json_values | st.lists(positions | json_values, max_size=4)}),
 })
+# features that pass the id and LineString checks, so that their
+# positions reach the position checks
+roads = st.fixed_dictionaries({
+    "properties": st.fixed_dictionaries({"id": st.integers(0, 3)}, optional={
+        "free_flow_kmh": st.integers(1, 120) | numbers}),
+    "geometry": st.fixed_dictionaries({"type": st.just("LineString"), "coordinates": (
+        st.lists(lon_lat, min_size=2, max_size=4) | st.lists(positions, max_size=4))}),
+})
 json_documents = json_values | st.fixed_dictionaries(
-    {"features": json_values | st.lists(features, max_size=4)})
+    {"features": json_values | st.lists(features | roads, max_size=4)}) | st.fixed_dictionaries(
+    {"features": st.lists(roads, min_size=1, max_size=4, unique_by=lambda f: f["properties"]["id"])})
 
 
 def number_positions(value):
@@ -269,6 +282,17 @@ class TestPointToSegmentDistance:
             best = min(best, float(np.min(d)))
         assert got == pytest.approx(best, abs=2e-4)
 
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 3)])
+    def test_shapes_broadcast(self, shape):
+        # a point west of a sub-segment along the equator: scalars give
+        # scalars, arrays their broadcast shape, all with the same bits
+        want, _ = geo.min_dist_to_subsegments([0.001], [-0.001], [0.0], [0.0], [0.0], [0.001])
+        lat = np.full(shape, 0.001)[()]
+        d, t = geo.min_dist_to_subsegments(lat, -0.001, 0.0, 0.0, 0.0, 0.001)
+        assert np.shape(d) == np.shape(t) == shape and type(d) is type(t)
+        assert isinstance(d, np.float64 if shape == () else np.ndarray)
+        assert (d == want[0]).all() and (t == 0.0).all() and want[0] > 0.15
+
     def test_bounded_by_vertex_distance(self):
         coords = [[104.0, 30.0], [104.003, 30.002], [104.006, 30.001]]
         net = load_network(doc([line(1, coords)]))
@@ -392,19 +416,19 @@ class TestNearestSegment:
                     assert (got_id, got_d) == expected
 
     def test_slices_equal_linear_scan(self, monkeypatch):
-        # a dense network and many points per cell: the pairs fill several
-        # slices, whose edges fall between points of one cell
+        # a dense network and many points per cell, in blocks of points
+        # whose edges fall between points of one cell
         rng = np.random.default_rng(5)
         net = random_network(rng, 120, center=(30.651, 104.061), spread=0.004)
         lats = 30.651 + rng.uniform(-2.5 * _CELL_DEG, 2.5 * _CELL_DEG, 800)
         lons = 104.061 + rng.uniform(-2.5 * _CELL_DEG, 2.5 * _CELL_DEG, 800)
         scans = [nearest_segment_scan(lat, lon, net) for lat, lon in zip(lats, lons)]
         idx = net.index
-        for budget in (_PAIR_BUDGET, 61):
-            monkeypatch.setattr(network, "_PAIR_BUDGET", budget)
+        for block in (_BLOCK, 61):
+            monkeypatch.setattr(network, "_BLOCK", block)
             for gate in (0.05, 0.5, _OFFSET_GATE_KM):
-                if budget < _PAIR_BUDGET or gate > 0.05:
-                    assert pair_count(idx, lats, lons, gate) > 2 * budget  # 3+ slices
+                if block < _BLOCK:
+                    assert lats.size > 2 * block  # 3+ blocks
                 ids, dists, _, _ = idx.nearest_batch(lats, lons, gate)
                 for got_id, got_d, (seg_id, d) in zip(ids, dists, scans):
                     if d > gate:
@@ -462,15 +486,102 @@ class TestNearestSegment:
                 assert got.tolist() == np.flatnonzero(meets).tolist()
 
 
-def pair_count(idx, lats, lons, gate):
-    """(point, candidate) pairs of one nearest_batch call, for slicing tests."""
-    cells = sorted(set(zip(np.floor(lats / _CELL_DEG).astype(np.int64).tolist(),
-                           np.floor(lons / _CELL_DEG).astype(np.int64).tolist())))
-    ci, cj = (np.array(v, dtype=np.int64) for v in zip(*cells))
-    counts, _ = idx._cell_candidates(ci, cj, *idx._radii(gate))
-    per_cell = dict(zip(cells, counts.tolist()))
-    return sum(per_cell[(math.floor(lat / _CELL_DEG), math.floor(lon / _CELL_DEG))]
-               for lat, lon in zip(lats, lons))
+GATES = (0.05, 0.5, _OFFSET_GATE_KM)
+# (lat, lon) in every memo test's pool: a cell south-west of the origin
+# that meets the bundle of memo_network (several candidates at every
+# gate), one beside the lone road (one candidate at 0.05 km) and one
+# beyond every gate of every road (none)
+MEMO_ANCHORS = ((-0.0011, -0.0012), (0.0201, 0.0202), (-0.05, 0.05))
+
+
+def memo_network(rng):
+    """Roads about the origin, so that grid cells have negative ci and cj:
+    a bundle of four parallel roads 22 m apart across it, a lone short
+    road 2.2 km to the north-east and eight random roads within 1.8 km."""
+    feats = [line(k, [[-0.003, -0.0015 + 2e-4 * k], [0.003, -0.0015 + 2e-4 * k]])
+             for k in range(4)]
+    feats.append(line(10, [[0.02, 0.02], [0.0205, 0.0201]]))
+    for k in range(20, 28):
+        start = rng.uniform(-0.004, 0.004, 2)
+        steps = rng.uniform(-0.004, 0.004, size=(int(rng.integers(1, 4)), 2))
+        feats.append(line(k, np.vstack([start, start + np.cumsum(steps, axis=0)]).tolist()))
+    return load_network(doc(feats))
+
+
+def grid_cell(lat, lon):
+    """(ci, cj) of a point, and the key nearest_batch's memo sorts the cell by."""
+    ci, cj = math.floor(lat / _CELL_DEG), math.floor(lon / _CELL_DEG)
+    return (ci << 32) + cj, (ci, cj)
+
+
+def assert_memo_holds_each_cell_once(idx, queried):
+    """Each gate's memo holds the cells ``queried[gate]`` ({key: (ci, cj)}),
+    each once, in key order, with the candidates that _cell_candidates
+    gives the cell alone."""
+    assert set(idx._memo) == set(queried)
+    for gate, cells in queried.items():
+        keys, start, subs = idx._memo[gate]
+        assert keys.tolist() == sorted(cells)
+        assert start[0] == 0 and start[-1] == subs.size and (np.diff(start) >= 0).all()
+        for k, key in enumerate(keys.tolist()):
+            ci, cj = (np.array([v], dtype=np.int64) for v in cells[key])
+            _, want = idx._cell_candidates(ci, cj, *idx._radii(gate))
+            assert subs[start[k]:start[k + 1]].tolist() == want.tolist()
+
+
+class TestCandidateMemo:
+    @given(seed=st.integers(0, 2**16),
+           queries=st.lists(st.tuples(st.sampled_from(GATES),
+                                      st.lists(st.integers(0, 23), max_size=12),
+                                      st.integers(0, 6)), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_gates_equal_a_fresh_index_and_a_scan(self, seed, queries):
+        # one index queried at gates in any order, over point sets that
+        # overlap (indices into one pool) or are disjoint (fresh points),
+        # then over the whole pool at every gate
+        rng = np.random.default_rng(seed)
+        net = memo_network(rng)
+        pool = np.vstack([MEMO_ANCHORS, rng.uniform(-0.03, 0.03, size=(24 - 3, 2))])
+        queries = [(gate, np.vstack([pool[picks].reshape(-1, 2),
+                                     rng.uniform(-0.03, 0.03, size=(fresh, 2))]))
+                   for gate, picks, fresh in queries]
+        queries += [(gate, pool) for gate in GATES]
+        idx = net.index
+        queried = {}
+        for gate, points in queries:
+            lats, lons = points[:, 0], points[:, 1]
+            got = idx.nearest_batch(lats, lons, gate)
+            want = SpatialIndex(net).nearest_batch(lats, lons, gate)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            for lat, lon, got_id, got_d in zip(lats, lons, *got[:2]):
+                expected = nearest_segment_scan(lat, lon, net, gate)
+                assert (got_id, got_d) == ((-1, np.inf) if expected is None else expected)
+            queried.setdefault(gate, {}).update(grid_cell(lat, lon) for lat, lon in points)
+        assert_memo_holds_each_cell_once(idx, queried)
+
+        # the cells the draws must cover: negative ci and cj, no candidate,
+        # one candidate and several
+        keys, start, _ = idx._memo[0.05]
+        count = dict(zip(keys.tolist(), np.diff(start).tolist()))
+        several, one, none = (count[grid_cell(*p)[0]] for p in MEMO_ANCHORS)
+        assert several >= 4 and one == 1 and none == 0
+        assert min(grid_cell(*MEMO_ANCHORS[0])[1]) < 0
+
+    def test_memo_holds_each_cell_once_per_gate(self):
+        # each gate queried twice, over overlapping point sets that repeat
+        # cells within and across calls
+        rng = np.random.default_rng(3)
+        net = memo_network(rng)
+        points = rng.uniform(-0.01, 0.01, size=(270, 2))
+        queried = {}
+        for k in range(6):
+            gate = GATES[k % 3]
+            part = points[20 * k:20 * k + 150]
+            net.index.nearest_batch(part[:, 0], part[:, 1], gate)
+            queried.setdefault(gate, {}).update(grid_cell(*p) for p in part)
+        assert_memo_holds_each_cell_once(net.index, queried)
+        assert all(len(cells) < 150 for cells in queried.values())
 
 
 def at_the_edge(k, gate):

@@ -391,8 +391,9 @@ walks = st.lists(st.tuples(steps, st.sampled_from(ROADS)), min_size=1, max_size=
 
 @st.composite
 def order_streams(draw):
-    """Matched rows of a few orders as one stream, either shuffled or
-    interleaved in runs that keep each order's own row order. A step of
+    """Matched rows of a few orders as one stream: shuffled, interleaved
+    in runs that keep each order's own row order, or order after order,
+    which is the (order, ts) key order of finalize. A step of
     0 s repeats a timestamp, often on another road; there is always a
     single-row order and one order that spans days, whose first two rows
     share a timestamp on two roads."""
@@ -411,9 +412,11 @@ def order_streams(draw):
             rows.append((f"o{k}", ts, road, 30.65 + rnd.random() * 0.01,
                          104.06 + rnd.random() * 0.01))
         queues.append(rows)
-    if draw(st.booleans()):
+    layout = draw(st.sampled_from(["shuffled", "interleaved", "grouped"]))
+    if layout != "interleaved":
         stream = [row for rows in queues for row in rows]
-        rnd.shuffle(stream)
+        if layout == "shuffled":
+            rnd.shuffle(stream)
     else:
         stream = []
         while queues:
@@ -445,6 +448,26 @@ class TestFinalizeEqualsLexsortOracle:
             np.testing.assert_array_equal(flow.values, want_flow)
             np.testing.assert_array_equal(speed.values.view(np.int64),
                                           want_speed.view(np.int64))
+
+    @pytest.mark.parametrize("grouped, sorts", [(True, 0), (False, 1)])
+    def test_rows_in_key_order_are_not_sorted(self, monkeypatch, grouped, sorts):
+        rows = TraceBatch(np.array(["b", "b", "a", "a", "a"], dtype=object),
+                          MIDNIGHT + np.array([0, 5, 900, 900, 908]),
+                          np.array([30.65, 30.651, 30.66, 30.662, 30.664]),
+                          np.full(5, 104.06), np.array(ROADS[:1] * 5, dtype=np.int64))
+        if not grouped:
+            rows = rows[[0, 2, 1, 3, 4]]
+        want_flow, want_speed, _ = finalize_by_lexsort(rows, ROADS)
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        builder = TensorBuilder(ROADS)
+        builder.add(rows)
+        flow, speed = builder.finalize()
+        assert len(calls) == sorts
+        assert np.count_nonzero(want_speed) == 2
+        np.testing.assert_array_equal(flow.values, want_flow)
+        np.testing.assert_array_equal(speed.values.view(np.int64), want_speed.view(np.int64))
 
     def test_on_synthetic(self, small_net, small_records):
         rows = interleaved(match_batch(small_records, small_net)[0], seed=4)
