@@ -61,7 +61,8 @@ def _median_step(lats, lons, net: RoadNetwork):
     the cap and OffsetCapError is raised.
     """
     n = len(lats)
-    seg_ids, _, c_lat, c_lon = net.index.nearest_batch(lats, lons, _OFFSET_GATE_KM)
+    index = net.index
+    seg_ids, _, sub, t = index.nearest_batch(lats, lons, _OFFSET_GATE_KM)
     hit = seg_ids >= 0
     missed = n - int(hit.sum())
     if 2 * missed > n:
@@ -69,8 +70,10 @@ def _median_step(lats, lons, net: RoadNetwork):
             f"{missed} of {n} sample points lie farther than "
             f"{_OFFSET_GATE_KM:.3f} km from every road; check data/network pairing"
         )
-    dlats = c_lat[hit] - lats[hit]
-    dlons = c_lon[hit] - lons[hit]
+    # the closest points, a + t * (b - a) on each hit's sub-segment
+    i, t = sub[hit], t[hit]
+    dlats = index.a_lat[i] + t * (index.b_lat[i] - index.a_lat[i]) - lats[hit]
+    dlons = index.a_lon[i] + t * (index.b_lon[i] - index.a_lon[i]) - lons[hit]
     a_lat = np.abs(dlats)
     a_lon = np.abs(dlons)
     eligible = np.maximum(a_lat, a_lon) > _ZERO_DISPLACEMENT_DEG

@@ -380,20 +380,23 @@ class SpatialIndex:
     def nearest_batch(self, lats, lons, max_dist_km):
         """Vectorized gated nearest-segment query.
 
-        Returns (seg_id, dist_km, c_lat, c_lon) arrays: the nearest segment,
-        the distance to it and the closest point on it. Where no segment
-        lies within the gate, seg_id is -1, dist_km inf and c_lat, c_lon NaN.
-        Ties are broken by lowest segment id.
+        Returns (seg_id, dist_km, sub, t) arrays: the nearest segment, the
+        distance to it, and the sub-segment of it that holds the closest
+        point, as a column of ``ends``, with that point's projection
+        parameter: the point is ``a + t * (b - a)`` for the sub-segment's
+        ends ``a`` and ``b``. Where no segment lies within the gate, seg_id
+        and sub are -1, dist_km inf and t NaN. Ties are broken by lowest
+        segment id.
         """
         lats = np.asarray(lats, dtype=np.float64)
         lons = np.asarray(lons, dtype=np.float64)
         n = lats.size
         out_id = np.full(n, -1, dtype=np.int64)
         out_d = np.full(n, np.inf)
-        out_lat = np.full(n, np.nan)
-        out_lon = np.full(n, np.nan)
+        out_sub = np.full(n, -1, dtype=np.int64)
+        out_t = np.full(n, np.nan)
         if self.n_sub == 0 or n == 0:
-            return out_id, out_d, out_lat, out_lon
+            return out_id, out_d, out_sub, out_t
 
         max_dist_km = float(max_dist_km)
         for lo in range(0, n, _BLOCK):
@@ -421,9 +424,9 @@ class SpatialIndex:
                 np.copyto(best_t[:m], t, where=nearer)
             hit = best_d <= max_dist_km
             rows = lo + by_count[hit]
-            i, t = best[hit], best_t[hit]
+            i = best[hit]
             out_d[rows] = best_d[hit]
             out_id[rows] = self.seg_ids[i]
-            out_lat[rows] = self.a_lat[i] + t * (self.b_lat[i] - self.a_lat[i])
-            out_lon[rows] = self.a_lon[i] + t * (self.b_lon[i] - self.a_lon[i])
-        return out_id, out_d, out_lat, out_lon
+            out_sub[rows] = i
+            out_t[rows] = best_t[hit]
+        return out_id, out_d, out_sub, out_t

@@ -72,12 +72,24 @@ class TensorBuilder:
 
     Batches may arrive in any chunking of the same source order; the
     result is bit-identical regardless (points are re-sorted by one
-    stable (order, timestamp) key at finalize before pair construction).
-    ``finalize`` consumes the builder: it frees the stored columns as it
-    goes, and a later ``add``, ``finalize`` or ``merge`` raises
-    ``ValueError``. ``merge`` joins another builder's rows after these. It
-    raises ``TensorKeyError`` when the orders times the seconds (or the
-    grid cells) the traces span exceed the int64 range of its sort keys.
+    stable (order, timestamp) key before pair construction).
+
+    The builder holds either rows or pairs. ``add`` stores rows.
+    ``compact`` reduces rows that are already in (order, ts) key order,
+    as from a file of orders one after another, to a pair record and frees
+    their columns: each pair's cell and speed in key order, the cell of
+    each distinct (order, cell) key, and the first and last rows.
+    ``finalize`` reduces its rows the same way, sorting them first if
+    needed, and only then allocates the dense grids. A record is about a
+    quarter of the rows' bytes and needs no sort, so a forked half of the
+    input reduces its own rows on its own CPU and hands over the record
+    (see ``merge``).
+
+    ``finalize`` consumes the builder, and a later ``add``, ``finalize`` or
+    ``merge`` raises ``ValueError``; so does an ``add`` after rows were
+    reduced to pairs. ``finalize`` raises ``TensorKeyError`` when the
+    orders times the seconds (or the grid cells) the traces span exceed
+    the int64 range of its sort keys.
     """
 
     def __init__(self, road_ids, pair_dt_max_s: float = DEFAULT_PAIR_DT_MAX_S,
@@ -88,18 +100,27 @@ class TensorBuilder:
         self._road_axis = np.asarray(self.road_ids, dtype=np.int64)
         self._order_idx: dict[str, int] = {}
         # chunk parts of (order, ts, road, lat, lon), one list per column;
-        # None once finalized
+        # None once the rows are reduced to pairs, finalized or merged
         self._columns: tuple[list, ...] | None = ([], [], [], [], [])
+        self._pairs: _Pairs | None = None  # the rows reduced to pairs
         self.n_points = 0
 
+    @property
+    def paired(self):
+        """Whether the rows are reduced to pairs (see ``compact``)."""
+        return self._pairs is not None
+
     def _stored(self):
-        if self._columns is None:
+        """The stored rows' column parts; None when they are reduced to pairs."""
+        if self._columns is None and self._pairs is None:
             raise ValueError("TensorBuilder already finalized or merged into another")
         return self._columns
 
     def add(self, matched: TraceBatch):
         """Append a batch whose rows ``match_batch`` labeled with road ids."""
         columns = self._stored()
+        if columns is None:
+            raise ValueError("TensorBuilder rows are reduced to pairs; add comes before compact")
         n = len(matched)
         if n == 0:
             return
@@ -118,11 +139,27 @@ class TensorBuilder:
         self.n_points += n
 
     def merge(self, other: "TensorBuilder"):
-        """Append the rows stored in ``other``, a builder over the same road
-        axis and settings, after this builder's own, as if its batches had
-        been added here in turn: ``other``'s order ids are coded after this
-        builder's, in ``other``'s first-seen order. Consumes ``other``, so
-        a later ``add``, ``finalize`` or ``merge`` on it raises ``ValueError``.
+        """Join ``other``, a builder over the same road axis and settings,
+        after this builder, as if its batches had been added here in turn:
+        ``other``'s order ids are coded after this builder's, in ``other``'s
+        first-seen order. Consumes ``other``, so a later ``add``,
+        ``finalize`` or ``merge`` on it raises ``ValueError``.
+
+        Rows after rows are appended as they are. Once either side holds
+        pairs, both are joined as pair records: each side's rows are
+        sorted into (order, ts) key order first if they are not in it. The
+        records are re-based to one day axis, and the one pair that may
+        straddle the cut, from this builder's last row to ``other``'s
+        first, goes between this builder's pairs and ``other``'s, so the
+        speed sums are those of one builder bit for bit. An order on both
+        sides of the cut counts once per cell. The joined record is to be
+        finalized, not merged again. This is the result of one builder
+        only when the rows stay in key order across the cut: when
+        ``other``'s first row sorts before this builder's last, or an
+        order of ``other`` past its first is already coded here, this
+        raises ``ValueError``, and past the key bound of a side it raises
+        ``TensorKeyError``; the caller then reads the rows again as one
+        range. Both builders stay as they were, but compacted.
         """
         columns = self._stored()
         theirs = other._stored()
@@ -131,19 +168,42 @@ class TensorBuilder:
         if (other.road_ids, other.pair_dt_max_s, other.tz_offset_s) != \
                 (self.road_ids, self.pair_dt_max_s, self.tz_offset_s):
             raise ValueError("merged TensorBuilders need the same road axis and settings")
-        other._columns = None
-        codes = self._code(other._order_idx)
-        theirs[0][:] = [codes[part] for part in theirs[0]]
-        for parts, more in zip(columns, theirs):
-            parts += more
+        if columns is not None and theirs is not None:
+            other._columns = None
+            codes = self._code(other._order_idx)
+            theirs[0][:] = [codes[part] for part in theirs[0]]
+            for parts, more in zip(columns, theirs):
+                parts += more
+            self.n_points += other.n_points
+            return
+        self._compact(sort=True)
+        oidx, ids = self._order_idx, list(other._order_idx)
+        straddles = bool(ids) and ids[0] in oidx
+        if straddles and ids[0] != self._pairs.last[0] or not oidx.keys().isdisjoint(ids[1:]):
+            raise ValueError("the merged orders do not follow these in (order, ts) key order")
+        other._compact(sort=True)
+        front, back = self._pairs, other._pairs
+        if front is not None and back is not None:
+            if front.n_first is None or back.n_first is None:
+                raise ValueError("a joined pair record is finalized, not merged again")
+            if straddles and back.first[1] < front.last[1]:
+                raise ValueError("the merged rows do not follow these in (order, ts) key order")
+            back = _joined_pairs(front, back, len(self.road_ids), self.pair_dt_max_s,
+                                 self.tz_offset_s)
+        # every id but a straddling first one is new here: codes go on in order
+        new = ids[straddles:]
+        oidx.update(zip(new, range(len(oidx), len(oidx) + len(new))))
+        other._columns = other._pairs = None
+        if back is not None:
+            self._columns, self._pairs = None, back
         self.n_points += other.n_points
 
     def __getstate__(self):
-        """The builder's state with each column's chunk parts joined into
-        one array. Unpickled, a column is then one block, not many small
-        ones among the loading process's other objects, which raised the
-        peak RSS of finalize by about 5 MB on the 1M-row city-day benchmark
-        input."""
+        """The builder's state, a pair record as it is and rows with each
+        column's chunk parts joined into one array. Unpickled, a column is
+        then one block, not many small ones among the loading process's
+        other objects, which raised the peak RSS of finalize by about 5 MB
+        on the 1M-row city-day benchmark input."""
         state = self.__dict__.copy()
         if self._columns is not None:
             state["_columns"] = tuple([np.concatenate(parts)] if parts else []
@@ -158,27 +218,60 @@ class TensorBuilder:
         return np.fromiter((oidx.setdefault(o, len(oidx)) for o in order_ids),
                            dtype=np.int64, count=len(order_ids))
 
-    def finalize(self):
-        """Build (flow, speed) matrices over the full road x interval grid.
+    def compact(self):
+        """Reduce the stored rows to pairs, freeing their columns, if they
+        are in (order, ts) key order; otherwise, or if they are past
+        finalize's key bound, keep them, each column joined into one part.
+        Either way ``finalize`` then gives the same bytes."""
+        self._stored()
+        try:
+            self._compact(sort=False)
+        except TensorKeyError:  # finalize raises it from the kept rows
+            pass
 
-        Holds the stored columns plus about two column-length temporaries
+    def _compact(self, sort):
+        """Reduce the stored rows to a _Pairs record in ``_pairs``: as they
+        are, if they are in (order, ts) key order, or else sorted into it
+        if ``sort`` is true. The rows it keeps, and rows past the key bound,
+        on which it raises TensorKeyError as finalize does, stay stored,
+        each column joined into one part.
+
+        Holds the joined columns plus about two column-length temporaries
         at a time; pair speeds are evaluated in blocks of ``_PAIR_BLOCK``.
         """
-        columns = self._stored()
-        self._columns = None
+        columns = self._columns
+        if columns is None or not self.n_points:
+            return
         n_rows = len(self.road_ids)
-        if not columns[0]:
-            axis = []
-            return (SpatioTemporalMatrix(self.road_ids, axis,
-                                         np.zeros((n_rows, 0), dtype=np.int64)),
-                    SpatioTemporalMatrix(self.road_ids, axis, np.zeros((n_rows, 0))))
-        order, ts, road, lat, lon = (_take_concat(parts) for parts in columns)
-
-        day, slot = day_slot(ts, self.tz_offset_s)
-        day0 = int(day.min())
-        day1 = int(day.max())
+        order, ts = _join_parts(columns[0]), _join_parts(columns[1])
+        t0, t1 = int(ts.min()), int(ts.max())
+        day0, day1 = day_slot(np.array([t0, t1]), self.tz_offset_s)[0].tolist()
         n_cols = (day1 - day0 + 1) * SLOTS_PER_DAY
         n_cells = n_rows * n_cols
+        key = _packed_key(order, ts, t1 - t0 + 1, t0)
+        _check_key(int(order.max()), n_cells)
+        # rows sort by one stable (order, ts) key, so equal keys keep their
+        # arrival order. Rows grouped by order are sorted runs, which
+        # Timsort merges in linear time. Rows in key order, as from a file
+        # of orders one after another, each in time order, need no sort: a
+        # stable sort of a sorted key is the identity.
+        in_order = not (key[1:] < key[:-1]).any()
+        if not (in_order or sort):
+            return
+        rank = None if in_order else np.argsort(key, kind="stable")
+        del key
+        self._columns = None
+        road, lat, lon = (_join_parts(parts) for parts in columns[2:])
+        del columns
+        if rank is not None:  # one column at a time
+            order = order[rank]
+            ts = ts[rank]
+            road = road[rank]
+            lat = lat[rank]
+            lon = lon[rank]
+            del rank
+
+        day, slot = day_slot(ts, self.tz_offset_s)
         cell = day  # (day - day0) * 96 + slot, then + road * n_cols, in place
         cell -= day0
         cell *= SLOTS_PER_DAY
@@ -187,78 +280,190 @@ class TensorBuilder:
         road *= n_cols
         cell += road
         del road
+        _release_freed_heap()  # of slot and road: the one-CPU peak was 15 MB higher
+        # codes follow first-seen order, so the first row in key order is
+        # of the first id coded and the last row of the last
+        first, last = ((order_id, int(ts[i]), int(cell[i]) // n_cols, float(lat[i]),
+                        float(lon[i]))
+                       for order_id, i in ((next(iter(self._order_idx)), 0),
+                                           (next(reversed(self._order_idx)), -1)))
 
-        # speed: mean over consecutive same-order same-road pairs. Rows sort
-        # by one (order, ts) key; the sort is stable, so equal (order, ts)
-        # rows keep their arrival order. Rows that arrive grouped by order
-        # are sorted runs already, which Timsort merges in linear time. Rows
-        # in key order, as from a file of orders one after another, each in
-        # time order, need no sort: a stable sort of a sorted key is the
-        # identity.
-        t0 = int(ts.min())
-        key = _packed_key(order, ts, int(ts.max()) - t0 + 1, t0)
-        if (key[1:] < key[:-1]).any():
-            sort = np.argsort(key, kind="stable")
-            del key
-            order = order[sort]
-            ts = ts[sort]
-            cell = cell[sort]
-            lat = lat[sort]
-            lon = lon[sort]
-            del sort
-        else:
-            del key
-        ok = order[1:] == order[:-1]
-        dt = ts[1:] - ts[:-1]
-        ok &= dt > 0
-        ok &= dt <= self.pair_dt_max_s
-        del dt
-        road = cell // n_cols  # exact: 0 <= col < n_cols
-        ok &= road[1:] == road[:-1]
-        del road
-        idx = np.flatnonzero(ok)  # a pair starts at each of these rows
-        del ok
-
-        # each pair belongs to the earlier point's cell; pairs are summed in
-        # index order, block by block, so sums do not depend on the block
-        v_sum = np.zeros(n_cells)
+        # speed: pairs of consecutive rows, each in the earlier row's cell
+        idx = np.flatnonzero(_pair_starts(order, ts, cell // n_cols, self.pair_dt_max_s))
+        # pair k starts at row idx[k] >= k, so the speeds of the pairs before
+        # a block go over the latitudes of rows that no later block reads
         for lo in range(0, idx.size, _PAIR_BLOCK):
             a = idx[lo:lo + _PAIR_BLOCK]
-            b = a + 1
-            d = geo.haversine(lat[a], lon[a], lat[b], lon[b])
-            np.add.at(v_sum, cell[a], d / ((ts[b] - ts[a]) / 3600.0))
-        del ts, lat, lon
-        v_cnt = np.bincount(cell[idx], minlength=n_cells)
+            _pair_speeds(lat, lon, ts, a, out=lat[lo:lo + a.size])
+        del ts, lon  # before the copy, which would otherwise raise the peak
+        _release_freed_heap()  # of ts and lon, as above
+        speed = lat[:idx.size].copy()
+        del lat
+        cell_type = np.min_scalar_type(n_cells - 1)
+        pair_cell = cell[idx].astype(cell_type)
         del idx
-        np.divide(v_sum, v_cnt, out=v_sum, where=v_cnt > 0)
-        del v_cnt
 
-        # flow: distinct orders per cell. The rows are grouped by order now,
-        # so the (order, cell) key is nearly sorted; the first of each run
-        # of equal keys is one distinct (order, cell). After the speed
-        # grids, so the count grid is gone.
+        # flow: distinct orders per cell. The rows are grouped by order, so
+        # the (order, cell) key is nearly sorted; the first of each run of
+        # equal keys is one distinct (order, cell)
         key = _packed_key(order, cell, n_cells)
         del order, cell
         key.sort(kind="stable")  # Timsort, linear on sorted runs
-        first = np.empty(key.size, dtype=bool)
-        first[0] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        flow = np.bincount(key[first] % n_cells, minlength=n_cells)
+        code, flow_cell = np.divmod(_distinct(key), n_cells)
+        del key
+        self._pairs = _Pairs(day0, day1, t0, t1, pair_cell, speed, flow_cell.astype(cell_type),
+                             int(np.searchsorted(code, code[0], "right")),
+                             code.size - int(np.searchsorted(code, code[-1])), first, last)
 
-        axis = full_interval_axis(datetime.date.fromordinal(day0),
-                                  datetime.date.fromordinal(day1))
+    def finalize(self):
+        """Build (flow, speed) matrices over the full road x interval grid,
+        from the pair record of ``compact`` or ``merge``, or of the stored
+        rows."""
+        if self._stored() is not None:
+            self._compact(sort=True)
+        pairs, self._columns, self._pairs = self._pairs, None, None
+        n_rows = len(self.road_ids)
+        if pairs is None:
+            axis = []
+            return (SpatioTemporalMatrix(self.road_ids, axis,
+                                         np.zeros((n_rows, 0), dtype=np.int64)),
+                    SpatioTemporalMatrix(self.road_ids, axis, np.zeros((n_rows, 0))))
+        n_cols = (pairs.day1 - pairs.day0 + 1) * SLOTS_PER_DAY
+        n_cells = n_rows * n_cols
+        # the key bounds of these rows as one range: joined records pass
+        # each side's own
+        top = len(self._order_idx) - 1
+        _check_key(top, pairs.t1 - pairs.t0 + 1)
+        _check_key(top, n_cells)
+
+        # speed: the mean of the pairs starting in each cell. bincount adds
+        # the weights one at a time in index order from 0.0, as np.add.at on
+        # zeros does, so each cell sums its pairs in key order
+        v_sum = np.bincount(pairs.cell, weights=pairs.speed, minlength=n_cells).astype(
+            np.float64, copy=False)  # int64 when there is no pair
+        v_cnt = np.bincount(pairs.cell, minlength=n_cells)
+        np.divide(v_sum, v_cnt, out=v_sum, where=v_cnt > 0)
+        del v_cnt
+        flow = np.bincount(pairs.flow_cell, minlength=n_cells)
+
+        axis = full_interval_axis(datetime.date.fromordinal(pairs.day0),
+                                  datetime.date.fromordinal(pairs.day1))
         return (SpatioTemporalMatrix(self.road_ids, axis, flow.reshape(n_rows, n_cols)),
                 SpatioTemporalMatrix(self.road_ids, axis, v_sum.reshape(n_rows, n_cols)))
 
 
-_PAIR_BLOCK = 1 << 17  # pairs whose speeds are evaluated at once in finalize
+@dataclass
+class _Pairs:
+    """A builder's rows, in (order, ts) key order, reduced to what finalize
+    reads of them.
+
+    The rows' days run from ``day0`` to ``day1`` (ordinals) and their
+    timestamps from ``t0`` to ``t1``. A cell is a road's row on the road
+    axis times the columns of those days, plus the column counted from the
+    first slot of ``day0``. ``cell`` and ``speed`` hold each pair's cell and
+    speed, in key order. ``flow_cell`` holds the cell of each distinct
+    (order, cell) key, in key order: the first ``n_first`` are the first
+    order's and the last ``n_last`` the last order's (both None on a joined
+    record, which merge does not join again). ``first`` and ``last``
+    are the first and last rows, as (order id, ts, road row, lat, lon).
+    """
+
+    day0: int
+    day1: int
+    t0: int
+    t1: int
+    cell: np.ndarray
+    speed: np.ndarray
+    flow_cell: np.ndarray
+    n_first: int | None
+    n_last: int | None
+    first: tuple
+    last: tuple
 
 
-def _take_concat(parts):
-    """One array of the chunk parts, emptying ``parts`` so they can be freed,
-    and then handing the freed heap back."""
+def _pair_starts(order, ts, road, pair_dt_max_s):
+    """Whether each row but the last starts a pair with the next: the same
+    order and road, ``0 < dt <= pair_dt_max_s``."""
+    ok = order[1:] == order[:-1]
+    dt = ts[1:] - ts[:-1]
+    ok &= dt > 0
+    ok &= dt <= pair_dt_max_s
+    del dt
+    ok &= road[1:] == road[:-1]
+    return ok
+
+
+def _pair_speeds(lat, lon, ts, a, out=None):
+    """The speeds (km/h) of the pairs starting at the rows ``a``."""
+    b = a + 1
+    d = geo.haversine(lat[a], lon[a], lat[b], lon[b])
+    return np.divide(d, (ts[b] - ts[a]) / 3600.0, out=out)
+
+
+def _joined_pairs(front, back, n_rows, pair_dt_max_s, tz_offset_s):
+    """The _Pairs record of ``front``'s rows followed by ``back``'s, which
+    must follow them in (order, ts) key order: both re-based to one day
+    axis, the pair from ``front``'s last row to ``back``'s first, if they
+    make one, between their pairs, and the cells of an order on both sides
+    of the cut counted once. Its ``n_first`` and ``n_last`` are None: the
+    record is finalized, not joined again."""
+    day0, day1 = min(front.day0, back.day0), max(front.day1, back.day1)
+    n_cols = (day1 - day0 + 1) * SLOTS_PER_DAY
+    cell_type = np.min_scalar_type(n_rows * n_cols - 1)
+
+    def rebased(rec, cell):
+        """``cell``, of ``rec``'s grid, on the joined grid."""
+        n_own = (rec.day1 - rec.day0 + 1) * SLOTS_PER_DAY
+        if n_own == n_cols:  # the same days
+            return cell.astype(cell_type, copy=False)
+        cell = cell.astype(np.int64)
+        road = cell // n_own
+        road *= n_cols - n_own
+        cell += road
+        cell += (rec.day0 - day0) * SLOTS_PER_DAY
+        return cell.astype(cell_type)
+
+    # the straddling pair, by the operations that pair the rows of one range
+    straddles = front.last[0] == back.first[0]
+    _, ts, road, lat, lon = (np.array(x) for x in zip(front.last, back.first))
+    cut_cell, cut_speed = np.empty(0, dtype=cell_type), np.empty(0)
+    if _pair_starts(np.array([0, 0 if straddles else 1]), ts, road, pair_dt_max_s)[0]:
+        day, slot = day_slot(ts[:1], tz_offset_s)
+        cut_cell = (road[:1] * n_cols + (day - day0) * SLOTS_PER_DAY + slot).astype(cell_type)
+        cut_speed = _pair_speeds(lat, lon, ts, np.array([0]))
+    cell = np.concatenate([rebased(front, front.cell), cut_cell, rebased(back, back.cell)])
+    speed = np.concatenate([front.speed, cut_speed, back.speed])
+
+    # flow: an order on both sides of the cut holds the front's last keys
+    # and the back's first
+    head, tail = rebased(front, front.flow_cell), rebased(back, back.flow_cell)
+    if straddles:
+        both = np.concatenate([head[-front.n_last:], tail[:back.n_first]])
+        both.sort()
+        head = np.concatenate([head[:-front.n_last], _distinct(both)])
+        tail = tail[back.n_first:]
+    return _Pairs(day0, day1, min(front.t0, back.t0), max(front.t1, back.t1), cell, speed,
+                  np.concatenate([head, tail]), None, None, front.first, back.last)
+
+
+def _distinct(ascending):
+    """The distinct values of the ascending array ``ascending``: the first
+    of each run of equal values. (np.unique imports numpy.ma, 9 ms, on its
+    first call.)"""
+    first = np.empty(ascending.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=first[1:])
+    return ascending[first]
+
+
+_PAIR_BLOCK = 1 << 17  # pairs whose speeds are evaluated at once
+
+
+def _join_parts(parts):
+    """One array of the chunk parts, left in ``parts`` as its only part, so
+    that the parts can be freed, and then handing the freed heap back."""
     whole = np.concatenate(parts)
-    parts.clear()
+    parts[:] = [whole]
     _release_freed_heap()
     return whole
 
@@ -267,8 +472,8 @@ def _release_freed_heap():
     """Hand the pages of freed malloc blocks back to the OS (glibc's
     ``malloc_trim``; elsewhere nothing happens).
 
-    The chunk parts of a column that finalize has just concatenated and
-    freed are a fifth of the builder's bytes, in blocks between small live
+    The chunk parts of a column that the builder has just joined and freed
+    are a fifth of the builder's bytes, in blocks between small live
     objects on the heap. glibc keeps such pages resident, and whether the
     next column's join and the temporaries after the joins reuse them
     depends on the process's allocation history (the string hash seed is
@@ -284,19 +489,25 @@ def _release_freed_heap():
 _KEY_LIMIT = 1 << 63  # int64 keys lie below this
 
 
+def _check_key(top_major, n_minor):
+    """TensorKeyError unless the largest packed key of majors up to
+    ``top_major`` and ``n_minor`` minor values,
+    ``top_major * n_minor + n_minor - 1``, fits in int64."""
+    top = top_major * n_minor + n_minor - 1
+    if top >= _KEY_LIMIT:
+        raise TensorKeyError(f"{top_major + 1} orders x {n_minor} values need "
+                             f"sort key {top}, past the largest int64 key "
+                             f"{_KEY_LIMIT - 1}")
+
+
 def _packed_key(major, minor, n_minor, minor0=0):
     """``major * n_minor + (minor - minor0)``, one new int64 array built in
     place. With ``minor - minor0`` in [0, n_minor), its order is that of
     the (major, minor) pairs.
 
-    Raises TensorKeyError when the largest such key,
-    ``max(major) * n_minor + n_minor - 1``, would not fit in int64.
+    Raises TensorKeyError as _check_key does.
     """
-    top = int(major.max()) * n_minor + n_minor - 1
-    if top >= _KEY_LIMIT:
-        raise TensorKeyError(f"{int(major.max()) + 1} orders x {n_minor} values need "
-                             f"sort key {top}, past the largest int64 key "
-                             f"{_KEY_LIMIT - 1}")
+    _check_key(int(major.max()), n_minor)
     key = major * (n_minor - 1)  # n_minor is 2**63 at most, with major all 0
     key += major
     key -= minor0  # may wrap past int64 and back: the final key fits

@@ -189,12 +189,14 @@ def ingest_and_match(config: RunConfig, net):
     first line start at or after the middle byte, a gzipped one (sized by
     its trailer) in a plain copy under TMPDIR, deleted before this returns.
     The offset comes from the head of the front, and a forked child reads
-    the back range and hands back its (IngestStats, TensorBuilder) as one
-    pickle. Both are merged after the front's and the error-rate checks
-    are replayed, so the outcome is that of one range. The file (not
-    the copy) is read as one range if a side raises or the child dies, and
-    is not cut if the front's offset or the copy fails. One debug line says
-    which path ran.
+    the back range. Each side compacts its TensorBuilder to pairs on its
+    own CPU, and the child hands back its (IngestStats, TensorBuilder) as
+    one pickle. Both are merged after the front's and the error-rate
+    checks are replayed, so the outcome is that of one range. The file
+    (not the copy) is read as one range if a side raises, the child dies
+    or the merge refuses the join, and is not cut if the front's offset or
+    the copy fails. One debug line says which path ran, and for a split
+    whether the back half came as pairs or as rows.
     """
     with contextlib.ExitStack() as stack:  # deletes a plain copy before a one-range read
         try:
@@ -213,25 +215,33 @@ def _ingest_split(config, net, path, mid):
     except Exception as exc:
         raise _NoSplit(f"the offset from the front half failed ({exc!r})") from None
 
+    def front_pairs():
+        stats, builder = front()
+        builder.compact()  # on this CPU, while the child works
+        return stats, builder
+
     def back(tmp):
+        stats, builder = ingest_range(config, net, path, mid, offset=offset)[1]()
+        builder.compact()
         # protocol 5 writes the builder's arrays without copying them
-        pickle.dump(ingest_range(config, net, path, mid, offset=offset)[1](), tmp,
-                    protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dump((stats, builder), tmp, protocol=pickle.HIGHEST_PROTOCOL)
 
     def join(front_result, tmp):
         stats, builder = front_result
         back_stats, back_builder = pickle.load(tmp)
+        handed = "pairs" if back_builder.paired else "rows"
         stats.merge(back_stats)
         builder.merge(back_builder)
         copy = "" if path == config.traces_path else " of a plain copy of the gzip file"
-        logger.debug("ingest split at byte %d of %d%s", mid, os.path.getsize(path), copy)
+        logger.debug("ingest split at byte %d of %d%s; the back half came as %s",
+                     mid, os.path.getsize(path), copy, handed)
         return stats, builder
 
     def one_range():
         logger.debug("ingest on one CPU: the split failed")
         return ingest_range(config, net, offset=offset)[1]()
 
-    stats, builder = parallel.fork_split(front, back, join, one_range)
+    stats, builder = parallel.fork_split(front_pairs, back, join, one_range)
     check_error_rate(stats, config.parser)
     return offset, stats, builder
 

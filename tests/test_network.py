@@ -332,12 +332,17 @@ def nearest_segment_scan(lat, lon, net: RoadNetwork, max_dist_km=None):
 
 
 def nearest(net, lat, lon, max_dist_km=DEFAULT_MAX_DIST_KM):
-    """One-point query of the index: (seg_id, dist_km, c_lat, c_lon) or None."""
-    ids, dists, c_lat, c_lon = net.index.nearest_batch([lat], [lon], max_dist_km)
+    """One-point query of the index: (seg_id, dist_km, c_lat, c_lon) or None,
+    the closest point a + t * (b - a) on the sub-segment the query returns."""
+    index = net.index
+    ids, dists, sub, t = index.nearest_batch([lat], [lon], max_dist_km)
     if ids[0] < 0:
-        assert dists[0] == np.inf and np.isnan(c_lat[0]) and np.isnan(c_lon[0])
+        assert dists[0] == np.inf and sub[0] == -1 and np.isnan(t[0])
         return None
-    return int(ids[0]), float(dists[0]), float(c_lat[0]), float(c_lon[0])
+    assert index.seg_ids[sub[0]] == ids[0] and 0.0 <= t[0] <= 1.0
+    a_lat, a_lon, b_lat, b_lon = index.ends[:, sub[0]]
+    return (int(ids[0]), float(dists[0]), float(a_lat + t[0] * (b_lat - a_lat)),
+            float(a_lon + t[0] * (b_lon - a_lon)))
 
 
 class TestNearestSegment:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tracepattern import geo, patterns
 from tracepattern.errors import TensorKeyError
-from tracepattern.ingest import TraceBatch
+from tracepattern.ingest import TraceBatch, day_slot
 from tracepattern.matching import match_batch
 from tracepattern.patterns import (SpatioTemporalMatrix, TensorBuilder,
                                    clean_speed_matrix, filter_missing,
@@ -390,10 +390,11 @@ walks = st.lists(st.tuples(steps, st.sampled_from(ROADS)), min_size=1, max_size=
 
 
 @st.composite
-def order_streams(draw):
-    """Matched rows of a few orders as one stream: shuffled, interleaved
-    in runs that keep each order's own row order, or order after order,
-    which is the (order, ts) key order of finalize. A step of
+def order_streams(draw, layouts=("shuffled", "interleaved", "grouped")):
+    """Matched rows of a few orders as one stream, in one of ``layouts``:
+    shuffled, interleaved in runs that keep each order's own row order, or
+    grouped, order after order, which is the (order, ts) key order of
+    finalize. A step of
     0 s repeats a timestamp, often on another road; there is always a
     single-row order and one order that spans days, whose first two rows
     share a timestamp on two roads."""
@@ -412,7 +413,7 @@ def order_streams(draw):
             rows.append((f"o{k}", ts, road, 30.65 + rnd.random() * 0.01,
                          104.06 + rnd.random() * 0.01))
         queues.append(rows)
-    layout = draw(st.sampled_from(["shuffled", "interleaved", "grouped"]))
+    layout = draw(st.sampled_from(layouts))
     if layout != "interleaved":
         stream = [row for rows in queues for row in rows]
         if layout == "shuffled":
@@ -478,6 +479,240 @@ class TestFinalizeEqualsLexsortOracle:
         assert np.count_nonzero(want_speed) > 100
         np.testing.assert_array_equal(flow.values, want_flow)
         np.testing.assert_array_equal(speed.values.view(np.int64), want_speed.view(np.int64))
+
+
+DAY_START = 1475251200  # 2016-10-01 00:00 at UTC+8
+
+
+def built(rows, road_ids=ROADS, chunk=3):
+    """A TensorBuilder holding ``rows``, added ``chunk`` rows at a time."""
+    builder = TensorBuilder(road_ids)
+    for i in range(0, len(rows), chunk):
+        builder.add(rows[i:i + chunk])
+    return builder
+
+
+def handed_off(front_rows, back_rows, road_ids=ROADS):
+    """(front, whether the back came as pairs): the two halves as the
+    two-CPU ingest hands them over. Each side compacts its rows, and the
+    back goes through a pickle into ``merge``."""
+    front, back = built(front_rows, road_ids), built(back_rows, road_ids)
+    front.compact()
+    back.compact()
+    back = pickle.loads(pickle.dumps(back, protocol=5))
+    paired = back.paired
+    front.merge(back)
+    return front, paired
+
+
+def rows_of(*rows):
+    """A matched TraceBatch of (order, ts, road) rows on ROADS, each a
+    little north of the last."""
+    order, ts, road = zip(*rows)
+    lat = 30.65 + 0.0001 * np.arange(len(rows))
+    return TraceBatch(np.array(order, dtype=object), np.array(ts, dtype=np.int64),
+                      lat, np.full(len(rows), 104.06), np.array(road, dtype=np.int64))
+
+
+class TestPairsHandOff:
+    """Rows cut in two, each half compacted to pairs and the back merged
+    in through a pickle, give the bytes of one builder that saw them all."""
+
+    @given(rows=order_streams(layouts=("grouped",)))
+    @settings(max_examples=30, deadline=None)
+    def test_every_cut_of_a_grouped_stream(self, rows):
+        """Cuts at 0, inside runs, at run boundaries and at the end."""
+        want = built(rows).finalize()
+        want_flow, want_speed, want_axis = finalize_by_lexsort(rows, ROADS)
+        assert want[0].intervals == want_axis
+        np.testing.assert_array_equal(want[0].values, want_flow)
+        np.testing.assert_array_equal(want[1].values.view(np.int64), want_speed.view(np.int64))
+        for cut in range(len(rows) + 1):
+            got, paired = handed_off(rows[:cut], rows[cut:])
+            assert paired == (cut < len(rows))
+            assert got.paired and got.n_points == len(rows)
+            assert_same_bits(got.finalize(), want)
+
+    def test_straddling_pair_and_order(self):
+        """An order on both sides of the cut: its pair across the cut sums
+        between the two sides' pairs, and its cells count once."""
+        rows = rows_of(("a", DAY_START, 1), ("b", DAY_START + 1, 1), ("b", DAY_START + 3, 1),
+                       ("b", DAY_START + 5, 1), ("b", DAY_START + 7, 1), ("c", DAY_START, 1))
+        want = built(rows).finalize()
+        assert want[0].values.max() == 3 and np.count_nonzero(want[1].values) == 1
+        for cut in (2, 3, 4):
+            front, back = built(rows[:cut]), built(rows[cut:])
+            assert front._order_idx.keys() & back._order_idx.keys() == {"b"}
+            got, paired = handed_off(rows[:cut], rows[cut:])
+            assert paired
+            assert_same_bits(got.finalize(), want)
+
+    def test_back_days_start_before_the_front_days(self):
+        """The back's orders follow the front's, but on an earlier day: both
+        records are re-based to the joined day axis."""
+        day = 86_400
+        rows = rows_of(("a", DAY_START + 2 * day, 2), ("a", DAY_START + 2 * day + 4, 2),
+                       ("b", DAY_START - 60, 1), ("b", DAY_START - 55, 1),
+                       ("b", DAY_START + day + 60, 5), ("b", DAY_START + day + 64, 5))
+        front, back = built(rows[:2]), built(rows[2:])
+        front.compact()
+        back.compact()
+        assert back._pairs.day0 == front._pairs.day0 - 3
+        front.merge(back)
+        got = front.finalize()
+        want_flow, want_speed, want_axis = finalize_by_lexsort(rows, ROADS)
+        assert len(want_axis) == 4 * 96 and np.count_nonzero(want_speed) == 3
+        assert_same_bits(got, built(rows).finalize())
+        np.testing.assert_array_equal(got[0].values, want_flow)
+        np.testing.assert_array_equal(got[1].values.view(np.int64), want_speed.view(np.int64))
+
+    @pytest.mark.parametrize("back", [
+        [("b", 20, 1), ("c", 30, 1), ("b", 25, 1), ("c", 35, 2)],  # an order in two runs
+        [("a", 8, 1), ("b", 20, 1), ("b", 15, 1)],  # time order broken inside a run
+    ], ids=["two_runs", "unsorted_run"])
+    def test_back_out_of_key_order_comes_as_rows(self, back):
+        """The back keeps its rows, and merge sorts them after the front's
+        pairs, as one builder's finalize would."""
+        front = [("a", 0, 1), ("a", 4, 1), ("a", 7, 1)]
+        rows = rows_of(*[(o, DAY_START + t, r) for o, t, r in front + back])
+        got, paired = handed_off(rows[:3], rows[3:])
+        assert not paired
+        assert_same_bits(got.finalize(), built(rows).finalize())
+
+    @pytest.mark.parametrize("front", [
+        [("a", 5, 1), ("a", 0, 1), ("a", 4, 1), ("b", 9, 1)],  # time order broken inside a run
+        [("a", 0, 1), ("b", 5, 1), ("a", 4, 1), ("b", 7, 1)],  # an order in two runs
+    ], ids=["unsorted_run", "two_runs"])
+    def test_front_out_of_key_order_is_sorted_into_it(self, front):
+        """The front keeps its rows, and merge sorts them before it joins
+        the back's pairs, as one builder's finalize would."""
+        back = [("b", 12, 1), ("b", 15, 1), ("c", 20, 2), ("c", 24, 2)]
+        rows = rows_of(*[(o, DAY_START + t, r) for o, t, r in front + back])
+        got, paired = handed_off(rows[:4], rows[4:])
+        assert paired and got.paired
+        want = built(rows).finalize()
+        assert want[0].values.sum() == 3 and np.count_nonzero(want[1].values) == 2
+        assert_same_bits(got.finalize(), want)
+        want_flow, want_speed, _ = finalize_by_lexsort(rows, ROADS)
+        np.testing.assert_array_equal(want[0].values, want_flow)
+        np.testing.assert_array_equal(want[1].values.view(np.int64), want_speed.view(np.int64))
+
+    def test_joined_record_is_not_joined_again(self):
+        rows = rows_of(("a", DAY_START, 1), ("a", DAY_START + 4, 1), ("b", DAY_START + 9, 1),
+                       ("c", DAY_START + 12, 1), ("c", DAY_START + 15, 1))
+        joined, paired = handed_off(rows[:2], rows[2:3])
+        assert paired
+        more = built(rows[3:])
+        more.compact()
+        with pytest.raises(ValueError, match="finalized, not merged again"):
+            joined.merge(more)
+
+    @pytest.mark.parametrize("rows, cut", [
+        ([("a", 0, 1), ("b", 5, 1), ("c", 6, 1), ("a", 9, 1)], 2),  # a back order past its first
+        ([("a", 0, 1), ("b", 5, 1), ("a", 9, 1), ("c", 6, 1)], 2),  # the back's first, not last
+        ([("a", 0, 1), ("a", 9, 1), ("a", 5, 1), ("b", 6, 1)], 2),  # the cut's key decreases
+    ], ids=["recurring_order", "recurring_first_order", "cut_key_decreases"])
+    def test_out_of_key_order_across_the_cut_raises(self, rows, cut):
+        """merge refuses the join, so the caller reads the rows again as
+        one range; each builder still finalizes its own rows."""
+        rows = rows_of(*[(o, DAY_START + t, r) for o, t, r in rows])
+        front, back = built(rows[:cut]), built(rows[cut:])
+        front.compact()
+        back.compact()
+        assert back.paired and front.paired
+        with pytest.raises(ValueError, match=r"in \(order, ts\) key order"):
+            front.merge(back)
+        assert_same_bits(front.finalize(), built(rows[:cut]).finalize())
+        assert_same_bits(back.finalize(), built(rows[cut:]).finalize())
+
+    def test_wide_sparse_grid(self):
+        """7,080 roads x 7 days, as on metro-week, with a few hundred rows:
+        the records stay sparse, and only finalize allocates a grid."""
+        rng = np.random.default_rng(3)
+        roads = range(7080)
+        n_orders = 200
+        runs = rng.integers(2, 7, n_orders)
+        starts = DAY_START + rng.integers(0, 7 * 86_400 - 60, n_orders)
+        order = np.repeat([f"o{i}" for i in range(n_orders)], runs)
+        step = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+        rows = TraceBatch(order.astype(object), np.repeat(starts, runs) + 4 * step,
+                          LAT + rng.random(runs.sum()) * 0.01, np.full(runs.sum(), LON),
+                          np.repeat(rng.integers(0, 7080, n_orders), runs))
+        want = built(rows, roads).finalize()
+        want_flow, want_speed, want_axis = finalize_by_lexsort(rows, roads)
+        assert want[0].values.shape == (7080, 672) and want[0].intervals == want_axis
+        np.testing.assert_array_equal(want[0].values, want_flow)
+        np.testing.assert_array_equal(want[1].values.view(np.int64), want_speed.view(np.int64))
+        for cut in (1, int(runs[0]), len(rows) // 2):
+            back = built(rows[cut:], roads)
+            back.compact()
+            record = len(pickle.dumps(back, protocol=5)) - len(pickle.dumps(
+                TensorBuilder(roads), protocol=5))
+            assert record < 50 * len(rows)  # the dense grids take 38 MB each
+            got, paired = handed_off(rows[:cut], rows[cut:], roads)
+            assert paired
+            assert_same_bits(got.finalize(), want)
+
+    def test_key_error_exactly_when_one_range_raises(self, monkeypatch):
+        """Under every key bound around those of the whole and of each half,
+        the hand-off, with a serial read wherever it fails as the two-CPU
+        ingest has, raises the one-range TensorKeyError or gives its bytes."""
+        day = 86_400
+        rows = rows_of(("a", DAY_START - 5, 1), ("a", DAY_START, 1), ("b", DAY_START + 3, 2),
+                       ("b", DAY_START + day, 2), ("b", DAY_START + day + 4, 2),
+                       ("c", DAY_START + day + 9, 5))
+        cut = 4
+
+        def tops(part):
+            """The largest (order, ts) and (order, cell) keys of ``part``."""
+            n = len(set(part.order_id))
+            days = day_slot(part.timestamp)[0]
+            span = int(np.ptp(part.timestamp)) + 1
+            return [n * span - 1, n * len(ROADS) * (int(np.ptp(days)) + 1) * 96 - 1]
+
+        def outcome(finalize):
+            try:
+                return finalize()
+            except TensorKeyError as exc:
+                return str(exc)
+
+        def split():
+            try:
+                builder, _ = handed_off(rows[:cut], rows[cut:])
+            except Exception:
+                return "serial", outcome(built(rows).finalize)
+            return "pairs", outcome(builder.finalize)
+
+        paths = set()
+        for limit in sorted({t + d for t in tops(rows) + tops(rows[:cut]) + tops(rows[cut:])
+                             for d in (0, 1)}):
+            monkeypatch.setattr(patterns, "_KEY_LIMIT", limit)
+            want = outcome(built(rows).finalize)
+            path, got = split()
+            paths.add((path, isinstance(want, str)))
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert_same_bits(got, want)
+        # the halves fit a bound that the whole does not: the joined pairs raise
+        assert ("pairs", True) in paths and ("pairs", False) in paths
+
+    def test_pickle_of_grouped_rows_holds_no_row_column(self, small_net, small_records):
+        rows, _ = match_batch(small_records, small_net)
+        for compact in (False, True):
+            builder = TensorBuilder(small_net.ordered_ids())
+            for i in range(0, len(rows), 1000):
+                builder.add(rows[i:i + 1000])
+            if compact:
+                builder.compact()
+            buffers = []
+            restored = pickle.loads(pickle.dumps(builder, protocol=5,
+                                                 buffer_callback=buffers.append), buffers=buffers)
+            sizes = [b.raw().nbytes for b in buffers]
+            assert restored.paired == compact and (restored._columns is None) == compact
+            # rows: five columns of 8 bytes a row; pairs: under 10 bytes a pair
+            assert sizes.count(8 * len(rows)) == (0 if compact else 5)
+            assert sum(sizes) < (10 if compact else 41) * len(rows)
 
 
 class TestPackedKey:
@@ -547,7 +782,8 @@ class TestFinalizeMemory:
                                                        small_records):
         """finalize hands the freed heap back after each column's join, once
         all of that column's chunk parts are dropped and before the next
-        column's; without malloc_trim the result is the same."""
+        column's, and twice more as it frees columns while it pairs the
+        rows; without malloc_trim the result is the same."""
         rows, _ = match_batch(small_records, small_net)
 
         def filled():
@@ -564,7 +800,8 @@ class TestFinalizeMemory:
         want = builder.finalize()
         sizes = [len(column) for column in parts]
         assert len(sizes) == 5 and min(sizes) > 20
-        assert alive_at_release == [[0] * (i + 1) + sizes[i + 1:] for i in range(5)]
+        joins = [[0] * (i + 1) + sizes[i + 1:] for i in range(5)]
+        assert alive_at_release == joins + [[0] * 5] * 2
 
         def no_c_library(name):
             raise OSError("no C library here")

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import pathlib
+import re
 import shutil
 import signal
 import tempfile
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 from tracepattern import export as ex
-from tracepattern import matching, network, parallel, pipeline
-from tracepattern.errors import ComparisonError, DataQualityError, IngestError
+from tracepattern import matching, network, parallel, patterns, pipeline
+from tracepattern.errors import ComparisonError, DataQualityError, IngestError, TensorKeyError
 from tracepattern.ingest import DEFAULT_CHUNK_SIZE
 from tracepattern.patterns import SpatioTemporalMatrix, full_interval_axis
 from tracepattern.pipeline import STAGES, RunConfig, run_pipeline
@@ -513,7 +514,8 @@ class TestIngestLog:
         _, trace = split_inputs
         mid = len(b"".join(trace.splitlines(keepends=True)[:split_line(trace)]))
         with split_traces():
-            assert ingest(trace, name) == [f"ingest split at byte {mid} of {len(trace)}{note}"]
+            assert ingest(trace, name) == [f"ingest split at byte {mid} of {len(trace)}{note}; "
+                                           f"the back half came as pairs"]
 
     @pytest.mark.parametrize("name", ["traces.csv", "traces.csv.gz"])
     def test_one_cpu_available(self, name, ingest, split_inputs):
@@ -554,3 +556,91 @@ class TestIngestLog:
     def test_failed_split(self, ingest, split_inputs):
         with split_traces(strict=False), child_fails("raise"):
             assert ingest(split_inputs[1]) == ["ingest on one CPU: the split failed"]
+
+
+def order_of(line):
+    return line.split(b",")[1]
+
+
+def swap_within_an_order(trace, i):
+    """``trace`` with the first two lines from line ``i`` on that belong to
+    one order swapped, so its timestamps go backwards there."""
+    lines = trace.splitlines(keepends=True)
+    i = next(j for j in range(i, len(lines)) if order_of(lines[j]) == order_of(lines[j + 1]))
+    lines[i:i + 2] = lines[i + 1], lines[i]
+    return b"".join(lines)
+
+
+def swap_across_orders(trace, i):
+    """``trace`` with the first two lines from line ``i`` on that belong to
+    two orders swapped, so the first order's rows come in two runs."""
+    lines = trace.splitlines(keepends=True)
+    i = next(j for j in range(i, len(lines)) if order_of(lines[j]) != order_of(lines[j + 1]))
+    lines[i:i + 2] = lines[i + 1], lines[i]
+    return b"".join(lines)
+
+
+def time_sorted(trace):
+    header, *lines = trace.splitlines(keepends=True)
+    return header + b"".join(sorted(lines, key=lambda line: int(line.split(b",")[2])))
+
+
+def last_order_renamed_first(trace):
+    """``trace`` with the rows of its last order given the first order's id."""
+    header, *lines = trace.splitlines(keepends=True)
+    first, last = order_of(lines[0]), order_of(lines[-1])
+    return header + b"".join(line.replace(b"," + last + b",", b"," + first + b",")
+                             for line in lines)
+
+
+class TestSplitHandOff:
+    """The child hands back pairs when its rows are grouped by order, each
+    order in time order, and its rows otherwise; a front out of that key
+    order is sorted into it at the join, and the join falls back to the
+    serial path when the cut breaks the key order. The outcome is the
+    serial one in every case."""
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda trace: trace, "the back half came as pairs"),
+        (lambda trace: swap_across_orders(trace, 3 * split_line(trace) // 2),
+         "the back half came as rows"),
+        (time_sorted, "the back half came as rows"),
+        (lambda trace: swap_within_an_order(trace, split_line(trace) // 2),
+         "the back half came as pairs"),
+        (last_order_renamed_first, "the split failed"),
+    ], ids=["grouped", "back_order_in_two_runs", "time_sorted", "front_out_of_time_order",
+            "back_order_recurs_in_the_front"])
+    def test_hand_off(self, edit, line, split_inputs, tmp_path, caplog):
+        net_path, grouped = split_inputs
+        trace = edit(grouped)
+        assert trace != grouped or line.endswith("pairs")
+        with caplog.at_level(logging.DEBUG, logger="tracepattern"):
+            error, _, _ = split_equals_serial(trace, net_path, tmp_path,
+                                              strict=not line.endswith("failed"))
+        assert error is None
+        assert debug_lines(caplog)[-1].endswith(line)
+        failed = [r.getMessage() for r in caplog.records if r.name == parallel.__name__]
+        if line.endswith("failed"):  # merge refused the join
+            assert len(failed) == 1 and re.match(
+                r"split job failed \(ValueError\('.*in \(order, ts\) key order'\)\)", failed[0])
+        else:
+            assert not failed
+
+    def test_key_bound_of_the_whole_file(self, split_inputs, tmp_path, caplog):
+        """Under a key bound that each half's keys fit and the whole file's
+        do not, the joined pairs raise the one-range TensorKeyError."""
+        net_path, trace = split_inputs
+        for run in ("any bound", "the whole file's"):
+            (tmp_path / run).mkdir()
+        with mock.patch.object(patterns, "_KEY_LIMIT", 1):
+            (kind, text), _, _ = split_equals_serial(trace, net_path, tmp_path / "any bound")
+        assert kind is TensorKeyError
+        top = int(re.search(r"need sort key (\d+),", text)[1])
+        with mock.patch.object(patterns, "_KEY_LIMIT", top), \
+                caplog.at_level(logging.DEBUG, logger=pipeline.__name__):
+            error, _, files = split_equals_serial(trace, net_path, tmp_path / "the whole file's")
+        assert error[0] is TensorKeyError
+        assert error[1] == text.replace("largest int64 key 0", f"largest int64 key {top - 1}")
+        assert error[1].endswith(f"past the largest int64 key {top - 1}")
+        assert json.loads(files["manifest.json"])["failed_stage"] == "build_tensors"
+        assert debug_lines(caplog)[-1].endswith("the back half came as pairs")
